@@ -9,6 +9,7 @@
 
 #include "bugs/bugs.hpp"
 #include "core/engine.hpp"
+#include "core/lab.hpp"
 #include "script/workflows.hpp"
 #include "sim/deck.hpp"
 #include "sim/extended_sim.hpp"
@@ -27,39 +28,6 @@ inline std::unique_ptr<sim::LabBackend> make_production() {
   auto backend = std::make_unique<sim::LabBackend>(sim::production_profile());
   sim::build_hein_production_deck(*backend);
   return backend;
-}
-
-/// Engine + (for V3) an Extended Simulator wired to the backend.
-struct EngineBundle {
-  std::unique_ptr<core::RabitEngine> engine;
-  std::unique_ptr<sim::ExtendedSimulator> simulator;
-};
-
-inline EngineBundle make_engine(sim::LabBackend& backend, core::Variant variant,
-                                bool gui_enabled = true) {
-  EngineBundle bundle;
-  core::EngineConfig config = core::config_from_backend(backend, variant);
-  if (variant == core::Variant::ModifiedWithSim) {
-    sim::WorldModel world = sim::deck_world_model(backend);
-    for (const core::DeviceMeta& m : config.devices) {
-      if (m.is_arm && m.sleep_box) {
-        world.add_box(m.id, *m.sleep_box, sim::ObstacleKind::ParkedArm);
-      }
-    }
-    sim::ExtendedSimulator::Options options;
-    options.gui_enabled = gui_enabled;
-    bundle.simulator = std::make_unique<sim::ExtendedSimulator>(std::move(world), options);
-    bundle.simulator->set_arm_state_provider(
-        [&backend](std::string_view arm_id) -> std::optional<geom::Vec3> {
-          const auto* arm =
-              dynamic_cast<const dev::RobotArmDevice*>(backend.registry().find(arm_id));
-          if (arm == nullptr) return std::nullopt;
-          return arm->position_lab();
-        });
-  }
-  bundle.engine = std::make_unique<core::RabitEngine>(std::move(config));
-  if (bundle.simulator) bundle.engine->attach_simulator(bundle.simulator.get());
-  return bundle;
 }
 
 inline void print_header(const char* title, const char* paper_ref) {

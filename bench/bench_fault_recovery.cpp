@@ -33,16 +33,16 @@ using namespace rabit::bench;
 /// One workflow under chaos: how to build the deck and the command stream.
 struct WorkflowCase {
   const char* name;
-  std::unique_ptr<sim::LabBackend> (*make_backend)();
+  void (*deck)(sim::LabBackend&);
+  sim::StageProfile (*profile)();
   std::string (*source)();
 };
 
-std::unique_ptr<sim::LabBackend> testbed_backend() { return make_testbed(); }
-std::unique_ptr<sim::LabBackend> production_backend() { return make_production(); }
-
 const WorkflowCase kWorkflows[] = {
-    {"testbed two-arm", testbed_backend, script::testbed_workflow_source},
-    {"solubility", production_backend, script::solubility_workflow_source},
+    {"testbed two-arm", sim::build_hein_testbed_deck, sim::testbed_profile,
+     script::testbed_workflow_source},
+    {"solubility", sim::build_hein_production_deck, sim::production_profile,
+     script::solubility_workflow_source},
 };
 
 std::vector<std::pair<std::string, std::string>> distinct_pairs(
@@ -72,16 +72,26 @@ struct ChaosRun {
   std::string halt_reason;
 };
 
-ChaosRun run_chaos(const WorkflowCase& wc, unsigned seed, bool with_recovery) {
-  auto backend = wc.make_backend();
-  std::vector<dev::Command> workflow = script::record_workflow(*backend, wc.source());
-  backend->set_fault_schedule(chaos_for(workflow, seed));
+/// `wc`'s lab: the deck hook records the workflow into `workflow` and
+/// installs the seed's chaos fault schedule before the engine is configured.
+std::unique_ptr<core::Lab> chaos_lab(const WorkflowCase& wc, unsigned seed, core::Variant variant,
+                                     std::vector<dev::Command>& workflow) {
+  return std::make_unique<core::Lab>(
+      variant, 42,
+      [&](sim::LabBackend& backend) {
+        wc.deck(backend);
+        workflow = script::record_workflow(backend, wc.source());
+        backend.set_fault_schedule(chaos_for(workflow, seed));
+      },
+      core::HotPathConfig{}, wc.profile());
+}
 
-  auto engine = std::make_unique<core::RabitEngine>(
-      core::config_from_backend(*backend, core::Variant::Modified));
+ChaosRun run_chaos(const WorkflowCase& wc, unsigned seed, bool with_recovery) {
+  std::vector<dev::Command> workflow;
+  std::unique_ptr<core::Lab> lab = chaos_lab(wc, seed, core::Variant::Modified, workflow);
   trace::Supervisor::Options options;
   if (with_recovery) options.recovery = recovery::RecoveryPolicy{};
-  trace::Supervisor sup(engine.get(), backend.get(), options);
+  trace::Supervisor sup(&lab->engine, &lab->backend, options);
   trace::RunReport report = sup.run(workflow);
 
   ChaosRun out;
@@ -279,48 +289,25 @@ enum class HazardMode { None, Reactive, Rta };
 /// stays quiet because the arm still reaches its goal. The RTA barrier floor
 /// (3 cm > the 2 cm miscalibration) demotes before the arm commits.
 HazardOutcome run_hazard(HazardMode mode) {
-  auto backend = make_testbed();
-  core::EngineConfig config =
-      core::config_from_backend(*backend, core::Variant::ModifiedWithSim);
-
-  // The configured world, as make_engine builds it — plus the shelf where
-  // the (miscalibrated) configuration believes it is: shifted +2 cm in y,
-  // so the ascent at y = -0.10 clears it by 0.015 m.
-  sim::WorldModel world = sim::deck_world_model(*backend);
-  for (const core::DeviceMeta& m : config.devices) {
-    if (m.is_arm && m.sleep_box) {
-      world.add_box(m.id, *m.sleep_box, sim::ObstacleKind::ParkedArm);
-    }
-  }
-  world.add_box("overhead_shelf",
-                geom::Aabb(geom::Vec3(0.07, -0.085, 0.40), geom::Vec3(0.17, 0.015, 0.50)),
-                sim::ObstacleKind::Equipment);
-
+  core::Lab lab(core::Variant::ModifiedWithSim);
+  lab.simulator->set_gui_enabled(false);
+  // The configured world plus the shelf where the (miscalibrated)
+  // configuration believes it is: shifted +2 cm in y, so the ascent at
+  // y = -0.10 clears it by 0.015 m.
+  lab.simulator->world().add_box(
+      "overhead_shelf", geom::Aabb(geom::Vec3(0.07, -0.085, 0.40), geom::Vec3(0.17, 0.015, 0.50)),
+      sim::ObstacleKind::Equipment);
   // Ground truth: the real shelf, 2 cm closer to the corridor. Added to the
   // backend only, *after* the config snapshot — exactly a calibration error.
-  backend->add_static_obstacle(
+  lab.backend.add_static_obstacle(
       "overhead_shelf",
       geom::Aabb(geom::Vec3(0.07, -0.105, 0.40), geom::Vec3(0.17, -0.005, 0.50)),
       sim::ObstacleKind::Equipment);
 
-  sim::ExtendedSimulator::Options sim_options;
-  sim_options.gui_enabled = false;
-  sim::ExtendedSimulator simulator(std::move(world), sim_options);
-  sim::LabBackend* backend_ptr = backend.get();
-  simulator.set_arm_state_provider(
-      [backend_ptr](std::string_view arm_id) -> std::optional<geom::Vec3> {
-        const auto* arm =
-            dynamic_cast<const dev::RobotArmDevice*>(backend_ptr->registry().find(arm_id));
-        if (arm == nullptr) return std::nullopt;
-        return arm->position_lab();
-      });
-  core::RabitEngine engine(std::move(config));
-  engine.attach_simulator(&simulator);
-
   trace::Supervisor::Options options;
   if (mode != HazardMode::None) options.recovery = recovery::RecoveryPolicy{};
   if (mode == HazardMode::Rta) options.assurance = assurance::AssuranceConfig{};
-  trace::Supervisor sup(&engine, backend.get(), options);
+  trace::Supervisor sup(&lab.engine, &lab.backend, options);
 
   // One command: ascend from sleep (0.12, -0.10, 0.14 lab) straight up into
   // the shelf corridor (viperx base is at z = 0.02).
@@ -421,16 +408,14 @@ int run_rta_chaos_leg(int seeds_per_workflow, json::Object& results) {
     int complete = 0, wc_halts = 0;
     std::size_t wc_demotions = 0;
     for (int seed = 1; seed <= seeds_per_workflow; ++seed) {
-      auto backend = wc.make_backend();
-      std::vector<dev::Command> workflow = script::record_workflow(*backend, wc.source());
-      backend->set_fault_schedule(chaos_for(workflow, static_cast<unsigned>(seed)));
-
-      EngineBundle bundle = make_engine(*backend, core::Variant::ModifiedWithSim,
-                                        /*gui_enabled=*/false);
+      std::vector<dev::Command> workflow;
+      std::unique_ptr<core::Lab> lab = chaos_lab(wc, static_cast<unsigned>(seed),
+                                                 core::Variant::ModifiedWithSim, workflow);
+      lab->simulator->set_gui_enabled(false);
       trace::Supervisor::Options options;
       options.recovery = recovery::RecoveryPolicy{};
       options.assurance = assurance::AssuranceConfig{};
-      trace::Supervisor sup(bundle.engine.get(), backend.get(), options);
+      trace::Supervisor sup(&lab->engine, &lab->backend, options);
       trace::RunReport report = sup.run(workflow);
 
       ++runs;

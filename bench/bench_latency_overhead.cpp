@@ -29,16 +29,16 @@ struct OverheadRow {
 };
 
 OverheadRow measure(const char* label, bool with_engine, bool with_sim, bool gui) {
-  auto backend = make_production();
-  auto commands = script::record_workflow(*backend, script::solubility_workflow_source());
-
-  EngineBundle bundle;
-  if (with_engine) {
-    bundle = make_engine(*backend,
-                         with_sim ? core::Variant::ModifiedWithSim : core::Variant::Modified,
-                         gui);
-  }
-  trace::Supervisor supervisor(with_engine ? bundle.engine.get() : nullptr, backend.get());
+  std::vector<dev::Command> commands;
+  core::Lab lab(
+      with_sim ? core::Variant::ModifiedWithSim : core::Variant::Modified, 42,
+      [&commands](sim::LabBackend& backend) {
+        sim::build_hein_production_deck(backend);
+        commands = script::record_workflow(backend, script::solubility_workflow_source());
+      },
+      {}, sim::production_profile());
+  if (lab.simulator) lab.simulator->set_gui_enabled(gui);
+  trace::Supervisor supervisor(with_engine ? &lab.engine : nullptr, &lab.backend);
   trace::RunReport report = supervisor.run(commands);
 
   double n = static_cast<double>(report.steps.size());
@@ -176,13 +176,15 @@ double supervised_run_us_per_cmd(bool assurance_on) {
   double total_us = 0.0;
   double total_steps = 0.0;
   for (int run = 0; run < kRunsPerSample; ++run) {
-    auto backend = make_testbed();
-    auto commands = script::record_workflow(*backend, script::testbed_workflow_source());
-    EngineBundle bundle =
-        make_engine(*backend, core::Variant::ModifiedWithSim, /*gui_enabled=*/false);
+    std::vector<dev::Command> commands;
+    core::Lab lab(core::Variant::ModifiedWithSim, 42, [&commands](sim::LabBackend& backend) {
+      sim::build_hein_testbed_deck(backend);
+      commands = script::record_workflow(backend, script::testbed_workflow_source());
+    });
+    lab.simulator->set_gui_enabled(false);
     trace::Supervisor::Options options;
     if (assurance_on) options.assurance = assurance::AssuranceConfig{};
-    trace::Supervisor supervisor(bundle.engine.get(), backend.get(), options);
+    trace::Supervisor supervisor(&lab.engine, &lab.backend, options);
     auto t0 = std::chrono::steady_clock::now();
     trace::RunReport report = supervisor.run(commands);
     auto t1 = std::chrono::steady_clock::now();
@@ -232,12 +234,12 @@ int print_assurance_overhead_gate() {
 // --- real CPU cost of the checks (not modeled) ------------------------------
 
 void BM_RealCheckCost_NoSim(benchmark::State& state) {
-  auto backend = make_production();
-  EngineBundle bundle = make_engine(*backend, core::Variant::Modified);
-  bundle.engine->initialize(backend->registry().fetch_observed_state());
+  core::Lab lab(core::Variant::Modified, 42, sim::build_hein_production_deck, {},
+                sim::production_profile());
+  lab.engine.initialize(lab.backend.registry().fetch_observed_state());
   dev::Command cmd = move_cmd(ids::kUr3e, geom::Vec3(0.25, 0.1, 0.30));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bundle.engine->check_command(cmd));
+    benchmark::DoNotOptimize(lab.engine.check_command(cmd));
   }
 }
 BENCHMARK(BM_RealCheckCost_NoSim);
@@ -276,26 +278,26 @@ void BM_RealCheckCost_LinearScan(benchmark::State& state) {
 BENCHMARK(BM_RealCheckCost_LinearScan);
 
 void BM_RealCheckCost_WithSimHeadless(benchmark::State& state) {
-  auto backend = make_production();
-  EngineBundle bundle = make_engine(*backend, core::Variant::ModifiedWithSim,
-                                    /*gui_enabled=*/false);
-  bundle.engine->initialize(backend->registry().fetch_observed_state());
+  core::Lab lab(core::Variant::ModifiedWithSim, 42, sim::build_hein_production_deck, {},
+                sim::production_profile());
+  lab.simulator->set_gui_enabled(false);
+  lab.engine.initialize(lab.backend.registry().fetch_observed_state());
   dev::Command cmd = move_cmd(ids::kUr3e, geom::Vec3(0.25, 0.1, 0.30));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bundle.engine->check_command(cmd));
+    benchmark::DoNotOptimize(lab.engine.check_command(cmd));
   }
 }
 BENCHMARK(BM_RealCheckCost_WithSimHeadless);
 
 void BM_RealPostconditionCheck(benchmark::State& state) {
-  auto backend = make_production();
-  EngineBundle bundle = make_engine(*backend, core::Variant::Modified);
-  bundle.engine->initialize(backend->registry().fetch_observed_state());
+  core::Lab lab(core::Variant::Modified, 42, sim::build_hein_production_deck, {},
+                sim::production_profile());
+  lab.engine.initialize(lab.backend.registry().fetch_observed_state());
   dev::Command cmd = make_cmd(ids::kDosingDevice, "stop_action");
-  auto observed = backend->registry().fetch_observed_state();
+  auto observed = lab.backend.registry().fetch_observed_state();
   for (auto _ : state) {
-    bundle.engine->apply_expected(cmd);
-    benchmark::DoNotOptimize(bundle.engine->verify_postconditions(cmd, observed));
+    lab.engine.apply_expected(cmd);
+    benchmark::DoNotOptimize(lab.engine.verify_postconditions(cmd, observed));
   }
 }
 BENCHMARK(BM_RealPostconditionCheck);

@@ -149,10 +149,9 @@ void print_multiplexing() {
   std::printf("concurrently ('pushing for more concurrency in their experiments').\n");
 
   // The unsafe variant under the M1 discipline: the Bug B move is *blocked*.
-  auto backend = make_testbed();
-  EngineBundle bundle = make_engine(*backend, core::Variant::Modified);
-  trace::Supervisor supervisor(bundle.engine.get(), backend.get());
-  trace::RunReport report = supervisor.run(unrestricted_workload(*backend));
+  core::Lab lab(core::Variant::Modified);
+  trace::Supervisor supervisor(&lab.engine, &lab.backend);
+  trace::RunReport report = supervisor.run(unrestricted_workload(lab.backend));
   std::printf("\nunrestricted workload under the M1 discipline: halted=%s at step %zu "
               "with rule %s, 0 collisions\n",
               report.halted ? "yes" : "no",
@@ -162,10 +161,9 @@ void print_multiplexing() {
 
 void BM_TimeMultiplexedRound(benchmark::State& state) {
   for (auto _ : state) {
-    auto backend = make_testbed();
-    EngineBundle bundle = make_engine(*backend, core::Variant::Modified);
-    trace::Supervisor supervisor(bundle.engine.get(), backend.get());
-    benchmark::DoNotOptimize(supervisor.run(time_multiplexed_workload(*backend)));
+    core::Lab lab(core::Variant::Modified);
+    trace::Supervisor supervisor(&lab.engine, &lab.backend);
+    benchmark::DoNotOptimize(supervisor.run(time_multiplexed_workload(lab.backend)));
   }
 }
 BENCHMARK(BM_TimeMultiplexedRound)->Unit(benchmark::kMillisecond);

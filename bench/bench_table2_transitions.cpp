@@ -25,13 +25,12 @@ void print_table2() {
   print_rule();
 
   // Live verification of the three example rows the paper prints.
-  auto backend = make_testbed();
-  EngineBundle bundle = make_engine(*backend, core::Variant::Modified);
-  core::RabitEngine& engine = *bundle.engine;
-  engine.initialize(backend->registry().fetch_observed_state());
+  core::Lab lab(core::Variant::Modified);
+  core::RabitEngine& engine = lab.engine;
+  engine.initialize(lab.backend.registry().fetch_observed_state());
 
   // Row 1: moving inside a device requires deviceDoorStatus = open.
-  dev::Command enter = move_cmd(ids::kViperX, site_local(*backend, ids::kViperX,
+  dev::Command enter = move_cmd(ids::kViperX, site_local(lab.backend, ids::kViperX,
                                                          "dosing_device"));
   auto a1 = engine.check_command(enter);
   std::printf("move_robot_inside with door closed : %s\n",
@@ -73,12 +72,11 @@ void BM_TransitionTableBuild(benchmark::State& state) {
 BENCHMARK(BM_TransitionTableBuild);
 
 void BM_ApplyExpected(benchmark::State& state) {
-  auto backend = make_testbed();
-  EngineBundle bundle = make_engine(*backend, core::Variant::Modified);
-  bundle.engine->initialize(backend->registry().fetch_observed_state());
+  core::Lab lab(core::Variant::Modified);
+  lab.engine.initialize(lab.backend.registry().fetch_observed_state());
   dev::Command cmd = make_cmd(ids::kDosingDevice, "stop_action");
   for (auto _ : state) {
-    bundle.engine->apply_expected(cmd);
+    lab.engine.apply_expected(cmd);
   }
 }
 BENCHMARK(BM_ApplyExpected);

@@ -163,10 +163,9 @@ struct ScenarioResult {
 };
 
 ScenarioResult run_scenario(const Scenario& scenario) {
-  auto backend = make_testbed();
-  EngineBundle bundle = make_engine(*backend, core::Variant::Modified);
-  trace::Supervisor supervisor(bundle.engine.get(), backend.get());
-  trace::RunReport report = supervisor.run(scenario.build(*backend));
+  core::Lab lab(core::Variant::Modified);
+  trace::Supervisor supervisor(&lab.engine, &lab.backend);
+  trace::RunReport report = supervisor.run(scenario.build(lab.backend));
 
   ScenarioResult result;
   result.detected = report.alert_preceded_damage();
@@ -198,10 +197,9 @@ void print_table3() {
               scenarios.size());
 
   // And the converse: the safe workflow raises nothing.
-  auto backend = make_testbed();
-  EngineBundle bundle = make_engine(*backend, core::Variant::Modified);
-  trace::Supervisor supervisor(bundle.engine.get(), backend.get());
-  auto safe = script::record_workflow(*backend, script::testbed_workflow_source());
+  core::Lab lab(core::Variant::Modified);
+  trace::Supervisor supervisor(&lab.engine, &lab.backend);
+  auto safe = script::record_workflow(lab.backend, script::testbed_workflow_source());
   trace::RunReport report = supervisor.run(safe);
   std::printf("safe workflow (%zu commands): %zu alerts, %zu damage events "
               "(paper: zero false positives)\n",
@@ -209,23 +207,21 @@ void print_table3() {
 }
 
 void BM_CheckCommandNonMotion(benchmark::State& state) {
-  auto backend = make_testbed();
-  EngineBundle bundle = make_engine(*backend, core::Variant::Modified);
-  bundle.engine->initialize(backend->registry().fetch_observed_state());
+  core::Lab lab(core::Variant::Modified);
+  lab.engine.initialize(lab.backend.registry().fetch_observed_state());
   dev::Command cmd = make_cmd(ids::kDosingDevice, "stop_action");
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bundle.engine->check_command(cmd));
+    benchmark::DoNotOptimize(lab.engine.check_command(cmd));
   }
 }
 BENCHMARK(BM_CheckCommandNonMotion);
 
 void BM_CheckCommandMotion(benchmark::State& state) {
-  auto backend = make_testbed();
-  EngineBundle bundle = make_engine(*backend, core::Variant::Modified);
-  bundle.engine->initialize(backend->registry().fetch_observed_state());
+  core::Lab lab(core::Variant::Modified);
+  lab.engine.initialize(lab.backend.registry().fetch_observed_state());
   dev::Command cmd = move_cmd(ids::kViperX, geom::Vec3(0.25, 0.0, 0.30));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bundle.engine->check_command(cmd));
+    benchmark::DoNotOptimize(lab.engine.check_command(cmd));
   }
 }
 BENCHMARK(BM_CheckCommandMotion);

@@ -136,10 +136,9 @@ void print_table4() {
   int correct_rule = 0;
   auto scenarios = custom_rule_scenarios();
   for (const Scenario& s : scenarios) {
-    auto backend = make_testbed();
-    EngineBundle bundle = make_engine(*backend, core::Variant::Modified);
-    trace::Supervisor supervisor(bundle.engine.get(), backend.get());
-    trace::RunReport report = supervisor.run(s.build(*backend));
+    core::Lab lab(core::Variant::Modified);
+    trace::Supervisor supervisor(&lab.engine, &lab.backend);
+    trace::RunReport report = supervisor.run(s.build(lab.backend));
     std::string fired;
     for (const trace::SupervisedStep& step : report.steps) {
       if (step.alert) {
@@ -160,15 +159,14 @@ void print_table4() {
 }
 
 void BM_CustomRuleCheck(benchmark::State& state) {
-  auto backend = make_testbed();
-  EngineBundle bundle = make_engine(*backend, core::Variant::Modified);
-  bundle.engine->initialize(backend->registry().fetch_observed_state());
+  core::Lab lab(core::Variant::Modified);
+  lab.engine.initialize(lab.backend.registry().fetch_observed_state());
   json::Object dose;
   dose["volume"] = 2.0;
   dose["target"] = std::string(ids::kVial2);
   dev::Command cmd = make_cmd(ids::kSyringePump, "dose_solvent", std::move(dose));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bundle.engine->check_command(cmd));
+    benchmark::DoNotOptimize(lab.engine.check_command(cmd));
   }
 }
 BENCHMARK(BM_CustomRuleCheck);

@@ -14,10 +14,8 @@
 #include <cstdio>
 
 #include "bugs/bugs.hpp"
-#include "core/engine.hpp"
-#include "devices/robot_arm.hpp"
+#include "core/lab.hpp"
 #include "sim/deck.hpp"
-#include "sim/extended_sim.hpp"
 #include "trace/trace.hpp"
 
 using namespace rabit;
@@ -35,33 +33,8 @@ struct StageOutcome {
 
 StageOutcome run_stage(const sim::StageProfile& profile,
                        const std::vector<dev::Command>& workflow, bool with_rabit) {
-  sim::LabBackend backend(profile);
-  sim::build_hein_testbed_deck(backend);
-
-  std::unique_ptr<core::RabitEngine> engine;
-  std::unique_ptr<sim::ExtendedSimulator> simulator;
-  if (with_rabit) {
-    core::EngineConfig config =
-        core::config_from_backend(backend, core::Variant::ModifiedWithSim);
-    sim::WorldModel world = sim::deck_world_model(backend);
-    for (const core::DeviceMeta& m : config.devices) {
-      if (m.is_arm && m.sleep_box) {
-        world.add_box(m.id, *m.sleep_box, sim::ObstacleKind::ParkedArm);
-      }
-    }
-    simulator = std::make_unique<sim::ExtendedSimulator>(std::move(world));
-    simulator->set_arm_state_provider(
-        [&backend](std::string_view arm_id) -> std::optional<geom::Vec3> {
-          const auto* arm =
-              dynamic_cast<const dev::RobotArmDevice*>(backend.registry().find(arm_id));
-          return arm != nullptr ? std::optional<geom::Vec3>(arm->position_lab())
-                                : std::nullopt;
-        });
-    engine = std::make_unique<core::RabitEngine>(std::move(config));
-    engine->attach_simulator(simulator.get());
-  }
-
-  trace::Supervisor supervisor(engine.get(), &backend);
+  core::Lab lab(core::Variant::ModifiedWithSim, 42, {}, {}, profile);
+  trace::Supervisor supervisor(with_rabit ? &lab.engine : nullptr, &lab.backend);
   trace::RunReport report = supervisor.run(workflow);
 
   StageOutcome outcome;
@@ -71,7 +44,7 @@ StageOutcome run_stage(const sim::StageProfile& profile,
     outcome.rule = report.steps[*report.first_alert_step].alert->rule;
   }
   outcome.damage_events = report.damage.size();
-  outcome.damage_cost = backend.total_damage_cost();
+  outcome.damage_cost = lab.backend.total_damage_cost();
   outcome.stage_time_s = report.modeled_runtime_s + report.modeled_overhead_s;
   return outcome;
 }

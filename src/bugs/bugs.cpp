@@ -2,10 +2,10 @@
 
 #include <cmath>
 
+#include "core/lab.hpp"
 #include "devices/robot_arm.hpp"
 #include "script/workflows.hpp"
 #include "sim/deck.hpp"
-#include "sim/extended_sim.hpp"
 
 namespace rabit::bugs {
 
@@ -496,48 +496,11 @@ const std::vector<BugSpec>& bug_catalogue() {
 // Evaluation
 // ---------------------------------------------------------------------------
 
-BugOutcome evaluate_stream(const std::vector<Command>& commands, core::Variant variant) {
-  return evaluate_stream(commands, variant, trace::Supervisor::Options{});
-}
-
-BugOutcome evaluate_stream(const std::vector<Command>& commands, core::Variant variant,
-                           const trace::Supervisor::Options& options) {
-  return evaluate_stream(commands, variant, options, core::HotPathConfig{});
-}
-
 BugOutcome evaluate_stream(const std::vector<Command>& commands, core::Variant variant,
                            const trace::Supervisor::Options& options,
                            const core::HotPathConfig& hot_path) {
-  sim::LabBackend backend(sim::testbed_profile());
-  sim::build_hein_testbed_deck(backend);
-
-  core::EngineConfig config = core::config_from_backend(backend, variant);
-
-  std::optional<sim::ExtendedSimulator> simulator;
-  if (variant == core::Variant::ModifiedWithSim) {
-    sim::WorldModel world = sim::deck_world_model(backend);
-    for (const core::DeviceMeta& m : config.devices) {
-      if (m.is_arm && m.sleep_box) {
-        world.add_box(m.id, *m.sleep_box, sim::ObstacleKind::ParkedArm);
-      }
-    }
-    sim::ExtendedSimulator::Options sim_options;
-    sim_options.use_broad_phase = hot_path.broad_phase;
-    sim_options.use_verdict_cache = hot_path.verdict_cache;
-    simulator.emplace(std::move(world), sim_options);
-    simulator->set_arm_state_provider(
-        [&backend](std::string_view arm_id) -> std::optional<Vec3> {
-          const auto* arm =
-              dynamic_cast<const dev::RobotArmDevice*>(backend.registry().find(arm_id));
-          if (arm == nullptr) return std::nullopt;
-          return arm->position_lab();
-        });
-  }
-
-  core::RabitEngine engine(std::move(config), hot_path);
-  if (simulator) engine.attach_simulator(&*simulator);
-
-  trace::Supervisor supervisor(&engine, &backend, options);
+  core::Lab lab(variant, 42, {}, hot_path);
+  trace::Supervisor supervisor(&lab.engine, &lab.backend, options);
   BugOutcome outcome;
   outcome.report = supervisor.run(commands);
   outcome.damaged = !outcome.report.damage.empty();

@@ -105,25 +105,16 @@ struct BugOutcome {
   trace::RunReport report;
 };
 
-/// Runs `commands` under `variant` (attaching an Extended Simulator for
-/// ModifiedWithSim) on a freshly built testbed deck.
-[[nodiscard]] BugOutcome evaluate_stream(const std::vector<dev::Command>& commands,
-                                         core::Variant variant);
-
-/// Same, but with explicit Supervisor options — used by the chaos-campaign
-/// bench to prove the detection progression is unchanged when the recovery
-/// ladder is enabled.
+/// Runs `commands` under `variant` on a fresh testbed core::Lab (with an
+/// Extended Simulator for ModifiedWithSim). Explicit Supervisor options let
+/// the chaos-campaign bench prove the detection progression is unchanged
+/// with the recovery ladder on; explicit hot-path toggles let the
+/// verdict-parity tests and bench_throughput run every catalogue bug with
+/// the optimizations on and off and require identical outcomes.
 [[nodiscard]] BugOutcome evaluate_stream(const std::vector<dev::Command>& commands,
                                          core::Variant variant,
-                                         const trace::Supervisor::Options& options);
-
-/// Same, with explicit hot-path toggles — the verdict-parity tests and
-/// bench_throughput run every catalogue bug with the optimizations on and
-/// off and require identical outcomes.
-[[nodiscard]] BugOutcome evaluate_stream(const std::vector<dev::Command>& commands,
-                                         core::Variant variant,
-                                         const trace::Supervisor::Options& options,
-                                         const core::HotPathConfig& hot_path);
+                                         const trace::Supervisor::Options& options = {},
+                                         const core::HotPathConfig& hot_path = {});
 
 /// Convenience: builds the bug's stream and evaluates it.
 [[nodiscard]] BugOutcome evaluate_bug(const BugSpec& bug, core::Variant variant);

@@ -129,37 +129,16 @@ std::optional<Alert> RabitEngine::check_command(const dev::Command& raw) {
       if (motion_observer_) motion_observer_(*motion);
       // Deliberate-entry boxes are skipped via the read-only ignore filter —
       // the world itself is never mutated by a check, so a throwing
-      // validation can no longer lose boxes and concurrent checks are safe.
-      const std::vector<geom::Vec3>& waypoints = motion->waypoints;
-      const double margin = assurance_margin_;
-      std::optional<sim::CollisionReport> hit;
-      for (std::size_t i = 1; i < waypoints.size() && !hit; ++i) {
-        // With an assurance margin set this is the inflated sweep — same
-        // sampling, same modeled charge; otherwise the plain replay.
-        hit = margin > 0.0 ? simulator_->validate_trajectory_margin(
-                                 waypoints[i - 1], waypoints[i], motion->held_clearance,
-                                 motion->ignores, margin, /*charge_modeled=*/true)
-                           : simulator_->validate_trajectory(waypoints[i - 1], waypoints[i],
-                                                             motion->held_clearance,
-                                                             motion->ignores);
-      }
-      if (hit && margin > 0.0) {
-        // Inflated trip: re-check uninflated (uncharged — the modeled cost
-        // was paid above) so alert verdicts stay exactly the uninflated
-        // ones; a trip the re-check clears is the demotion signal.
-        hit.reset();
-        for (std::size_t i = 1; i < waypoints.size() && !hit; ++i) {
-          hit = simulator_->validate_trajectory_margin(waypoints[i - 1], waypoints[i],
-                                                       motion->held_clearance, motion->ignores,
-                                                       /*margin=*/0.0);
-        }
-        last_margin_tripped_ = !hit;
-      }
-      if (hit) {
+      // validation can never lose boxes. With an assurance margin set, the
+      // same sweep is inflated and reports the demotion signal.
+      sim::ExtendedSimulator::SweepResult swept = simulator_->sweep(
+          motion->waypoints, motion->held_clearance, motion->ignores, assurance_margin_);
+      last_margin_tripped_ = swept.tripped;
+      if (swept.hit) {
         ++stats_.trajectory_alerts;
         finish_precondition_phase();
         return Alert{AlertKind::InvalidTrajectory, "SIM",
-                     motion->arm_id + " trajectory unsafe: " + hit->describe(), cmd};
+                     motion->arm_id + " trajectory unsafe: " + swept.hit->describe(), cmd};
       }
       last_motion_cmd_ = raw;
       last_motion_ = std::move(*motion);

@@ -120,13 +120,12 @@ class RabitEngine {
   }
 
   /// Runtime-assurance hook. When set > 0, the V3 trajectory replay sweeps
-  /// with every obstacle inflated by this margin — the SAME single sweep,
-  /// just a constant added to each clearance test, so the assurance fast
-  /// path costs nothing extra on clean motions. A trip triggers one
-  /// uninflated re-check so alert verdicts stay exactly the paper's; the
-  /// gap between the two sweeps (inflated trips, uninflated clean) is
-  /// surfaced via last_margin_tripped() as the demotion signal. 0 disables
-  /// (the default; non-assurance runs are untouched).
+  /// with every obstacle inflated by this margin — the SAME single sweep
+  /// (ExtendedSimulator::sweep), so the assurance fast path costs nothing
+  /// extra on clean motions. Alert verdicts stay exactly the paper's
+  /// uninflated ones; a trip the uninflated path clears is surfaced via
+  /// last_margin_tripped() as the demotion signal. 0 disables (the default;
+  /// non-assurance runs are untouched).
   void set_assurance_margin(double margin) { assurance_margin_ = margin; }
   [[nodiscard]] double assurance_margin() const { return assurance_margin_; }
   /// Did the last check_command()'s replay trip the inflated sweep while
@@ -147,6 +146,18 @@ class RabitEngine {
     std::size_t status_repolls = 0;
     /// Line-16 resyncs of S_current onto a fetched S_actual.
     std::size_t resyncs = 0;
+
+    Stats& operator+=(const Stats& o) {
+      commands_checked += o.commands_checked;
+      precondition_alerts += o.precondition_alerts;
+      trajectory_alerts += o.trajectory_alerts;
+      malfunction_alerts += o.malfunction_alerts;
+      trajectory_checks += o.trajectory_checks;
+      degraded_checks += o.degraded_checks;
+      status_repolls += o.status_repolls;
+      resyncs += o.resyncs;
+      return *this;
+    }
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

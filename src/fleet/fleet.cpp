@@ -5,14 +5,17 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <random>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <thread>
 
+#include "core/lab.hpp"
 #include "script/workflows.hpp"
 #include "sim/deck.hpp"
 #include "sim/pose_board.hpp"
@@ -51,46 +54,109 @@ LatencySummary summarize_latencies(std::vector<double> latencies_us) {
   return s;
 }
 
-StreamResult FleetRunner::run_stream(const StreamSpec& spec) {
-  // Mirrors bugs::evaluate_stream: a fresh testbed deck, a config derived
-  // from it, and (for V3) an Extended Simulator over the configured world.
-  sim::LabBackend backend(sim::testbed_profile(), spec.seed);
-  sim::build_hein_testbed_deck(backend);
-  core::EngineConfig config = core::config_from_backend(backend, spec.variant);
+namespace {
 
-  std::optional<sim::ExtendedSimulator> simulator;
-  if (spec.variant == core::Variant::ModifiedWithSim) {
-    sim::WorldModel world = sim::deck_world_model(backend);
-    for (const core::DeviceMeta& m : config.devices) {
-      if (m.is_arm && m.sleep_box) {
-        world.add_box(m.id, *m.sleep_box, sim::ObstacleKind::ParkedArm);
-      }
+/// (stream index, command index): one dispatch slot of a campaign schedule.
+using Entry = std::pair<std::size_t, std::size_t>;
+using Commands = std::vector<std::vector<dev::Command>>;
+
+/// The one worker pool every fleet mode runs on: job(i) for each i in
+/// [0, jobs) across min(workers, jobs) threads (at least one), claiming work
+/// by atomic index. Jobs write only their own result slot, so the outcome is
+/// independent of the worker count and of the scheduler. Returns the wall
+/// time from pool start to the last job done.
+double run_pool(std::size_t jobs, std::size_t workers,
+                const std::function<void(std::size_t)>& job) {
+  workers = std::max<std::size_t>(1, std::min(workers, jobs));
+  auto t0 = std::chrono::steady_clock::now();
+  std::atomic<std::size_t> next{0};
+  auto worker_loop = [&] {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < jobs;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      job(i);
     }
+  };
+  if (workers == 1) {
+    worker_loop();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker_loop);
+    for (std::thread& t : pool) t.join();
+  }
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+/// The explicit cross-shard coordination path: steps on these devices (and
+/// pose reads of these arms) serialize through one recursive mutex.
+struct Rendezvous {
+  std::recursive_mutex mutex;
+  std::set<std::string, std::less<>> names;
+};
+
+/// The one per-lab step loop behind every fleet mode: plan shards (the
+/// monolithic reference is a 1-shard plan), solo replays and FleetRunner
+/// streams. Starts `supervisor`, steps `entries` in order, hands each result
+/// to `on_step`, and ends the lab's run at a halt. Steps on a rendezvous
+/// device hold the rendezvous mutex.
+template <class OnStep>
+void step_lab(trace::Supervisor& supervisor, std::span<const std::vector<dev::Command>> commands,
+              const std::vector<Entry>& entries, Rendezvous* rendezvous, OnStep&& on_step) {
+  supervisor.start();
+  for (const Entry& entry : entries) {
+    const dev::Command& cmd = commands[entry.first][entry.second];
+    trace::SupervisedStep step;
+    if (rendezvous != nullptr && rendezvous->names.contains(cmd.device)) {
+      std::lock_guard<std::recursive_mutex> lock(rendezvous->mutex);
+      step = supervisor.step(cmd);
+    } else {
+      step = supervisor.step(cmd);
+    }
+    on_step(entry, std::move(step));
+    if (supervisor.halted()) break;
+  }
+}
+
+/// Every command of one stream, in order.
+std::vector<Entry> stream_entries(std::size_t stream, std::size_t commands) {
+  std::vector<Entry> entries;
+  entries.reserve(commands);
+  for (std::size_t k = 0; k < commands; ++k) entries.emplace_back(stream, k);
+  return entries;
+}
+
+/// Folds one lab's observability sinks into a report's merged pair, created
+/// on first use. Callers merge in spec or shard order, never finish order,
+/// so event exports are byte-identical across worker counts.
+void merge_obs(std::shared_ptr<obs::Collector>& events, std::shared_ptr<obs::Registry>& metrics,
+               const std::shared_ptr<obs::Collector>& lab_events,
+               const std::shared_ptr<obs::Registry>& lab_metrics) {
+  if (lab_events == nullptr) return;
+  if (events == nullptr) {
+    events = std::make_shared<obs::Collector>();
+    metrics = std::make_shared<obs::Registry>();
+  }
+  events->merge_from(*lab_events);
+  metrics->merge_from(*lab_metrics);
+}
+
+}  // namespace
+
+StreamResult FleetRunner::run_stream(const StreamSpec& spec) {
+  core::Lab lab(spec.variant, spec.seed, {}, spec.hot_path);
+  if (lab.simulator) {
     // Shelf rack at x >= 8 m — outside every testbed motion path, so these
     // boxes never collide; they only grow the set the narrow phase must scan.
     for (std::size_t i = 0; i < spec.extra_obstacles; ++i) {
       double x = 8.0 + 0.3 * static_cast<double>(i % 20);
       double y = 0.3 * static_cast<double>((i / 20) % 20);
       double z = 0.3 * static_cast<double>(i / 400);
-      world.add_box("shelf-" + std::to_string(i),
-                    geom::Aabb(geom::Vec3(x, y, z), geom::Vec3(x + 0.25, y + 0.25, z + 0.25)),
-                    sim::ObstacleKind::Equipment);
+      lab.simulator->world().add_box(
+          "shelf-" + std::to_string(i),
+          geom::Aabb(geom::Vec3(x, y, z), geom::Vec3(x + 0.25, y + 0.25, z + 0.25)),
+          sim::ObstacleKind::Equipment);
     }
-    sim::ExtendedSimulator::Options sim_options;
-    sim_options.use_broad_phase = spec.hot_path.broad_phase;
-    sim_options.use_verdict_cache = spec.hot_path.verdict_cache;
-    simulator.emplace(std::move(world), sim_options);
-    simulator->set_arm_state_provider(
-        [&backend](std::string_view arm_id) -> std::optional<geom::Vec3> {
-          const auto* arm =
-              dynamic_cast<const dev::RobotArmDevice*>(backend.registry().find(arm_id));
-          if (arm == nullptr) return std::nullopt;
-          return arm->position_lab();
-        });
   }
-
-  core::RabitEngine engine(std::move(config), spec.hot_path);
-  if (simulator) engine.attach_simulator(&*simulator);
 
   StreamResult result;
   result.name = spec.name;
@@ -109,13 +175,45 @@ StreamResult FleetRunner::run_stream(const StreamSpec& spec) {
     sup_options.obs_metrics = result.obs_metrics.get();
     sup_options.obs_stream = spec.name;
   }
-  trace::Supervisor supervisor(&engine, &backend, sup_options);
-
-  result.report = supervisor.run(spec.commands);
-  result.engine_stats = engine.stats();
+  trace::Supervisor supervisor(&lab.engine, &lab.backend, sup_options);
+  step_lab(supervisor, std::span(&spec.commands, 1), stream_entries(0, spec.commands.size()),
+           nullptr, [&](const Entry&, trace::SupervisedStep step) {
+             result.report.record(std::move(step));
+           });
+  supervisor.finish(result.report);
+  result.engine_stats = lab.engine.stats();
   result.trace_jsonl = supervisor.log().to_jsonl();
   result.check_wall_s = result.report.check_wall_s;
   return result;
+}
+
+FleetReport FleetRunner::run(const std::vector<StreamSpec>& streams) const {
+  FleetReport report;
+  report.streams.resize(streams.size());
+  if (streams.empty()) return report;
+  report.wall_s = run_pool(streams.size(), options_.workers,
+                           [&](std::size_t i) { report.streams[i] = run_stream(streams[i]); });
+
+  std::vector<double> latencies_us;
+  for (const StreamResult& s : report.streams) {
+    merge_obs(report.obs_events, report.obs_metrics, s.obs_events, s.obs_metrics);
+    report.totals += s.engine_stats;
+    report.alerts += s.report.alerts;
+    for (const trace::SupervisedStep& step : s.report.steps) {
+      if (step.check_wall_us > 0) latencies_us.push_back(step.check_wall_us);
+    }
+  }
+  if (report.obs_metrics != nullptr) {
+    report.obs_metrics
+        ->gauge("rabit_fleet_streams", "", "Streams this fleet report aggregates")
+        .add(static_cast<double>(report.streams.size()));
+  }
+  report.commands_checked = report.totals.commands_checked;
+  report.check_latency = summarize_latencies(std::move(latencies_us));
+  if (report.wall_s > 0) {
+    report.commands_per_s = static_cast<double>(report.commands_checked) / report.wall_s;
+  }
+  return report;
 }
 
 // ---------------------------------------------------------------------------
@@ -124,77 +222,60 @@ StreamResult FleetRunner::run_stream(const StreamSpec& spec) {
 
 namespace {
 
-/// Builds a campaign lab deck: the spec's custom builder, or the standard
-/// Hein testbed when none was given.
-void build_campaign_deck(const CampaignSpec& spec, sim::LabBackend& backend) {
-  if (spec.deck) {
-    spec.deck(backend);
-  } else {
-    sim::build_hein_testbed_deck(backend);
-  }
-}
-
-/// One fully assembled campaign lab (backend + optional V3 simulator +
-/// engine), used for the shared interleaved run, each shard, and each solo
-/// baseline. Construct in place and do not move: the simulator's arm-state
-/// provider captures the backend by address.
-struct Lab {
-  sim::LabBackend backend;
-  std::optional<sim::ExtendedSimulator> simulator;
-  std::optional<core::RabitEngine> engine;
-
-  explicit Lab(const CampaignSpec& spec) : backend(sim::testbed_profile(), spec.seed) {
-    build_campaign_deck(spec, backend);
-    core::Variant variant = spec.variant;
-    core::EngineConfig config = core::config_from_backend(backend, variant);
-    if (variant == core::Variant::ModifiedWithSim) {
-      sim::WorldModel world = sim::deck_world_model(backend);
-      for (const core::DeviceMeta& m : config.devices) {
-        if (m.is_arm && m.sleep_box) {
-          world.add_box(m.id, *m.sleep_box, sim::ObstacleKind::ParkedArm);
-        }
-      }
-      simulator.emplace(std::move(world), sim::ExtendedSimulator::Options{});
-      simulator->set_arm_state_provider(
-          [this](std::string_view arm_id) -> std::optional<geom::Vec3> {
-            const auto* arm =
-                dynamic_cast<const dev::RobotArmDevice*>(backend.registry().find(arm_id));
-            if (arm == nullptr) return std::nullopt;
-            return arm->position_lab();
-          });
-    }
-    engine.emplace(std::move(config), core::HotPathConfig{});
-    if (simulator) engine->attach_simulator(&*simulator);
-  }
+/// A campaign resolved once per run: script streams recorded to commands,
+/// plus a probe lab's (backend, deck and config; no simulator) arm inventory
+/// and campaign-start poses, which seed the pose board.
+struct ResolvedCampaign {
+  Commands commands;
+  core::EngineConfig config;
+  std::set<std::string, std::less<>> arm_ids;
+  std::map<std::string, geom::Vec3, std::less<>> initial_poses;
 };
 
-/// Resolves a campaign stream to concrete commands: script streams are
-/// recorded against a pristine staging lab (same convention as
-/// testbed_stream), command streams pass through.
-std::vector<dev::Command> campaign_commands(const CampaignSpec& spec,
-                                            const CampaignStreamSpec& stream) {
-  if (!stream.commands.empty() || stream.script.empty()) return stream.commands;
-  sim::LabBackend staging(sim::testbed_profile(), spec.seed);
-  build_campaign_deck(spec, staging);
-  return script::record_workflow(staging, stream.script);
+/// Script streams are recorded against a pristine staging lab (same
+/// convention as testbed_stream); command streams pass through.
+ResolvedCampaign resolve_campaign(const CampaignSpec& spec) {
+  ResolvedCampaign resolved;
+  resolved.commands.reserve(spec.streams.size());
+  for (const CampaignStreamSpec& stream : spec.streams) {
+    if (!stream.commands.empty() || stream.script.empty()) {
+      resolved.commands.push_back(stream.commands);
+      continue;
+    }
+    sim::LabBackend staging(sim::testbed_profile(), spec.seed);
+    core::build_deck(staging, spec.deck);
+    resolved.commands.push_back(script::record_workflow(staging, stream.script));
+  }
+  sim::LabBackend probe(sim::testbed_profile(), spec.seed);
+  core::build_deck(probe, spec.deck);
+  resolved.config = core::config_from_backend(probe, spec.variant);
+  for (const core::DeviceMeta& m : resolved.config.devices) {
+    if (!m.is_arm) continue;
+    resolved.arm_ids.insert(m.id);
+    const auto* arm = dynamic_cast<const dev::RobotArmDevice*>(probe.registry().find(m.id));
+    if (arm != nullptr) resolved.initial_poses.emplace(m.id, arm->position_lab());
+  }
+  return resolved;
 }
 
-std::vector<std::vector<dev::Command>> resolve_campaign(const CampaignSpec& spec) {
-  std::vector<std::vector<dev::Command>> commands;
-  commands.reserve(spec.streams.size());
-  for (const CampaignStreamSpec& s : spec.streams) {
-    commands.push_back(campaign_commands(spec, s));
+/// The monolithic reference as a plan: every stream in one shard.
+analysis::ShardPlan single_shard_plan(const CampaignSpec& spec) {
+  analysis::ShardPlan plan;
+  analysis::Shard shard;
+  for (std::size_t s = 0; s < spec.streams.size(); ++s) {
+    plan.stream_names.push_back(spec.streams[s].name);
+    shard.streams.push_back(s);
   }
-  return commands;
+  plan.shards.push_back(std::move(shard));
+  return plan;
 }
 
 /// The deterministic seeded interleaving: each dispatch slot picks uniformly
 /// among the streams that still have commands. Depends only on (stream
-/// lengths, seed), so a failing campaign replays from its seed — and the
-/// sharded mode can recompute the identical global order and filter it.
-std::vector<std::pair<std::size_t, std::size_t>> make_schedule(
-    const std::vector<std::vector<dev::Command>>& commands, unsigned seed) {
-  std::vector<std::pair<std::size_t, std::size_t>> schedule;
+/// lengths, seed), so a failing campaign replays from its seed — and every
+/// shard recomputes the identical global order and filters it.
+std::vector<Entry> make_schedule(const Commands& commands, unsigned seed) {
+  std::vector<Entry> schedule;
   std::mt19937 rng(seed);
   std::vector<std::size_t> cursor(commands.size(), 0);
   std::vector<std::size_t> live;
@@ -212,26 +293,24 @@ std::vector<std::pair<std::size_t, std::size_t>> make_schedule(
   return schedule;
 }
 
-/// Solo baselines: each alerted stream alone on an identical fresh lab. An
-/// alert present in the shared (or shard) run but absent at the same
-/// (command index, rule) solo can only come from what other streams did to
-/// the shared state.
-void classify_against_solo(const CampaignSpec& spec,
-                           const std::vector<std::vector<dev::Command>>& commands,
+/// Solo baselines: each alerted stream alone on an isolated lab, through the
+/// same step loop. An alert present in the campaign run but absent at the
+/// same (command index, rule) solo can only come from what other streams did
+/// to the shared state.
+void classify_against_solo(const CampaignSpec& spec, const Commands& commands,
                            CampaignReport& report) {
-  for (std::size_t s = 0; s < commands.size(); ++s) {
-    bool any = false;
-    for (const CampaignAlert& a : report.alerts) any = any || a.stream == s;
-    if (!any) continue;
-    Lab solo(spec);
+  std::set<std::size_t> alerted;
+  for (const CampaignAlert& a : report.alerts) alerted.insert(a.stream);
+  for (std::size_t s : alerted) {
+    core::Lab solo(spec.variant, spec.seed, spec.deck);
     trace::Supervisor::Options solo_options;
     solo_options.halt_on_alert = false;
-    trace::Supervisor solo_supervisor(&*solo.engine, &solo.backend, solo_options);
-    trace::RunReport solo_report = solo_supervisor.run(commands[s]);
+    trace::Supervisor supervisor(&solo.engine, &solo.backend, solo_options);
     std::set<std::pair<std::size_t, std::string>> solo_alerts;
-    for (std::size_t k = 0; k < solo_report.steps.size(); ++k) {
-      if (solo_report.steps[k].alert) solo_alerts.emplace(k, solo_report.steps[k].alert->rule);
-    }
+    step_lab(supervisor, commands, stream_entries(s, commands[s].size()), nullptr,
+             [&](const Entry& entry, const trace::SupervisedStep& step) {
+               if (step.alert) solo_alerts.emplace(entry.second, step.alert->rule);
+             });
     for (CampaignAlert& a : report.alerts) {
       if (a.stream != s) continue;
       a.cross_stream = !solo_alerts.contains({a.command_index, a.alert.rule});
@@ -239,91 +318,27 @@ void classify_against_solo(const CampaignSpec& spec,
   }
 }
 
-}  // namespace
-
-std::size_t CampaignReport::cross_stream_alerts() const {
-  std::size_t n = 0;
-  for (const CampaignAlert& a : alerts) {
-    if (a.cross_stream) ++n;
-  }
-  return n;
-}
-
-CampaignReport Fleet::run_campaign(const CampaignSpec& spec) {
-  CampaignReport report;
-  std::vector<std::vector<dev::Command>> commands = resolve_campaign(spec);
-  report.schedule = make_schedule(commands, spec.seed);
-
-  // The interleaved run on ONE shared lab: every stream's commands hit the
-  // same backend, engine, and tracker. Alerted commands are blocked (never
-  // forwarded) and, unless halt_on_alert, the campaign continues.
-  Lab lab(spec);
-  trace::Supervisor::Options options;
-  options.halt_on_alert = spec.halt_on_alert;
-  trace::Supervisor supervisor(&*lab.engine, &lab.backend, options);
-  supervisor.start();
-  for (const auto& [s, k] : report.schedule) {
-    trace::SupervisedStep step = supervisor.step(commands[s][k]);
-    ++report.commands_checked;
-    if (step.alert) report.alerts.push_back(CampaignAlert{s, k, *step.alert, false});
-    if (supervisor.halted()) break;
-  }
-
-  classify_against_solo(spec, commands, report);
-  return report;
-}
-
-CampaignReport Fleet::run(const CampaignSpec& spec, const ShardedCampaignOptions& options,
-                          analysis::ShardPlan* plan_out) {
-  // The default execution model: static shard planning first, then the
-  // plan-driven hot path. An unshardable campaign yields a 1-shard plan and
-  // degenerates to the monolithic schedule through the same machinery.
-  std::vector<std::vector<dev::Command>> commands = resolve_campaign(spec);
-  sim::LabBackend probe(sim::testbed_profile(), spec.seed);
-  build_campaign_deck(spec, probe);
-  core::EngineConfig config = core::config_from_backend(probe, spec.variant);
-  std::vector<analysis::CampaignStream> planned;
-  planned.reserve(spec.streams.size());
-  for (std::size_t i = 0; i < spec.streams.size(); ++i) {
-    planned.push_back(analysis::CampaignStream{spec.streams[i].name, commands[i]});
-  }
-  analysis::ShardPlan plan = analysis::plan_campaign_shards(config, planned);
-  if (plan_out != nullptr) *plan_out = plan;
-  return run_campaign(spec, plan, options);
-}
-
-CampaignReport Fleet::run_campaign(const CampaignSpec& spec, const analysis::ShardPlan& plan,
-                                   const ShardedCampaignOptions& options) {
+/// Runs `plan` over a resolved campaign: the shard phase on the worker pool,
+/// the deterministic merge, solo classification and, when asked, the
+/// monolithic oracle. Every campaign entry point lands here.
+CampaignReport run_plan(const CampaignSpec& spec, const ResolvedCampaign& resolved,
+                        const analysis::ShardPlan& plan, const ShardedCampaignOptions& options) {
   if (plan.stream_names.size() != spec.streams.size() || plan.shards.empty()) {
     throw std::runtime_error("sharded campaign: plan covers " +
                              std::to_string(plan.stream_names.size()) + " stream(s), spec has " +
                              std::to_string(spec.streams.size()));
   }
+  const Commands& commands = resolved.commands;
   CampaignReport report;
   report.shards = plan.shards.size();
-  std::vector<std::vector<dev::Command>> commands = resolve_campaign(spec);
   report.schedule = make_schedule(commands, spec.seed);
 
-  // Arm inventory and campaign-start poses from a pristine probe lab: these
-  // seed the epoch-versioned pose board every shard publishes to and reads
-  // from. Epoch 1 is the campaign-start pose; each publish advances the
-  // arm's slot by one epoch.
-  std::map<std::string, geom::Vec3, std::less<>> initial_poses;
-  std::set<std::string, std::less<>> arm_ids;
-  {
-    sim::LabBackend probe(sim::testbed_profile(), spec.seed);
-    build_campaign_deck(spec, probe);
-    core::EngineConfig probe_config = core::config_from_backend(probe, spec.variant);
-    for (const core::DeviceMeta& m : probe_config.devices) {
-      if (!m.is_arm) continue;
-      arm_ids.insert(m.id);
-      const auto* arm = dynamic_cast<const dev::RobotArmDevice*>(probe.registry().find(m.id));
-      if (arm != nullptr) initial_poses.emplace(m.id, arm->position_lab());
-    }
-  }
-  sim::PoseBoard board(initial_poses);
+  // The epoch-versioned pose board every shard publishes to and reads from.
+  // Epoch 1 is the campaign-start pose; each publish advances the arm's slot
+  // by one epoch.
+  sim::PoseBoard board(resolved.initial_poses);
   std::vector<std::string> board_arms;
-  for (const auto& [arm, pose] : initial_poses) board_arms.push_back(arm);
+  for (const auto& [arm, pose] : resolved.initial_poses) board_arms.push_back(arm);
 
   // Stream -> shard, each device's claiming shards, and each arm's
   // commanding streams — the inputs for deciding what stays lock-free.
@@ -338,7 +353,7 @@ CampaignReport Fleet::run_campaign(const CampaignSpec& spec, const analysis::Sha
   for (std::size_t s = 0; s < commands.size(); ++s) {
     for (const dev::Command& c : commands[s]) {
       device_shards[c.device].insert(shard_of[s]);
-      if (arm_ids.contains(c.device)) arm_owner_streams[c.device].insert(s);
+      if (resolved.arm_ids.contains(c.device)) arm_owner_streams[c.device].insert(s);
     }
   }
   std::set<std::pair<std::size_t, std::size_t>> certified;
@@ -357,8 +372,7 @@ CampaignReport Fleet::run_campaign(const CampaignSpec& spec, const analysis::Sha
   // any planner-produced plan the coordinated set is empty (SharedDevice
   // evidence forbids split claims and the certificate list is complete), so
   // the mutex is only ever touched by hand-built plans.
-  std::recursive_mutex rendezvous_mutex;
-  std::set<std::string, std::less<>> rendezvous;
+  Rendezvous rendezvous;
   // uncovered[k]: arms shard k may read only via the coordination path.
   std::vector<std::set<std::string, std::less<>>> uncovered(plan.shards.size());
   for (std::size_t k = 0; k < plan.shards.size(); ++k) {
@@ -370,18 +384,17 @@ CampaignReport Fleet::run_campaign(const CampaignSpec& spec, const analysis::Sha
       bool covered = true;
       for (std::size_t o : owners) {
         for (std::size_t m : members) {
-          covered = covered &&
-                    certified.count({std::min(m, o), std::max(m, o)}) != 0;
+          covered = covered && certified.contains({std::min(m, o), std::max(m, o)});
         }
       }
       if (!covered) {
         uncovered[k].insert(arm);
-        rendezvous.insert(arm);
+        rendezvous.names.insert(arm);
       }
     }
   }
   for (const auto& [device, claimants] : device_shards) {
-    if (claimants.size() >= 2) rendezvous.insert(device);
+    if (claimants.size() >= 2) rendezvous.names.insert(device);
   }
 
   struct ShardOutcome {
@@ -397,15 +410,19 @@ CampaignReport Fleet::run_campaign(const CampaignSpec& spec, const analysis::Sha
   std::vector<ShardOutcome> outcomes(plan.shards.size());
 
   auto run_shard = [&](std::size_t shard_index) {
-    const std::vector<std::size_t>& members = plan.shards[shard_index].streams;
-    std::set<std::size_t> member_set(members.begin(), members.end());
+    std::set<std::size_t> member_set(plan.shards[shard_index].streams.begin(),
+                                     plan.shards[shard_index].streams.end());
+    std::vector<Entry> entries;
+    for (const Entry& entry : report.schedule) {
+      if (member_set.contains(entry.first)) entries.push_back(entry);
+    }
     // Arms this shard itself commands: their poses are served live from the
     // shard's own backend; every other arm comes from the pose board.
     std::set<std::string, std::less<>> shard_arms;
-    for (std::size_t s : members) {
+    for (std::size_t s : member_set) {
       if (s >= commands.size()) continue;
       for (const dev::Command& c : commands[s]) {
-        if (arm_ids.contains(c.device)) shard_arms.insert(c.device);
+        if (resolved.arm_ids.contains(c.device)) shard_arms.insert(c.device);
       }
     }
     const std::set<std::string, std::less<>>& coordinated_arms = uncovered[shard_index];
@@ -435,6 +452,10 @@ CampaignReport Fleet::run_campaign(const CampaignSpec& spec, const analysis::Sha
           "Publications an arm's board slot advanced between this shard's samples",
           std::vector<double>{0, 1, 2, 4, 8, 16, 32, 64, 128, 256});
     }
+    auto count_coordination = [&] {
+      ++outcome.coordination;
+      if (coordination_counter != nullptr) coordination_counter->increment();
+    };
 
     // One board read, with the covered/uncovered split and the runtime
     // certificate audit: any live pose outside the envelope its
@@ -444,9 +465,8 @@ CampaignReport Fleet::run_campaign(const CampaignSpec& spec, const analysis::Sha
     auto read_board = [&](const std::string& arm) -> std::optional<sim::PoseSlot::Snapshot> {
       std::optional<sim::PoseSlot::Snapshot> snap;
       if (coordinated_arms.contains(arm)) {
-        std::lock_guard<std::recursive_mutex> lock(rendezvous_mutex);
-        ++outcome.coordination;
-        if (coordination_counter != nullptr) coordination_counter->increment();
+        std::lock_guard<std::recursive_mutex> lock(rendezvous.mutex);
+        count_coordination();
         snap = board.read(arm);
       } else {
         snap = board.read(arm);
@@ -471,19 +491,20 @@ CampaignReport Fleet::run_campaign(const CampaignSpec& spec, const analysis::Sha
       return snap;
     };
 
-    Lab lab(spec);
+    core::Lab lab(spec.variant, spec.seed, spec.deck);
+    auto live_pose = [&lab](std::string_view arm_id) -> std::optional<geom::Vec3> {
+      const auto* arm =
+          dynamic_cast<const dev::RobotArmDevice*>(lab.backend.registry().find(arm_id));
+      if (arm == nullptr) return std::nullopt;
+      return arm->position_lab();
+    };
     if (lab.simulator) {
       lab.simulator->set_arm_state_provider(
           [&](std::string_view arm_id) -> std::optional<geom::Vec3> {
-            if (!shard_arms.contains(arm_id)) {
-              auto snap = read_board(std::string(arm_id));
-              if (!snap) return std::nullopt;
-              return snap->pose;
-            }
-            const auto* arm =
-                dynamic_cast<const dev::RobotArmDevice*>(lab.backend.registry().find(arm_id));
-            if (arm == nullptr) return std::nullopt;
-            return arm->position_lab();
+            if (shard_arms.contains(arm_id)) return live_pose(arm_id);
+            auto snap = read_board(std::string(arm_id));
+            if (!snap) return std::nullopt;
+            return snap->pose;
           });
     }
     // The runtime certificate monitor: every V3 trajectory check samples the
@@ -492,7 +513,7 @@ CampaignReport Fleet::run_campaign(const CampaignSpec& spec, const analysis::Sha
     // certificates reasoned about stayed inside its envelope, so the
     // lock-free (possibly stale) snapshot could not have changed this
     // check's verdict.
-    lab.engine->set_motion_observer([&](const core::MotionAnalysis&) {
+    lab.engine.set_motion_observer([&](const core::MotionAnalysis&) {
       for (const std::string& arm : board_arms) {
         if (shard_arms.contains(arm)) continue;
         (void)read_board(arm);
@@ -506,63 +527,27 @@ CampaignReport Fleet::run_campaign(const CampaignSpec& spec, const analysis::Sha
       sup_options.obs_metrics = outcome.obs_metrics.get();
       sup_options.obs_stream = "shard-" + std::to_string(shard_index);
     }
-    trace::Supervisor supervisor(&*lab.engine, &lab.backend, sup_options);
-    supervisor.start();
-    for (const auto& [s, k] : report.schedule) {
-      if (!member_set.contains(s)) continue;
-      const dev::Command& cmd = commands[s][k];
-      trace::SupervisedStep step;
-      if (rendezvous.contains(cmd.device)) {
-        // Coordination path: this device cannot run lock-free — serialize
-        // the whole step against its cross-shard peers.
-        std::lock_guard<std::recursive_mutex> lock(rendezvous_mutex);
-        ++outcome.coordination;
-        if (coordination_counter != nullptr) coordination_counter->increment();
-        step = supervisor.step(cmd);
-      } else {
-        step = supervisor.step(cmd);
-      }
-      ++outcome.commands_checked;
-      if (step.check_wall_us > 0) outcome.latencies_us.push_back(step.check_wall_us);
-      if (step.alert) outcome.alerts.push_back(CampaignAlert{s, k, *step.alert, false});
-      if (options.publish_poses && shard_arms.contains(cmd.device)) {
-        const auto* arm =
-            dynamic_cast<const dev::RobotArmDevice*>(lab.backend.registry().find(cmd.device));
-        if (arm != nullptr) board.publish(cmd.device, arm->position_lab());
-      }
-      if (supervisor.halted()) break;
-    }
+    trace::Supervisor supervisor(&lab.engine, &lab.backend, sup_options);
+    step_lab(supervisor, commands, entries, &rendezvous,
+             [&](const Entry& entry, const trace::SupervisedStep& step) {
+               const dev::Command& cmd = commands[entry.first][entry.second];
+               if (rendezvous.names.contains(cmd.device)) count_coordination();
+               ++outcome.commands_checked;
+               if (step.check_wall_us > 0) outcome.latencies_us.push_back(step.check_wall_us);
+               if (step.alert) {
+                 outcome.alerts.push_back(
+                     CampaignAlert{entry.first, entry.second, *step.alert, false});
+               }
+               if (options.publish_poses && shard_arms.contains(cmd.device)) {
+                 if (auto pose = live_pose(cmd.device)) board.publish(cmd.device, *pose);
+               }
+             });
   };
-
-  // Shards share no mutable lab state (the pose board and rendezvous table
-  // are the two designed exceptions): run them across a worker pool with
-  // the same atomic-index work claiming as FleetRunner. Results land in
-  // per-shard slots, so the outcome is worker-count-independent.
-  std::size_t workers =
-      std::max<std::size_t>(1, std::min(options.workers, plan.shards.size()));
-  auto t0 = std::chrono::steady_clock::now();
-  if (workers == 1) {
-    for (std::size_t k = 0; k < plan.shards.size(); ++k) run_shard(k);
-  } else {
-    std::atomic<std::size_t> next{0};
-    auto worker_loop = [&] {
-      for (;;) {
-        std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
-        if (k >= plan.shards.size()) return;
-        run_shard(k);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker_loop);
-    for (std::thread& t : pool) t.join();
-  }
-  auto t1 = std::chrono::steady_clock::now();
-  report.wall_s = std::chrono::duration<double>(t1 - t0).count();
+  report.wall_s = run_pool(plan.shards.size(), options.workers, run_shard);
 
   // Deterministic merge: per-shard slots combined in shard-index order;
   // alerts then sorted by global schedule position, never finish order.
-  std::map<std::pair<std::size_t, std::size_t>, std::size_t> position;
+  std::map<Entry, std::size_t> position;
   for (std::size_t i = 0; i < report.schedule.size(); ++i) position[report.schedule[i]] = i;
   std::vector<double> latencies_us;
   for (const ShardOutcome& outcome : outcomes) {
@@ -574,14 +559,7 @@ CampaignReport Fleet::run_campaign(const CampaignSpec& spec, const analysis::Sha
                                        outcome.breaches.begin(), outcome.breaches.end());
     latencies_us.insert(latencies_us.end(), outcome.latencies_us.begin(),
                         outcome.latencies_us.end());
-    if (outcome.obs_events != nullptr) {
-      if (report.obs_events == nullptr) {
-        report.obs_events = std::make_shared<obs::Collector>();
-        report.obs_metrics = std::make_shared<obs::Registry>();
-      }
-      report.obs_events->merge_from(*outcome.obs_events);
-      report.obs_metrics->merge_from(*outcome.obs_metrics);
-    }
+    merge_obs(report.obs_events, report.obs_metrics, outcome.obs_events, outcome.obs_metrics);
   }
   std::sort(report.alerts.begin(), report.alerts.end(),
             [&position](const CampaignAlert& a, const CampaignAlert& b) {
@@ -595,10 +573,45 @@ CampaignReport Fleet::run_campaign(const CampaignSpec& spec, const analysis::Sha
   classify_against_solo(spec, commands, report);
 
   if (options.validate_certificates) {
-    CampaignReport monolithic = run_campaign(spec);
+    CampaignReport monolithic = run_plan(spec, resolved, single_shard_plan(spec), {});
     report.oracle_violations = certificate_violations(plan, monolithic, report);
   }
   return report;
+}
+
+}  // namespace
+
+std::size_t CampaignReport::cross_stream_alerts() const {
+  std::size_t n = 0;
+  for (const CampaignAlert& a : alerts) {
+    if (a.cross_stream) ++n;
+  }
+  return n;
+}
+
+CampaignReport Fleet::run_campaign(const CampaignSpec& spec) {
+  return run_plan(spec, resolve_campaign(spec), single_shard_plan(spec), {});
+}
+
+CampaignReport Fleet::run(const CampaignSpec& spec, const ShardedCampaignOptions& options,
+                          analysis::ShardPlan* plan_out) {
+  // The default execution model: static shard planning first, then the
+  // plan-driven hot path. An unshardable campaign yields a 1-shard plan and
+  // degenerates to the monolithic schedule through the same machinery.
+  ResolvedCampaign resolved = resolve_campaign(spec);
+  std::vector<analysis::CampaignStream> planned;
+  planned.reserve(spec.streams.size());
+  for (std::size_t i = 0; i < spec.streams.size(); ++i) {
+    planned.push_back(analysis::CampaignStream{spec.streams[i].name, resolved.commands[i]});
+  }
+  analysis::ShardPlan plan = analysis::plan_campaign_shards(resolved.config, planned);
+  if (plan_out != nullptr) *plan_out = plan;
+  return run_plan(spec, resolved, plan, options);
+}
+
+CampaignReport Fleet::run_campaign(const CampaignSpec& spec, const analysis::ShardPlan& plan,
+                                   const ShardedCampaignOptions& options) {
+  return run_plan(spec, resolve_campaign(spec), plan, options);
 }
 
 std::vector<std::string> certificate_violations(const analysis::ShardPlan& plan,
@@ -654,8 +667,15 @@ CampaignSpec load_campaign(const json::Value& doc) {
   if (!doc.is_object()) throw std::runtime_error("campaign: document must be a JSON object");
   CampaignSpec spec;
   if (const json::Value* seed = doc.find("seed")) {
-    if (!seed->is_number()) throw std::runtime_error("campaign: 'seed' must be a number");
-    spec.seed = static_cast<unsigned>(seed->as_double());
+    // Exact integers in range only: casting anything else is undefined
+    // behaviour (negative, too large) or a silent truncation (fractions).
+    constexpr double kMaxSeed = std::numeric_limits<unsigned>::max();
+    double v = seed->is_number() ? seed->as_double() : -1.0;
+    if (!(v >= 0.0 && v <= kMaxSeed) || v != std::floor(v)) {
+      throw std::runtime_error("campaign: 'seed' must be an integer in [0, " +
+                               std::to_string(std::numeric_limits<unsigned>::max()) + "]");
+    }
+    spec.seed = static_cast<unsigned>(v);
   }
   if (const json::Value* variant = doc.find("variant")) {
     if (!variant->is_string()) throw std::runtime_error("campaign: 'variant' must be a string");
@@ -721,78 +741,6 @@ CampaignSpec load_campaign(const json::Value& doc) {
   }
   if (spec.streams.empty()) throw std::runtime_error("campaign: 'streams' is empty");
   return spec;
-}
-
-FleetReport FleetRunner::run(const std::vector<StreamSpec>& streams) const {
-  FleetReport report;
-  report.streams.resize(streams.size());
-  if (streams.empty()) return report;
-
-  std::size_t workers = std::max<std::size_t>(1, std::min(options_.workers, streams.size()));
-
-  auto t0 = std::chrono::steady_clock::now();
-  // Work-stealing by atomic index: each worker claims the next unstarted
-  // stream. Results land in per-stream slots, so the outcome is independent
-  // of which worker ran what and in what order.
-  std::atomic<std::size_t> next{0};
-  auto worker_loop = [&] {
-    for (;;) {
-      std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= streams.size()) return;
-      report.streams[i] = run_stream(streams[i]);
-    }
-  };
-  if (workers == 1) {
-    worker_loop();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker_loop);
-    for (std::thread& t : pool) t.join();
-  }
-  auto t1 = std::chrono::steady_clock::now();
-  report.wall_s = std::chrono::duration<double>(t1 - t0).count();
-
-  // Deterministic observability merge: stream-spec order, never finish
-  // order, so the combined export bytes are independent of the worker count
-  // and of scheduler interleaving.
-  for (const StreamResult& s : report.streams) {
-    if (s.obs_events == nullptr) continue;
-    if (report.obs_events == nullptr) {
-      report.obs_events = std::make_shared<obs::Collector>();
-      report.obs_metrics = std::make_shared<obs::Registry>();
-    }
-    report.obs_events->merge_from(*s.obs_events);
-    report.obs_metrics->merge_from(*s.obs_metrics);
-  }
-  if (report.obs_metrics != nullptr) {
-    report.obs_metrics
-        ->gauge("rabit_fleet_streams", "", "Streams this fleet report aggregates")
-        .add(static_cast<double>(report.streams.size()));
-  }
-
-  std::vector<double> latencies_us;
-  for (const StreamResult& s : report.streams) {
-    const core::RabitEngine::Stats& st = s.engine_stats;
-    report.totals.commands_checked += st.commands_checked;
-    report.totals.precondition_alerts += st.precondition_alerts;
-    report.totals.trajectory_alerts += st.trajectory_alerts;
-    report.totals.malfunction_alerts += st.malfunction_alerts;
-    report.totals.trajectory_checks += st.trajectory_checks;
-    report.totals.degraded_checks += st.degraded_checks;
-    report.totals.status_repolls += st.status_repolls;
-    report.totals.resyncs += st.resyncs;
-    report.commands_checked += st.commands_checked;
-    report.alerts += s.report.alerts;
-    for (const trace::SupervisedStep& step : s.report.steps) {
-      if (step.check_wall_us > 0) latencies_us.push_back(step.check_wall_us);
-    }
-  }
-  report.check_latency = summarize_latencies(std::move(latencies_us));
-  if (report.wall_s > 0) {
-    report.commands_per_s = static_cast<double>(report.commands_checked) / report.wall_s;
-  }
-  return report;
 }
 
 }  // namespace rabit::fleet

@@ -161,9 +161,10 @@ struct CampaignReport {
   /// same global schedule and filter it per shard (relative order within a
   /// shard is exactly the monolithic order).
   std::vector<std::pair<std::size_t, std::size_t>> schedule;
-  /// Plan-driven runs: shard count. 0 identifies a monolithic run.
+  /// Shard count of the executed plan; the monolithic reference runs as a
+  /// 1-shard plan and reports 1.
   std::size_t shards = 0;
-  /// Plan-driven V3 runs: how many out-of-shard arm poses were served from
+  /// V3 runs: how many out-of-shard arm poses were served from
   /// the epoch-versioned pose board (the lock-free cross-shard read path —
   /// both simulator provider reads and certificate-monitor audits). This
   /// count is deterministic: motion checks x out-of-shard arms.
@@ -182,8 +183,8 @@ struct CampaignReport {
   /// Validation-oracle findings (ShardedCampaignOptions::validate_certificates);
   /// empty when the oracle is off or clean.
   std::vector<std::string> oracle_violations;
-  /// Plan-driven runs: shard-execution phase only (pool start to last shard
-  /// done). Excludes solo replays and the validation oracle.
+  /// Shard-execution phase only (pool start to last shard done). Excludes
+  /// script recording, the probe lab, solo replays and the validation oracle.
   double wall_s = 0.0;
   double commands_per_s = 0.0;  ///< commands_checked / wall_s
   /// Per-command engine check latencies across all shards (thread-CPU time,
@@ -227,42 +228,33 @@ struct ShardedCampaignOptions {
 /// Shared-lab campaign execution (see the block comment above).
 class Fleet {
  public:
-  /// Runs the seeded interleaving on one shared testbed lab, then classifies
-  /// every alert against per-stream solo baselines. This is the *reference*
-  /// (monolithic) semantics; Fleet::run is the default execution model.
+  /// Runs the seeded interleaving on one shared lab — a 1-shard plan through
+  /// the same runner as every other mode — then classifies every alert
+  /// against per-stream solo baselines. This is the *reference* (monolithic)
+  /// semantics; Fleet::run is the default execution model.
   [[nodiscard]] static CampaignReport run_campaign(const CampaignSpec& spec);
 
-  /// The default fleet execution model: summarizes every stream, runs the
-  /// static shard planner (analysis::plan_shards), and executes the
-  /// resulting plan on the sharded hot path below. A campaign with no
-  /// shardable structure degenerates to a 1-shard plan — same machinery,
-  /// monolithic-equivalent schedule. When `plan_out` is non-null the
-  /// computed plan is copied there (benches report shard counts and
-  /// certificates from it).
+  /// The default fleet execution model: resolves script streams and builds
+  /// one probe lab (backend, deck and config) once, runs the static shard
+  /// planner (analysis::plan_campaign_shards), and executes the plan on the
+  /// sharded hot path below. An unshardable campaign yields a 1-shard plan.
+  /// When `plan_out` is non-null the computed plan is copied there.
   [[nodiscard]] static CampaignReport run(const CampaignSpec& spec,
                                           const ShardedCampaignOptions& options = {},
                                           analysis::ShardPlan* plan_out = nullptr);
 
-  /// Plan-driven sharded mode: each shard of `plan` runs the global schedule
-  /// filtered to its streams against its OWN lab — backend, engine (and so
-  /// RuleWorldCache / verdict cache), V3 simulator — across a worker pool.
-  /// In-shard checking is lock-free. Out-of-shard arm poses are served from
-  /// the shared epoch-versioned pose board (sim::PoseBoard): every executed
-  /// step publishes its shard's arm poses under a monotonic per-arm epoch,
-  /// and readers take lock-free seqlock snapshots whose staleness is
-  /// bounded by the plan's certificate envelopes — the runtime certificate
-  /// monitor audits every served pose against ShardPlan::arm_envelopes and
-  /// records any escape in CampaignReport::certificate_breaches, so a
-  /// verdict computed from a stale pose is sound unless a breach is also
-  /// reported. Commands whose device is claimed by more than one shard, and
-  /// pose reads of arms no certificate covers, leave the lock-free path and
-  /// serialize through a shared rendezvous mutex (counted in
-  /// coordination_events).
-  /// Alerts are classified against solo baselines exactly as in the
-  /// monolithic mode and merged deterministically in global-schedule order,
-  /// so the report is independent of worker count and shard execution order.
-  /// `halt_on_alert` is shard-local here: an alert halts its own shard only.
-  /// Throws std::runtime_error when the plan does not cover spec.streams.
+  /// Plan-driven sharded mode (DESIGN.md, "Sharded fleet execution"): each
+  /// shard of `plan` runs the global schedule filtered to its streams on its
+  /// OWN core::Lab, across the worker pool. In-shard checking is lock-free;
+  /// out-of-shard arm poses come from the epoch-versioned pose board
+  /// (sim::PoseBoard), audited against ShardPlan::arm_envelopes into
+  /// certificate_breaches. Devices claimed by more than one shard, and arms
+  /// no certificate covers, serialize through one rendezvous mutex (counted
+  /// in coordination_events). Alerts are classified against solo baselines
+  /// and merged in global-schedule order, so the report is independent of
+  /// worker count. `halt_on_alert` is shard-local: an alert halts its own
+  /// shard only. Throws std::runtime_error when the plan does not cover
+  /// spec.streams.
   [[nodiscard]] static CampaignReport run_campaign(const CampaignSpec& spec,
                                                    const analysis::ShardPlan& plan,
                                                    const ShardedCampaignOptions& options = {});
@@ -292,7 +284,8 @@ class Fleet {
 /// Throws std::runtime_error naming the offending field on malformed input.
 [[nodiscard]] CampaignSpec load_campaign(const json::Value& doc);
 
-/// Runs stream specs to completion over a fixed-size worker pool. run() is
+/// Runs isolated-lab stream specs to completion on the fleet's worker pool
+/// and per-lab step loop (the same ones campaign shards run on). run() is
 /// synchronous; the runner holds no state between calls.
 class FleetRunner {
  public:

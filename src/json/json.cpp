@@ -231,8 +231,17 @@ class Parser {
     if (eof()) fail("unexpected end of input");
     char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // A throw abandons the whole parse, so a level is only given back
+        // on success.
+        if (++depth_ > kMaxParseDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxParseDepth) + " levels");
+        }
+        Value v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return Value(parse_string());
       case 't':
         if (!consume_literal("true")) fail("invalid literal");
@@ -425,6 +434,7 @@ class Parser {
   std::size_t pos_ = 0;
   int line_ = 1;
   int column_ = 1;
+  int depth_ = 0;  ///< open arrays/objects
 };
 
 }  // namespace

@@ -130,6 +130,10 @@ class ParseError : public std::runtime_error {
   int column_;
 };
 
+/// Deepest array/object nesting parse() accepts; a deeper document is a
+/// ParseError, never a stack overflow.
+inline constexpr int kMaxParseDepth = 512;
+
 /// Parses a complete JSON document. Trailing garbage is an error.
 [[nodiscard]] Value parse(std::string_view text);
 

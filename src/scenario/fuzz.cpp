@@ -13,10 +13,10 @@
 #include "analysis/analysis.hpp"
 #include "analysis/interference.hpp"
 #include "analysis/shard_plan.hpp"
+#include "core/lab.hpp"
 #include "devices/fault.hpp"
 #include "devices/robot_arm.hpp"
 #include "sim/deck.hpp"
-#include "sim/extended_sim.hpp"
 #include "trace/trace.hpp"
 
 namespace rabit::scenario {
@@ -143,16 +143,15 @@ struct SupervisedOutcome {
   std::vector<std::string> rung_kinds;  ///< emission order, with duplicates
 };
 
-/// The single-stream runtime harness: the bugs::evaluate_stream construction
-/// (fresh testbed lab, variant-derived config, V3 world model + parked-arm
-/// boxes + live arm-state provider) plus the scenario extras — a seeded fault
-/// schedule, the recovery/assurance ladder, and an observability collector
-/// the rung coverage is read from.
+/// The single-stream runtime harness: a core::Lab (as bugs::evaluate_stream
+/// builds it) plus the scenario extras — a seeded fault schedule, the
+/// recovery/assurance ladder, and an observability collector the rung
+/// coverage is read from.
 SupervisedOutcome run_supervised(const ScenarioSpec& spec, const std::vector<Command>& commands) {
-  sim::LabBackend backend(sim::testbed_profile());
-  sim::build_hein_testbed_deck(backend);
-
-  if (spec.faults.transients > 0 || spec.faults.permanent) {
+  // The deck hook installs the spec's fault schedule on the fresh testbed.
+  core::Lab lab(spec.variant, 42, [&](sim::LabBackend& backend) {
+    sim::build_hein_testbed_deck(backend);
+    if (spec.faults.transients == 0 && !spec.faults.permanent) return;
     dev::FaultSchedule schedule;
     if (spec.faults.transients > 0) {
       std::vector<std::pair<std::string, std::string>> pairs;
@@ -181,34 +180,7 @@ SupervisedOutcome run_supervised(const ScenarioSpec& spec, const std::vector<Com
       }
     }
     backend.set_fault_schedule(std::move(schedule));
-  }
-
-  core::EngineConfig config = core::config_from_backend(backend, spec.variant);
-  core::HotPathConfig hot_path;
-
-  std::optional<sim::ExtendedSimulator> simulator;
-  if (spec.variant == core::Variant::ModifiedWithSim) {
-    sim::WorldModel world = sim::deck_world_model(backend);
-    for (const core::DeviceMeta& m : config.devices) {
-      if (m.is_arm && m.sleep_box) {
-        world.add_box(m.id, *m.sleep_box, sim::ObstacleKind::ParkedArm);
-      }
-    }
-    sim::ExtendedSimulator::Options sim_options;
-    sim_options.use_broad_phase = hot_path.broad_phase;
-    sim_options.use_verdict_cache = hot_path.verdict_cache;
-    simulator.emplace(std::move(world), sim_options);
-    simulator->set_arm_state_provider(
-        [&backend](std::string_view arm_id) -> std::optional<geom::Vec3> {
-          const auto* arm =
-              dynamic_cast<const dev::RobotArmDevice*>(backend.registry().find(arm_id));
-          if (arm == nullptr) return std::nullopt;
-          return arm->position_lab();
-        });
-  }
-
-  core::RabitEngine engine(std::move(config), hot_path);
-  if (simulator) engine.attach_simulator(&*simulator);
+  });
 
   obs::Collector collector;
   obs::Registry registry;
@@ -222,7 +194,7 @@ SupervisedOutcome run_supervised(const ScenarioSpec& spec, const std::vector<Com
   options.obs_metrics = &registry;
   options.obs_stream = "s0";
 
-  trace::Supervisor supervisor(&engine, &backend, options);
+  trace::Supervisor supervisor(&lab.engine, &lab.backend, options);
   SupervisedOutcome outcome;
   outcome.report = supervisor.run(commands);
   for (const obs::RungRecord& rung : collector.rungs()) {

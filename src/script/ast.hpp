@@ -64,6 +64,7 @@ struct Index {
 
 struct Expr {
   int line = 0;
+  int depth = 1;  ///< levels in this subtree (a leaf is 1)
   std::variant<NumberLit, StringLit, BoolLit, NullLit, Ident, ListLit, Unary, Binary, Call,
                MethodCall, Index>
       node;

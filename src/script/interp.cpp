@@ -284,6 +284,20 @@ Value Interpreter::call_function(const std::string& name, std::vector<Value> arg
                           " arguments, got " + std::to_string(args.size()),
                       line);
   }
+  // Runaway recursion is a script error, not a stack overflow.
+  constexpr int kMaxCallDepth = 200;
+  if (call_depth_ >= kMaxCallDepth) {
+    throw ScriptError("call depth exceeded " + std::to_string(kMaxCallDepth) +
+                          " (runaway recursion in '" + name + "'?)",
+                      line);
+  }
+  struct Frame {
+    int& depth;
+    explicit Frame(int& d) : depth(++d) {}
+    ~Frame() { --depth; }
+    Frame(const Frame&) = delete;
+    Frame& operator=(const Frame&) = delete;
+  } guard(call_depth_);
   Scope frame;
   frame.owner = this;  // functions see globals, not the caller's locals
   for (std::size_t i = 0; i < args.size(); ++i) {

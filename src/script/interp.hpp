@@ -121,6 +121,7 @@ class Interpreter {
   CommandSink* sink_;
   std::map<std::string, Value> globals_;
   std::map<std::string, Function> functions_;
+  int call_depth_ = 0;  ///< user-function frames on the stack
 };
 
 }  // namespace rabit::script

@@ -1,8 +1,23 @@
 #include "script/parser.hpp"
 
+#include <algorithm>
+#include <variant>
+
 namespace rabit::script {
 
 namespace {
+
+/// Deepest expression/statement nesting the parser accepts: parentheses,
+/// unary chains, list and call arguments, blocks and else-if chains, and
+/// the depth of the expression tree a binary-operator chain builds. Deeper
+/// input is a ScriptError, never a stack overflow (in the parser or in the
+/// interpreter walking the tree).
+constexpr int kMaxNesting = 256;
+
+template <class... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
 
 class Parser {
  public:
@@ -57,6 +72,21 @@ class Parser {
       throw ScriptError("expected " + std::string(what), peek().line, peek().column);
     }
     return advance().text;
+  }
+
+  /// Counts one level of nesting for the scope's lifetime.
+  struct Nesting {
+    explicit Nesting(Parser& p) : parser(p) {
+      if (++parser.depth_ > kMaxNesting) parser.too_deep(parser.peek().line);
+    }
+    ~Nesting() { --parser.depth_; }
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+    Parser& parser;
+  };
+
+  [[noreturn]] void too_deep(int line) const {
+    throw ScriptError("nesting deeper than " + std::to_string(kMaxNesting) + " levels", line);
   }
 
   // -- statements ----------------------------------------------------------
@@ -114,6 +144,7 @@ class Parser {
   }
 
   IfStmt parse_if() {
+    Nesting nesting(*this);
     expect_punct("(");
     ExprPtr condition = parse_expression();
     expect_punct(")");
@@ -136,6 +167,7 @@ class Parser {
   }
 
   Block parse_block() {
+    Nesting nesting(*this);
     expect_punct("{");
     Block block;
     while (!check_punct("}")) {
@@ -148,12 +180,32 @@ class Parser {
 
   // -- expressions (precedence climbing) ------------------------------------
 
-  ExprPtr parse_expression() { return parse_or(); }
+  ExprPtr parse_expression() {
+    Nesting nesting(*this);
+    return parse_or();
+  }
 
+  /// Builds a node one level above its deepest child; a tree deeper than
+  /// kMaxNesting (e.g. a long left-leaning operator chain) is refused.
   ExprPtr make_expr(int line, auto node) {
     auto e = std::make_unique<Expr>();
     e->line = line;
     e->node = std::move(node);
+    int below = 0;
+    auto child = [&below](const ExprPtr& c) { below = std::max(below, c ? c->depth : 0); };
+    auto args = [&child](const std::vector<CallArg>& a) {
+      for (const CallArg& arg : a) child(arg.value);
+    };
+    std::visit(Overloaded{[&](const Unary& n) { child(n.operand); },
+                          [&](const Binary& n) { child(n.lhs); child(n.rhs); },
+                          [&](const Index& n) { child(n.base); child(n.index); },
+                          [&](const ListLit& n) { for (const ExprPtr& i : n.items) child(i); },
+                          [&](const Call& n) { args(n.args); },
+                          [&](const MethodCall& n) { child(n.base); args(n.args); },
+                          [](const auto&) {}},
+               e->node);
+    e->depth = below + 1;
+    if (e->depth > kMaxNesting) too_deep(line);
     return e;
   }
 
@@ -208,6 +260,7 @@ class Parser {
   }
 
   ExprPtr parse_unary() {
+    Nesting nesting(*this);
     if (check_punct("-")) {
       int line = advance().line;
       return make_expr(line, Unary{"-", parse_unary()});
@@ -315,6 +368,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open nesting levels
 };
 
 }  // namespace

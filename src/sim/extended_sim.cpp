@@ -1,5 +1,7 @@
 #include "sim/extended_sim.hpp"
 
+#include <algorithm>
+
 namespace rabit::sim {
 
 namespace {
@@ -76,18 +78,6 @@ WorldModel ExtendedSimulator::world_from_json(const json::Value& config) {
   return world;
 }
 
-void ExtendedSimulator::charge_latency() const {
-  checks_.fetch_add(1, std::memory_order_relaxed);
-  double cost = options_.gui_enabled ? options_.gui_latency_s : options_.headless_latency_s;
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  modeled_latency_s_ += cost;
-}
-
-double ExtendedSimulator::modeled_latency_s() const {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  return modeled_latency_s_;
-}
-
 std::uint64_t ExtendedSimulator::world_revision() const {
   // Element counts are folded in so a direct boxes.push_back that forgot
   // bump_epoch() still invalidates; in-place coordinate edits need the bump.
@@ -95,122 +85,73 @@ std::uint64_t ExtendedSimulator::world_revision() const {
          world_.arm_segments.size();
 }
 
-std::optional<CollisionReport> ExtendedSimulator::cached_path_check(
+std::optional<CollisionReport> ExtendedSimulator::check_leg(
     const geom::Vec3& start, const geom::Vec3& goal, double held_clearance,
-    const std::vector<std::string>& ignore, double inflate) const {
+    const std::vector<std::string>& ignore, double inflate) {
   PathCheckOptions opts;
   opts.step = options_.polling_step_m;
   opts.ignore = ignore;
   opts.inflate = inflate;
 
-  if (!options_.use_broad_phase && !options_.use_verdict_cache) {
-    narrow_runs_.fetch_add(1, std::memory_order_relaxed);
-    return check_path(world_, start, goal, held_clearance, opts);
-  }
-
-  std::lock_guard<std::mutex> lock(cache_mutex_);
   std::uint64_t revision = world_revision();
   if (revision != cache_revision_) {
     if (options_.use_broad_phase) grid_.rebuild(world_);
     verdicts_.clear();
     cache_revision_ = revision;
   }
+  const BroadPhaseGrid* grid = options_.use_broad_phase ? &grid_ : nullptr;
+  if (!options_.use_verdict_cache) {
+    ++narrow_runs_;
+    return check_path(world_, start, goal, held_clearance, opts, grid);
+  }
 
   VerdictKey key{start, goal, held_clearance, inflate, ignore};
-  if (options_.use_verdict_cache) {
-    if (auto it = verdicts_.find(key); it != verdicts_.end()) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
+  if (auto it = verdicts_.find(key); it != verdicts_.end()) {
+    ++cache_hits_;
+    return it->second;
   }
-
-  narrow_runs_.fetch_add(1, std::memory_order_relaxed);
-  std::optional<CollisionReport> verdict = check_path(
-      world_, start, goal, held_clearance, opts, options_.use_broad_phase ? &grid_ : nullptr);
-  if (options_.use_verdict_cache) {
-    if (verdicts_.size() >= options_.verdict_cache_capacity) verdicts_.clear();
-    verdicts_.emplace(std::move(key), verdict);
-  }
+  ++narrow_runs_;
+  std::optional<CollisionReport> verdict =
+      check_path(world_, start, goal, held_clearance, opts, grid);
+  if (verdicts_.size() >= options_.verdict_cache_capacity) verdicts_.clear();
+  verdicts_.emplace(std::move(key), verdict);
   return verdict;
 }
 
-std::optional<CollisionReport> ExtendedSimulator::validate_trajectory(
-    const geom::Vec3& start, const geom::Vec3& goal, double held_clearance) const {
-  static const std::vector<std::string> kNoIgnores;
-  return validate_trajectory(start, goal, held_clearance, kNoIgnores);
-}
-
-std::optional<CollisionReport> ExtendedSimulator::validate_trajectory(
-    const geom::Vec3& start, const geom::Vec3& goal, double held_clearance,
-    const std::vector<std::string>& ignore) const {
-  charge_latency();
-  return cached_path_check(start, goal, held_clearance, ignore);
-}
-
-std::optional<CollisionReport> ExtendedSimulator::validate_trajectory_margin(
-    const geom::Vec3& start, const geom::Vec3& goal, double held_clearance,
-    const std::vector<std::string>& ignore, double margin, bool charge_modeled) const {
-  if (charge_modeled) charge_latency();
-  return cached_path_check(start, goal, held_clearance, ignore, margin);
-}
-
-std::optional<CollisionReport> ExtendedSimulator::validate_trajectory_margin(
-    const std::vector<geom::Vec3>& waypoints, double held_clearance,
-    const std::vector<std::string>& ignore, double margin) const {
-  PathCheckOptions opts;
-  opts.step = options_.polling_step_m;
-  opts.ignore = ignore;
-  opts.inflate = margin;
-
-  if (!options_.use_broad_phase) {
-    narrow_runs_.fetch_add(1, std::memory_order_relaxed);
-    for (std::size_t i = 1; i < waypoints.size(); ++i) {
-      if (auto hit = check_path(world_, waypoints[i - 1], waypoints[i], held_clearance, opts)) {
-        return hit;
+ExtendedSimulator::SweepResult ExtendedSimulator::sweep(const std::vector<geom::Vec3>& waypoints,
+                                                        double held_clearance,
+                                                        const std::vector<std::string>& ignore,
+                                                        double inflate) {
+  inflate = std::max(inflate, 0.0);
+  SweepResult result;
+  for (std::size_t leg = 1; leg < waypoints.size(); ++leg) {
+    ++checks_;
+    modeled_latency_s_ += options_.gui_enabled ? options_.gui_latency_s
+                                               : options_.headless_latency_s;
+    result.hit = check_leg(waypoints[leg - 1], waypoints[leg], held_clearance, ignore, inflate);
+    if (!result.hit) continue;
+    if (inflate > 0.0) {
+      // Inflated trip: settle the exact verdict uninflated. Inflation only
+      // grows obstacles, so the legs before this one are clear uninflated.
+      result.hit.reset();
+      for (std::size_t i = leg; i < waypoints.size() && !result.hit; ++i) {
+        result.hit = check_leg(waypoints[i - 1], waypoints[i], held_clearance, ignore, 0.0);
       }
+      result.tripped = !result.hit;
     }
-    return std::nullopt;
+    return result;
   }
-
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  std::uint64_t revision = world_revision();
-  if (revision != cache_revision_) {
-    grid_.rebuild(world_);
-    verdicts_.clear();
-    cache_revision_ = revision;
-  }
-  narrow_runs_.fetch_add(1, std::memory_order_relaxed);
-  for (std::size_t i = 1; i < waypoints.size(); ++i) {
-    if (auto hit =
-            check_path(world_, waypoints[i - 1], waypoints[i], held_clearance, opts, &grid_)) {
-      return hit;
-    }
-  }
-  return std::nullopt;
+  return result;
 }
 
 MarginProfile ExtendedSimulator::trajectory_margin(const std::vector<geom::Vec3>& waypoints,
                                                    double held_clearance,
-                                                   const std::vector<std::string>& ignore) const {
-  margin_scans_.fetch_add(1, std::memory_order_relaxed);
+                                                   const std::vector<std::string>& ignore) {
+  ++margin_scans_;
   PathCheckOptions opts;
   opts.step = options_.polling_step_m;
   opts.ignore = ignore;
   return margin_profile(world_, waypoints, held_clearance, opts);
-}
-
-std::optional<CollisionReport> ExtendedSimulator::validate_target(
-    const geom::Vec3& target, double held_clearance) const {
-  charge_latency();
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  std::uint64_t revision = world_revision();
-  if (revision != cache_revision_) {
-    if (options_.use_broad_phase) grid_.rebuild(world_);
-    verdicts_.clear();
-    cache_revision_ = revision;
-  }
-  return check_point(world_, target, held_clearance, PathCheckOptions{},
-                     options_.use_broad_phase ? &grid_ : nullptr);
 }
 
 }  // namespace rabit::sim

@@ -11,17 +11,17 @@
 // bypasses the GUI. Both modes are modeled with a virtual latency meter so
 // benches can report the paper's overhead numbers without real sleeps.
 //
-// Fleet-scale hot path: trajectory queries are const and thread-safe. A
-// uniform-grid broad phase prunes the per-sample narrow phase to candidate
-// boxes, and an epoch-versioned verdict cache keyed on (start, goal,
-// clearance, ignore set, world epoch) short-circuits repeated checks of the
-// same motion against an unchanged world. Both are transparent: verdicts are
-// byte-identical to the unpruned, uncached scan.
+// Fleet-scale hot path: one trajectory primitive, sweep(), serves both the
+// paper's V3 replay and the runtime-assurance fast path. A uniform-grid
+// broad phase prunes the per-sample narrow phase to candidate boxes, and an
+// epoch-versioned verdict cache keyed on (start, goal, clearance, inflation,
+// ignore set, world epoch) short-circuits repeated checks of the same leg
+// against an unchanged world. Both are transparent: verdicts are
+// byte-identical to the unpruned, uncached scan. A simulator belongs to one
+// lab and is never shared across threads, so it carries no locks.
 #pragma once
 
-#include <atomic>
 #include <functional>
-#include <mutex>
 #include <unordered_map>
 
 #include "json/json.hpp"
@@ -70,75 +70,48 @@ class ExtendedSimulator {
     return provider_ ? provider_(arm_id) : std::nullopt;
   }
 
-  /// Validates a planned tip motion; nullopt means the trajectory is clear.
-  /// This is the paper's ValidTrajectory() (Fig. 2 line 9). Const and safe
-  /// to call from multiple threads (counters are atomic; the caches are
-  /// internally locked).
-  [[nodiscard]] std::optional<CollisionReport> validate_trajectory(
-      const geom::Vec3& start, const geom::Vec3& goal, double held_clearance) const;
+  /// What one sweep found.
+  struct SweepResult {
+    /// First collision of the uninflated path, leg by leg: nullopt means the
+    /// trajectory is clear (the paper's ValidTrajectory(), Fig. 2 line 9).
+    std::optional<CollisionReport> hit;
+    /// The sweep inflated by `inflate` hit something while the uninflated
+    /// path is clear: the runtime-assurance demotion signal. Always false
+    /// when `inflate` is not positive.
+    bool tripped = false;
+  };
 
-  /// Same, with boxes named in `ignore` skipped (the deliberate-entry set
-  /// computed by motion analysis). Replaces the engine's former
-  /// erase-and-reinsert mutation of the world: the query is read-only.
-  [[nodiscard]] std::optional<CollisionReport> validate_trajectory(
-      const geom::Vec3& start, const geom::Vec3& goal, double held_clearance,
-      const std::vector<std::string>& ignore) const;
-
-  /// Target-only variant (what RABIT falls back to without a simulator).
-  [[nodiscard]] std::optional<CollisionReport> validate_target(const geom::Vec3& target,
-                                                               double held_clearance) const;
-
-  /// RTA fast path: the same trajectory validation with every obstacle grown
-  /// by `margin` (Ground exempt — see PathCheckOptions::inflate). A nullopt
-  /// verdict certifies clearance >= margin along the whole leg; a hit only
-  /// means "within margin of something", which the margin-profile slow path
-  /// then settles exactly. Rides the same verdict cache (the key includes the
-  /// inflation) and charges no extra modeled latency: the margin is derived
-  /// from the same polling sweep the simulator already runs per leg.
-  /// `charge_modeled` makes the call charge the per-leg modeled simulator
-  /// latency, for when this sweep IS the engine's primary trajectory replay
-  /// (RabitEngine::set_assurance_margin) rather than an extra query.
-  [[nodiscard]] std::optional<CollisionReport> validate_trajectory_margin(
-      const geom::Vec3& start, const geom::Vec3& goal, double held_clearance,
-      const std::vector<std::string>& ignore, double margin,
-      bool charge_modeled = false) const;
-
-  /// Whole-trajectory RTA fast path: the inflated boolean sweep over every
-  /// leg of a multi-leg tip path under ONE cache-state lock, served straight
-  /// from the broad-phase grid with no per-leg VerdictKey construction or
-  /// verdict-map traffic. This is what the Supervisor's decision module calls
-  /// on every supervised motion, so it must stay allocation-light: legs far
-  /// from every obstacle cost one grid probe each.
-  [[nodiscard]] std::optional<CollisionReport> validate_trajectory_margin(
-      const std::vector<geom::Vec3>& waypoints, double held_clearance,
-      const std::vector<std::string>& ignore, double margin) const;
+  /// Sweeps a multi-leg tip path through the configured world, skipping the
+  /// boxes named in `ignore` (the deliberate-entry set computed by motion
+  /// analysis; the world itself is never mutated). With `inflate` > 0 every
+  /// obstacle is grown by that margin (Ground exempt, see
+  /// PathCheckOptions::inflate); only from the first leg whose inflated test
+  /// hits onward are legs re-tested uninflated, so assurance costs nothing
+  /// extra on clean motions. Each leg up to and including the first whose
+  /// inflated test hits charges one modeled simulator invocation; the
+  /// uninflated re-tests are free.
+  [[nodiscard]] SweepResult sweep(const std::vector<geom::Vec3>& waypoints, double held_clearance,
+                                  const std::vector<std::string>& ignore, double inflate = 0.0);
 
   /// RTA slow path: full signed-clearance barrier profile h(s) over a
   /// multi-leg tip path (no broad phase, no cache — taken only after the
-  /// inflated fast check trips). Charges no modeled latency for the same
-  /// reason as validate_trajectory_margin.
+  /// inflated sweep trips). Charges no modeled latency: the margin comes
+  /// from the polling sweep the simulator already ran.
   [[nodiscard]] MarginProfile trajectory_margin(const std::vector<geom::Vec3>& waypoints,
                                                 double held_clearance,
-                                                const std::vector<std::string>& ignore) const;
+                                                const std::vector<std::string>& ignore);
 
   /// How many margin-profile slow-path scans ran (bench instrumentation).
-  [[nodiscard]] std::size_t margin_scans() const {
-    return margin_scans_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::size_t margin_scans() const { return margin_scans_; }
 
-  [[nodiscard]] std::size_t checks_performed() const {
-    return checks_.load(std::memory_order_relaxed);
-  }
+  /// Modeled simulator invocations (one per charged sweep leg).
+  [[nodiscard]] std::size_t checks_performed() const { return checks_; }
   /// Modeled wall-clock spent inside the simulator so far.
-  [[nodiscard]] double modeled_latency_s() const;
+  [[nodiscard]] double modeled_latency_s() const { return modeled_latency_s_; }
 
   /// Verdict-cache instrumentation (for benches and invalidation tests).
-  [[nodiscard]] std::size_t verdict_cache_hits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t narrow_phase_runs() const {
-    return narrow_runs_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::size_t verdict_cache_hits() const { return cache_hits_; }
+  [[nodiscard]] std::size_t narrow_phase_runs() const { return narrow_runs_; }
 
  private:
   struct VerdictKey {
@@ -158,29 +131,29 @@ class ExtendedSimulator {
     std::size_t operator()(const VerdictKey& k) const;
   };
 
-  void charge_latency() const;
   /// Fingerprint of the world revision the caches were built against: the
   /// explicit epoch plus element counts (the counts catch direct vector
   /// mutation that forgot to bump the epoch).
   [[nodiscard]] std::uint64_t world_revision() const;
-  [[nodiscard]] std::optional<CollisionReport> cached_path_check(
-      const geom::Vec3& start, const geom::Vec3& goal, double held_clearance,
-      const std::vector<std::string>& ignore, double inflate = 0.0) const;
+  /// One leg through the broad phase and verdict cache.
+  [[nodiscard]] std::optional<CollisionReport> check_leg(const geom::Vec3& start,
+                                                         const geom::Vec3& goal,
+                                                         double held_clearance,
+                                                         const std::vector<std::string>& ignore,
+                                                         double inflate);
 
   WorldModel world_;
   Options options_;
   ArmStateProvider provider_;
-  mutable std::atomic<std::size_t> checks_{0};
-  mutable std::atomic<std::size_t> cache_hits_{0};
-  mutable std::atomic<std::size_t> narrow_runs_{0};
-  mutable std::atomic<std::size_t> margin_scans_{0};
-  mutable double modeled_latency_s_ = 0.0;  ///< guarded by cache_mutex_
+  std::size_t checks_ = 0;
+  std::size_t cache_hits_ = 0;
+  std::size_t narrow_runs_ = 0;
+  std::size_t margin_scans_ = 0;
+  double modeled_latency_s_ = 0.0;
 
-  mutable std::mutex cache_mutex_;
-  mutable BroadPhaseGrid grid_;                 ///< guarded by cache_mutex_
-  mutable std::uint64_t cache_revision_ = ~0ULL;
-  mutable std::unordered_map<VerdictKey, std::optional<CollisionReport>, VerdictKeyHash>
-      verdicts_;                                ///< guarded by cache_mutex_
+  BroadPhaseGrid grid_;
+  std::uint64_t cache_revision_ = ~0ULL;
+  std::unordered_map<VerdictKey, std::optional<CollisionReport>, VerdictKeyHash> verdicts_;
 };
 
 }  // namespace rabit::sim

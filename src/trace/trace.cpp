@@ -219,6 +219,8 @@ void Supervisor::start() {
   if (engine_ != nullptr) {
     engine_->initialize(backend_->fetch_status().snapshot);
   }
+  start_clock_s_ = backend_->modeled_clock_s();
+  start_overhead_s_ = engine_ != nullptr ? engine_->modeled_overhead_s() : 0.0;
 }
 
 double Supervisor::modeled_now() const {
@@ -800,39 +802,38 @@ SupervisedStep Supervisor::step_impl(const dev::Command& cmd) {
   return result;
 }
 
+void RunReport::record(SupervisedStep step) {
+  std::size_t index = steps.size();
+  check_wall_s += step.check_wall_us * 1e-6;
+  if (step.alert) {
+    ++alerts;
+    if (!first_alert_step) first_alert_step = index;
+  }
+  if (step.exec) {
+    for (const sim::DamageEvent& e : step.exec->damage) {
+      if (!first_damage_step) first_damage_step = index;
+      damage.push_back(e);
+    }
+  }
+  halted = halted || step.halted;
+  steps.push_back(std::move(step));
+}
+
 RunReport Supervisor::run(const std::vector<dev::Command>& workflow) {
   start();
   RunReport report;
-  double overhead_before =
-      engine_ != nullptr ? engine_->modeled_overhead_s() : 0.0;
-  double backend_clock_before = backend_->modeled_clock_s();
-
   for (const dev::Command& cmd : workflow) {
-    SupervisedStep step_result = step(cmd);
-    std::size_t index = report.steps.size();
-    report.check_wall_s += step_result.check_wall_us * 1e-6;
-
-    if (step_result.alert) {
-      ++report.alerts;
-      if (!report.first_alert_step) report.first_alert_step = index;
-    }
-    if (step_result.exec) {
-      for (const sim::DamageEvent& e : step_result.exec->damage) {
-        if (!report.first_damage_step) report.first_damage_step = index;
-        report.damage.push_back(e);
-      }
-    }
-    bool halted_now = step_result.halted;
-    report.steps.push_back(std::move(step_result));
-    if (halted_now) {
-      report.halted = true;
-      break;
-    }
+    report.record(step(cmd));
+    if (report.halted) break;
   }
+  finish(report);
+  return report;
+}
 
-  report.modeled_runtime_s = backend_->modeled_clock_s() - backend_clock_before;
+void Supervisor::finish(RunReport& report) {
+  report.modeled_runtime_s = backend_->modeled_clock_s() - start_clock_s_;
   report.modeled_overhead_s =
-      (engine_ != nullptr ? engine_->modeled_overhead_s() : 0.0) - overhead_before;
+      (engine_ != nullptr ? engine_->modeled_overhead_s() : 0.0) - start_overhead_s_;
   if (options_.recovery || options_.assurance) report.recovery = recovery_report_;
   if (engine_ != nullptr) {
     report.degraded_checks = engine_->stats().degraded_checks;
@@ -840,7 +841,6 @@ RunReport Supervisor::run(const std::vector<dev::Command>& workflow) {
     // (they reset on start(), so each run adds exactly its own activity).
     if (options_.obs_metrics != nullptr) engine_->export_stats(*options_.obs_metrics);
   }
-  return report;
 }
 
 }  // namespace rabit::trace

@@ -132,6 +132,9 @@ struct RunReport {
   /// detached (degraded mode).
   std::size_t degraded_checks = 0;
 
+  /// Appends one supervised step, folding in its alert, damage and halt.
+  void record(SupervisedStep step);
+
   /// Damage that RABIT prevented or at least flagged in time.
   [[nodiscard]] bool alert_preceded_damage() const;
   /// Worst severity that physically occurred.
@@ -183,7 +186,14 @@ class Supervisor {
   SupervisedStep step(const dev::Command& cmd);
 
   /// Runs a whole workflow; stops early on alert when halt_on_alert is set.
+  /// Equivalent to start(), then RunReport::record(step(cmd)) per command
+  /// until a halt, then finish().
   RunReport run(const std::vector<dev::Command>& workflow);
+
+  /// Closes a run begun by start(): modeled runtime and overhead since
+  /// start(), the recovery report, degraded checks, and the engine-stats
+  /// export into Options::obs_metrics.
+  void finish(RunReport& report);
 
   [[nodiscard]] const TraceLog& log() const { return log_; }
   [[nodiscard]] sim::LabBackend& backend() { return *backend_; }
@@ -236,6 +246,10 @@ class Supervisor {
   bool safe_controller_active_ = false;
   obs::SpanRecord* active_span_ = nullptr;
   std::uint64_t span_seq_ = 0;
+  /// Backend clock and engine overhead when start() returned (finish()
+  /// reports the deltas).
+  double start_clock_s_ = 0.0;
+  double start_overhead_s_ = 0.0;
 };
 
 }  // namespace rabit::trace

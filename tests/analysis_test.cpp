@@ -333,11 +333,26 @@ TEST(Analyzer, UserFunctionsAreInlined) {
 
 // --- the §IV bug catalogue through the analyzer -------------------------------
 
+namespace {
+
 struct ExpectedFinding {
   const char* bug_id;
   const char* rule;
   int line;  ///< 0 = any line
 };
+
+// Prints the strings, not their addresses: CTest names parameterized cases
+// after this text, and an address would rename the case on every build.
+void PrintTo(const ExpectedFinding& f, std::ostream* os) {
+  *os << f.bug_id << " " << f.rule << " line ";
+  if (f.line > 0) {
+    *os << f.line;
+  } else {
+    *os << "any";
+  }
+}
+
+}  // namespace
 
 class CatalogueAnalysis : public ::testing::TestWithParam<ExpectedFinding> {};
 

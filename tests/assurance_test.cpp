@@ -10,6 +10,7 @@
 
 #include "assurance/assurance.hpp"
 #include "core/engine.hpp"
+#include "core/lab.hpp"
 #include "recovery/recovery.hpp"
 #include "script/workflows.hpp"
 #include "sim/deck.hpp"
@@ -177,38 +178,16 @@ TEST(MarginProfile, IgnoredBoxesDoNotBindTheBarrier) {
 // floor (3 cm > the 2 cm miscalibration) can intervene in time.
 class MiscalibratedShelf : public ::testing::Test {
  protected:
-  MiscalibratedShelf() : backend(sim::testbed_profile()) {
-    sim::build_hein_testbed_deck(backend);
-    core::EngineConfig config =
-        core::config_from_backend(backend, core::Variant::ModifiedWithSim);
-
-    sim::WorldModel world = sim::deck_world_model(backend);
-    for (const core::DeviceMeta& m : config.devices) {
-      if (m.is_arm && m.sleep_box) {
-        world.add_box(m.id, *m.sleep_box, sim::ObstacleKind::ParkedArm);
-      }
-    }
-    world.add_box("overhead_shelf",
-                  geom::Aabb(geom::Vec3(0.07, -0.085, 0.40), geom::Vec3(0.17, 0.015, 0.50)),
-                  sim::ObstacleKind::Equipment);
+  MiscalibratedShelf() {
+    simulator->set_gui_enabled(false);
+    simulator->world().add_box(
+        "overhead_shelf",
+        geom::Aabb(geom::Vec3(0.07, -0.085, 0.40), geom::Vec3(0.17, 0.015, 0.50)),
+        sim::ObstacleKind::Equipment);
     backend.add_static_obstacle(
         "overhead_shelf",
         geom::Aabb(geom::Vec3(0.07, -0.105, 0.40), geom::Vec3(0.17, -0.005, 0.50)),
         sim::ObstacleKind::Equipment);
-
-    sim::ExtendedSimulator::Options sim_options;
-    sim_options.gui_enabled = false;
-    simulator = std::make_unique<sim::ExtendedSimulator>(std::move(world), sim_options);
-    sim::LabBackend* backend_ptr = &backend;
-    simulator->set_arm_state_provider(
-        [backend_ptr](std::string_view arm_id) -> std::optional<geom::Vec3> {
-          const auto* arm =
-              dynamic_cast<const dev::RobotArmDevice*>(backend_ptr->registry().find(arm_id));
-          if (arm == nullptr) return std::nullopt;
-          return arm->position_lab();
-        });
-    engine = std::make_unique<core::RabitEngine>(std::move(config));
-    engine->attach_simulator(simulator.get());
   }
 
   dev::Command ascent() const {
@@ -221,15 +200,16 @@ class MiscalibratedShelf : public ::testing::Test {
     return c;
   }
 
-  sim::LabBackend backend;
-  std::unique_ptr<sim::ExtendedSimulator> simulator;
-  std::unique_ptr<core::RabitEngine> engine;
+  core::Lab lab{core::Variant::ModifiedWithSim};
+  sim::LabBackend& backend = lab.backend;
+  sim::ExtendedSimulator* simulator = &*lab.simulator;
+  core::RabitEngine* engine = &lab.engine;
 };
 
 TEST_F(MiscalibratedShelf, ReactiveLadderCannotPreventTheDamage) {
   trace::Supervisor::Options opts;
   opts.recovery = recovery::RecoveryPolicy{};
-  trace::Supervisor sup(engine.get(), &backend, opts);
+  trace::Supervisor sup(engine, &backend, opts);
   trace::RunReport report = sup.run({ascent()});
   EXPECT_EQ(report.alerts, 0u);  // the boolean check passes and the goal is reached
   EXPECT_EQ(report.damage.size(), 1u);
@@ -240,7 +220,7 @@ TEST_F(MiscalibratedShelf, ReactiveLadderCannotPreventTheDamage) {
 TEST_F(MiscalibratedShelf, AssuranceDemotesBeforeContact) {
   trace::Supervisor::Options opts;
   opts.assurance = AssuranceConfig{};
-  trace::Supervisor sup(engine.get(), &backend, opts);
+  trace::Supervisor sup(engine, &backend, opts);
   trace::RunReport report = sup.run({ascent()});
 
   EXPECT_TRUE(report.damage.empty());
@@ -271,7 +251,7 @@ TEST_F(MiscalibratedShelf, AssuranceDemotesBeforeContact) {
 TEST_F(MiscalibratedShelf, SafeControllerParksTheArm) {
   trace::Supervisor::Options opts;
   opts.assurance = AssuranceConfig{};
-  trace::Supervisor sup(engine.get(), &backend, opts);
+  trace::Supervisor sup(engine, &backend, opts);
   (void)sup.run({ascent()});
 
   // Verified-safe fallback: truncated advance, then park. The arm must end
@@ -295,7 +275,7 @@ TEST_F(MiscalibratedShelf, SafeControllerParksTheArm) {
 TEST_F(MiscalibratedShelf, DemotedRecordRoundTripsThroughJsonl) {
   trace::Supervisor::Options opts;
   opts.assurance = AssuranceConfig{};
-  trace::Supervisor sup(engine.get(), &backend, opts);
+  trace::Supervisor sup(engine, &backend, opts);
   (void)sup.run({ascent()});
 
   std::string jsonl = sup.log().to_jsonl();
@@ -317,7 +297,7 @@ TEST_F(MiscalibratedShelf, DemotionEscalatesThroughTheLadderWhenRecoveryIsOn) {
   trace::Supervisor::Options opts;
   opts.recovery = recovery::RecoveryPolicy{};
   opts.assurance = AssuranceConfig{};
-  trace::Supervisor sup(engine.get(), &backend, opts);
+  trace::Supervisor sup(engine, &backend, opts);
   trace::RunReport report = sup.run({ascent()});
 
   EXPECT_TRUE(report.damage.empty());
@@ -334,34 +314,15 @@ TEST_F(MiscalibratedShelf, DemotionEscalatesThroughTheLadderWhenRecoveryIsOn) {
 
 TEST(AssuranceAccurateWorld, NoDemotionsAndIdenticalVerdictsOnTestbedWorkflow) {
   auto run_workflow = [](bool with_assurance) {
-    sim::LabBackend backend(sim::testbed_profile());
-    sim::build_hein_testbed_deck(backend);
-    std::vector<dev::Command> workflow =
-        script::record_workflow(backend, script::testbed_workflow_source());
-    core::EngineConfig config =
-        core::config_from_backend(backend, core::Variant::ModifiedWithSim);
-    sim::WorldModel world = sim::deck_world_model(backend);
-    for (const core::DeviceMeta& m : config.devices) {
-      if (m.is_arm && m.sleep_box) {
-        world.add_box(m.id, *m.sleep_box, sim::ObstacleKind::ParkedArm);
-      }
-    }
-    sim::ExtendedSimulator::Options sim_options;
-    sim_options.gui_enabled = false;
-    sim::ExtendedSimulator simulator(std::move(world), sim_options);
-    sim::LabBackend* backend_ptr = &backend;
-    simulator.set_arm_state_provider(
-        [backend_ptr](std::string_view arm_id) -> std::optional<geom::Vec3> {
-          const auto* arm =
-              dynamic_cast<const dev::RobotArmDevice*>(backend_ptr->registry().find(arm_id));
-          if (arm == nullptr) return std::nullopt;
-          return arm->position_lab();
-        });
-    core::RabitEngine engine(std::move(config));
-    engine.attach_simulator(&simulator);
+    std::vector<dev::Command> workflow;
+    core::Lab lab(core::Variant::ModifiedWithSim, 42, [&workflow](sim::LabBackend& backend) {
+      sim::build_hein_testbed_deck(backend);
+      workflow = script::record_workflow(backend, script::testbed_workflow_source());
+    });
+    lab.simulator->set_gui_enabled(false);
     trace::Supervisor::Options opts;
     if (with_assurance) opts.assurance = AssuranceConfig{};
-    trace::Supervisor sup(&engine, &backend, opts);
+    trace::Supervisor sup(&lab.engine, &lab.backend, opts);
     return sup.run(workflow);
   };
 
@@ -376,15 +337,12 @@ TEST(AssuranceAccurateWorld, NoDemotionsAndIdenticalVerdictsOnTestbedWorkflow) {
 }
 
 TEST(AssuranceOptions, DisabledConfigIsANoOp) {
-  sim::LabBackend backend(sim::testbed_profile());
-  sim::build_hein_testbed_deck(backend);
-  auto engine = std::make_unique<core::RabitEngine>(
-      core::config_from_backend(backend, core::Variant::ModifiedWithSim));
+  core::Lab lab(core::Variant::ModifiedWithSim);
   trace::Supervisor::Options opts;
   AssuranceConfig cfg;
   cfg.enabled = false;
   opts.assurance = cfg;
-  trace::Supervisor sup(engine.get(), &backend, opts);
+  trace::Supervisor sup(&lab.engine, &lab.backend, opts);
   ASSERT_NE(sup.engine(), nullptr);
   EXPECT_DOUBLE_EQ(sup.engine()->assurance_margin(), 0.0);
 }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
+#include "core/lab.hpp"
 #include "devices/robot_arm.hpp"
 #include "sim/deck.hpp"
 
@@ -23,9 +24,7 @@ Command make_cmd(std::string device, std::string action, json::Object args = {})
 class EngineTest : public ::testing::Test {
  protected:
   explicit EngineTest(Variant variant = Variant::Modified)
-      : backend(sim::testbed_profile()) {
-    sim::build_hein_testbed_deck(backend);
-    engine = std::make_unique<RabitEngine>(config_from_backend(backend, variant));
+      : lab(variant), backend(lab.backend), engine(&lab.engine) {
     engine->initialize(backend.registry().fetch_observed_state());
   }
 
@@ -39,8 +38,9 @@ class EngineTest : public ::testing::Test {
     return backend.arm(arm).to_local(backend.find_site(site)->lab_position);
   }
 
-  sim::LabBackend backend;
-  std::unique_ptr<RabitEngine> engine;
+  Lab lab;
+  sim::LabBackend& backend;
+  RabitEngine* engine;
 };
 
 TEST_F(EngineTest, SafeCommandPassesAndCountsOverhead) {
@@ -115,22 +115,9 @@ TEST_F(EngineTest, CleanExecutionRaisesNothing) {
 
 class SimEngineTest : public EngineTest {
  protected:
-  SimEngineTest() : EngineTest(Variant::ModifiedWithSim) {
-    sim::WorldModel world = sim::deck_world_model(backend);
-    for (const DeviceMeta& m : engine->config().devices) {
-      if (m.is_arm && m.sleep_box) {
-        world.add_box(m.id, *m.sleep_box, sim::ObstacleKind::ParkedArm);
-      }
-    }
-    simulator = std::make_unique<sim::ExtendedSimulator>(std::move(world));
-    simulator->set_arm_state_provider(
-        [this](std::string_view arm_id) -> std::optional<Vec3> {
-          return backend.arm(arm_id).position_lab();
-        });
-    engine->attach_simulator(simulator.get());
-  }
+  SimEngineTest() : EngineTest(Variant::ModifiedWithSim), simulator(&*lab.simulator) {}
 
-  std::unique_ptr<sim::ExtendedSimulator> simulator;
+  sim::ExtendedSimulator* simulator;
 };
 
 TEST_F(SimEngineTest, TrajectoryAlertOnEnRouteCollision) {
@@ -212,11 +199,11 @@ TEST(ExtendedSimulator, ValidateTargetVsTrajectory) {
   world.add_box("box", geom::Aabb(Vec3(-0.1, -0.1, 0), Vec3(0.1, 0.1, 0.2)),
                 sim::ObstacleKind::Equipment);
   sim::ExtendedSimulator simulator(world);
-  // Target beyond the box: target-only check passes, trajectory check alerts.
-  EXPECT_FALSE(simulator.validate_target(Vec3(0.5, 0, 0.1), 0.0).has_value());
-  EXPECT_TRUE(
-      simulator.validate_trajectory(Vec3(-0.5, 0, 0.1), Vec3(0.5, 0, 0.1), 0.0).has_value());
-  EXPECT_EQ(simulator.checks_performed(), 2u);
+  // Target beyond the box: the target-only check RABIT falls back to without
+  // a simulator passes, the simulator's trajectory sweep alerts.
+  EXPECT_FALSE(sim::check_point(simulator.world(), Vec3(0.5, 0, 0.1), 0.0).has_value());
+  EXPECT_TRUE(simulator.sweep({Vec3(-0.5, 0, 0.1), Vec3(0.5, 0, 0.1)}, 0.0, {}).hit.has_value());
+  EXPECT_EQ(simulator.checks_performed(), 1u);
   EXPECT_GT(simulator.modeled_latency_s(), 0.0);
 }
 

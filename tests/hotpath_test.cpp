@@ -10,6 +10,7 @@
 
 #include "bugs/bugs.hpp"
 #include "core/engine.hpp"
+#include "core/lab.hpp"
 #include "core/rules.hpp"
 #include "sim/deck.hpp"
 #include "sim/extended_sim.hpp"
@@ -157,11 +158,11 @@ TEST(RuleWorldMemo, RebuildsOnlyWhenOtherArmsMove) {
 // Broad phase
 // ---------------------------------------------------------------------------
 
-TEST(BroadPhase, PathAndPointVerdictsMatchFullScan) {
-  // A deterministic pseudo-random world: clustered boxes plus a ground plane
-  // big enough to land on the grid's oversize list.
+/// A deterministic pseudo-random world: 120 clustered boxes plus a ground
+/// plane big enough to land on the grid's oversize list. Draws positions
+/// from `rng`, which the caller keeps using for its queries.
+sim::WorldModel seeded_world(std::mt19937& rng) {
   sim::WorldModel world;
-  std::mt19937 rng(20240806);
   std::uniform_real_distribution<double> pos(-1.0, 2.0);
   std::uniform_real_distribution<double> size(0.02, 0.30);
   for (int i = 0; i < 120; ++i) {
@@ -171,6 +172,26 @@ TEST(BroadPhase, PathAndPointVerdictsMatchFullScan) {
                   sim::ObstacleKind::Equipment);
   }
   world.add_box("ground", Aabb(Vec3(-5, -5, -1), Vec3(5, 5, -0.5)), sim::ObstacleKind::Ground);
+  return world;
+}
+
+/// Byte-identical verdicts: same first-hit obstacle at exactly the same sample.
+void expect_same_hit(const std::optional<sim::CollisionReport>& got,
+                     const std::optional<sim::CollisionReport>& want, int path) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << "path " << path;
+  if (!want) return;
+  EXPECT_EQ(got->obstacle, want->obstacle) << "path " << path;
+  EXPECT_EQ(got->position.x, want->position.x);
+  EXPECT_EQ(got->position.y, want->position.y);
+  EXPECT_EQ(got->position.z, want->position.z);
+  EXPECT_EQ(got->via_held_object, want->via_held_object);
+  EXPECT_EQ(got->arm_vs_arm, want->arm_vs_arm);
+}
+
+TEST(BroadPhase, PathAndPointVerdictsMatchFullScan) {
+  std::mt19937 rng(20240806);
+  sim::WorldModel world = seeded_world(rng);
+  std::uniform_real_distribution<double> pos(-1.0, 2.0);
   sim::BroadPhaseGrid grid(world);
   ASSERT_EQ(grid.box_count(), world.boxes.size());
 
@@ -185,17 +206,8 @@ TEST(BroadPhase, PathAndPointVerdictsMatchFullScan) {
       opts.ignore.clear();
     }
     auto full = sim::check_path(world, start, goal, 0.05, opts, nullptr);
-    auto pruned = sim::check_path(world, start, goal, 0.05, opts, &grid);
-    ASSERT_EQ(full.has_value(), pruned.has_value()) << "segment " << i;
-    if (full) {
-      ++collisions;
-      // Byte-identical: same first-hit box at exactly the same sample.
-      EXPECT_EQ(full->obstacle, pruned->obstacle);
-      EXPECT_EQ(full->position.x, pruned->position.x);
-      EXPECT_EQ(full->position.y, pruned->position.y);
-      EXPECT_EQ(full->position.z, pruned->position.z);
-      EXPECT_EQ(full->via_held_object, pruned->via_held_object);
-    }
+    expect_same_hit(sim::check_path(world, start, goal, 0.05, opts, &grid), full, i);
+    if (full) ++collisions;
 
     auto full_pt = sim::check_point(world, start, 0.05, opts, nullptr);
     auto pruned_pt = sim::check_point(world, start, 0.05, opts, &grid);
@@ -206,6 +218,74 @@ TEST(BroadPhase, PathAndPointVerdictsMatchFullScan) {
   }
   // The world is dense enough that the equivalence was actually exercised.
   EXPECT_GT(collisions, 10);
+}
+
+TEST(BroadPhase, SweepMatchesLegByLegCheckPath) {
+  std::mt19937 rng(20240806);
+  sim::WorldModel world = seeded_world(rng);
+  world.set_arm_segment("other_arm", geom::Segment{Vec3(0.5, -1, 0.5), Vec3(0.5, 2, 0.5)}, 0.05);
+  std::uniform_real_distribution<double> pos(-1.0, 2.0);
+  // Short hops around a random anchor, so some legs graze an obstacle
+  // within the inflation margin without touching it.
+  std::uniform_real_distribution<double> hop(-0.15, 0.15);
+
+  int hits = 0;
+  int trips = 0;
+  for (bool broad_phase : {false, true}) {
+    for (bool verdict_cache : {false, true}) {
+      sim::ExtendedSimulator::Options options;
+      options.use_broad_phase = broad_phase;
+      options.use_verdict_cache = verdict_cache;
+      sim::ExtendedSimulator simulator(world, options);
+      std::mt19937 path_rng(7);
+      for (int i = 0; i < 300; ++i) {
+        Vec3 anchor(pos(path_rng), pos(path_rng), pos(path_rng));
+        std::vector<Vec3> waypoints{anchor};
+        for (int k = 0; k < 1 + i % 4; ++k) {
+          waypoints.push_back(waypoints.back() + Vec3(hop(path_rng), hop(path_rng), hop(path_rng)));
+        }
+        std::vector<std::string> ignore;
+        if (i % 3 == 0) ignore = {"box_" + std::to_string(i % 120), "other_arm"};
+        double held = i % 2 == 0 ? 0.05 : 0.0;
+        for (double inflate : {0.0, 0.03}) {
+          // Reference: check_path leg by leg, full scan, no cache.
+          sim::PathCheckOptions exact_opts;
+          exact_opts.ignore = ignore;
+          sim::PathCheckOptions inflated_opts = exact_opts;
+          inflated_opts.inflate = inflate;
+          std::optional<sim::CollisionReport> exact;
+          std::size_t charged_legs = 0;
+          bool inflated_hit = false;
+          for (std::size_t leg = 1; leg < waypoints.size(); ++leg) {
+            if (!exact) exact = sim::check_path(world, waypoints[leg - 1], waypoints[leg], held,
+                                                exact_opts);
+            if (inflated_hit) continue;
+            ++charged_legs;
+            inflated_hit = sim::check_path(world, waypoints[leg - 1], waypoints[leg], held,
+                                           inflated_opts)
+                               .has_value();
+          }
+
+          // Twice: the second sweep is served from the verdict cache.
+          for (int pass = 0; pass < 2; ++pass) {
+            std::size_t charged_before = simulator.checks_performed();
+            sim::ExtendedSimulator::SweepResult swept =
+                simulator.sweep(waypoints, held, ignore, inflate);
+            EXPECT_EQ(simulator.checks_performed() - charged_before, charged_legs) << "path " << i;
+            expect_same_hit(swept.hit, exact, i);
+            EXPECT_EQ(swept.tripped, inflated_hit && !exact) << "path " << i;
+            if (pass == 0 && broad_phase && verdict_cache) {
+              hits += exact ? 1 : 0;
+              trips += swept.tripped ? 1 : 0;
+            }
+          }
+        }
+      }
+    }
+  }
+  // Both verdict kinds were actually exercised.
+  EXPECT_GT(hits, 20);
+  EXPECT_GT(trips, 5);
 }
 
 TEST(BroadPhase, StaleGridFallsBackToFullScan) {
@@ -237,19 +317,25 @@ class VerdictCacheTest : public ::testing::Test {
     simulator = std::make_unique<sim::ExtendedSimulator>(std::move(world), options);
   }
 
+  /// One straight leg through the simulator's sweep.
+  std::optional<sim::CollisionReport> leg(const Vec3& from, const Vec3& to,
+                                          const std::vector<std::string>& ignore = {}) {
+    return simulator->sweep({from, to}, 0.0, ignore).hit;
+  }
+
   std::unique_ptr<sim::ExtendedSimulator> simulator;
   const Vec3 start{0.0, 0.0, 0.1};
   const Vec3 goal{1.0, 0.0, 0.1};
 };
 
 TEST_F(VerdictCacheTest, RepeatQueryHitsCache) {
-  auto first = simulator->validate_trajectory(start, goal, 0.0);
+  auto first = leg(start, goal);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->obstacle, "block");
   EXPECT_EQ(simulator->narrow_phase_runs(), 1u);
   EXPECT_EQ(simulator->verdict_cache_hits(), 0u);
 
-  auto second = simulator->validate_trajectory(start, goal, 0.0);
+  auto second = leg(start, goal);
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->obstacle, first->obstacle);
   EXPECT_EQ(simulator->narrow_phase_runs(), 1u);
@@ -258,14 +344,14 @@ TEST_F(VerdictCacheTest, RepeatQueryHitsCache) {
 
 TEST_F(VerdictCacheTest, AddBoxInvalidates) {
   Vec3 high_goal(1.0, 0.0, 0.5);
-  ASSERT_FALSE(simulator->validate_trajectory(start, high_goal, 0.0).has_value());
+  ASSERT_FALSE(leg(start, high_goal).has_value());
   ASSERT_EQ(simulator->narrow_phase_runs(), 1u);
 
   // add_box bumps the world epoch, so the cached clear verdict must not be
   // served: the re-run sees the new obstacle.
   simulator->world().add_box("late", Aabb(Vec3(0.45, -0.05, 0.2), Vec3(0.55, 0.05, 0.6)),
                              sim::ObstacleKind::Equipment);
-  auto hit = simulator->validate_trajectory(start, high_goal, 0.0);
+  auto hit = leg(start, high_goal);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->obstacle, "late");
   EXPECT_EQ(simulator->narrow_phase_runs(), 2u);
@@ -273,23 +359,23 @@ TEST_F(VerdictCacheTest, AddBoxInvalidates) {
 
 TEST_F(VerdictCacheTest, ArmSegmentInvalidates) {
   Vec3 high_goal(1.0, 0.0, 0.5);
-  ASSERT_FALSE(simulator->validate_trajectory(start, high_goal, 0.0).has_value());
+  ASSERT_FALSE(leg(start, high_goal).has_value());
 
   simulator->world().set_arm_segment(
       "other_arm", geom::Segment{Vec3(0.5, -0.5, 0.4), Vec3(0.5, 0.5, 0.4)}, 0.05);
-  auto hit = simulator->validate_trajectory(start, high_goal, 0.0);
+  auto hit = leg(start, high_goal);
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(hit->arm_vs_arm);
   EXPECT_EQ(simulator->narrow_phase_runs(), 2u);
 }
 
 TEST_F(VerdictCacheTest, DirectEditNeedsEpochBumpAndIsSeen) {
-  ASSERT_TRUE(simulator->validate_trajectory(start, goal, 0.0).has_value());
+  ASSERT_TRUE(leg(start, goal).has_value());
   // Move the blocking box out of the way by editing the vector directly,
   // then bump the epoch as the WorldModel contract requires.
   simulator->world().boxes[0].box = Aabb(Vec3(5, 5, 5), Vec3(6, 6, 6));
   simulator->world().bump_epoch();
-  EXPECT_FALSE(simulator->validate_trajectory(start, goal, 0.0).has_value());
+  EXPECT_FALSE(leg(start, goal).has_value());
   EXPECT_EQ(simulator->narrow_phase_runs(), 2u);
 }
 
@@ -298,12 +384,12 @@ TEST_F(VerdictCacheTest, IgnoreSetsAreDistinctCacheEntries) {
   // opening (which admits the device into the ignore set) must never be
   // served a verdict cached for the closed-door query, or vice versa.
   std::vector<std::string> ignore_block{"block"};
-  ASSERT_TRUE(simulator->validate_trajectory(start, goal, 0.0).has_value());
-  EXPECT_FALSE(simulator->validate_trajectory(start, goal, 0.0, ignore_block).has_value());
-  auto again = simulator->validate_trajectory(start, goal, 0.0);
+  ASSERT_TRUE(leg(start, goal).has_value());
+  EXPECT_FALSE(leg(start, goal, ignore_block).has_value());
+  auto again = leg(start, goal);
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->obstacle, "block");
-  EXPECT_FALSE(simulator->validate_trajectory(start, goal, 0.0, ignore_block).has_value());
+  EXPECT_FALSE(leg(start, goal, ignore_block).has_value());
   // Two distinct entries, each hit once on its second query.
   EXPECT_EQ(simulator->narrow_phase_runs(), 2u);
   EXPECT_EQ(simulator->verdict_cache_hits(), 2u);
@@ -314,22 +400,11 @@ TEST_F(VerdictCacheTest, IgnoreSetsAreDistinctCacheEntries) {
 // ---------------------------------------------------------------------------
 
 TEST(EngineWorldPreservation, TrajectoryAlertLeavesWorldIntact) {
-  sim::LabBackend backend(sim::testbed_profile());
-  sim::build_hein_testbed_deck(backend);
-  RabitEngine engine(config_from_backend(backend, Variant::ModifiedWithSim));
+  Lab lab(Variant::ModifiedWithSim);
+  sim::LabBackend& backend = lab.backend;
+  RabitEngine& engine = lab.engine;
+  const sim::ExtendedSimulator& simulator = *lab.simulator;
   engine.initialize(backend.registry().fetch_observed_state());
-
-  sim::WorldModel world = sim::deck_world_model(backend);
-  for (const DeviceMeta& m : engine.config().devices) {
-    if (m.is_arm && m.sleep_box) {
-      world.add_box(m.id, *m.sleep_box, sim::ObstacleKind::ParkedArm);
-    }
-  }
-  sim::ExtendedSimulator simulator(std::move(world));
-  simulator.set_arm_state_provider([&backend](std::string_view arm_id) -> std::optional<Vec3> {
-    return backend.arm(arm_id).position_lab();
-  });
-  engine.attach_simulator(&simulator);
 
   auto snapshot_names = [&] {
     std::vector<std::string> names;

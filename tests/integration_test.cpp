@@ -5,6 +5,7 @@
 
 #include "bugs/bugs.hpp"
 #include "core/engine.hpp"
+#include "core/lab.hpp"
 #include "devices/robot_arm.hpp"
 #include "script/interp.hpp"
 #include "script/workflows.hpp"
@@ -22,14 +23,9 @@ namespace ids = sim::deck_ids;
 struct Pipeline {
   explicit Pipeline(sim::StageProfile profile, core::Variant variant = core::Variant::Modified,
                     bool production = false)
-      : backend(std::move(profile)) {
-    if (production) {
-      sim::build_hein_production_deck(backend);
-    } else {
-      sim::build_hein_testbed_deck(backend);
-    }
-    engine = std::make_unique<core::RabitEngine>(core::config_from_backend(backend, variant));
-    supervisor = std::make_unique<trace::Supervisor>(engine.get(), &backend);
+      : lab(variant, 42, production ? sim::build_hein_production_deck : core::Lab::Deck{}, {},
+            std::move(profile)) {
+    supervisor = std::make_unique<trace::Supervisor>(engine, &backend);
   }
 
   void run_script(const std::string& source) {
@@ -41,8 +37,9 @@ struct Pipeline {
     interp.run(source);
   }
 
-  sim::LabBackend backend;
-  std::unique_ptr<core::RabitEngine> engine;
+  core::Lab lab;
+  sim::LabBackend& backend = lab.backend;
+  core::RabitEngine* engine = &lab.engine;
   std::unique_ptr<trace::Supervisor> supervisor;
 };
 

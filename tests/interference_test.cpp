@@ -480,4 +480,18 @@ TEST(FleetCampaign, LoadCampaignRejectsMalformedDocuments) {
   EXPECT_THROW(fleet::load_campaign(json::parse(
                    R"j({"variant": "turbo", "streams": [{"script": "x()"}]})j")),
                std::runtime_error);
+  // Seeds must be exact integers that fit an unsigned 32-bit seed.
+  for (const char* seed : {"-1", "1.5", "1e20", "4294967296", "\"7\""}) {
+    std::string doc = std::string(R"j({"seed": )j") + seed + R"j(, "streams": [{"script": "x()"}]})j";
+    try {
+      static_cast<void>(fleet::load_campaign(json::parse(doc)));
+      ADD_FAILURE() << "seed " << seed << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'seed'"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_EQ(fleet::load_campaign(
+                json::parse(R"j({"seed": 4294967295, "streams": [{"script": "x()"}]})j"))
+                .seed,
+            4294967295u);
 }

@@ -12,6 +12,7 @@
 
 #include "bugs/bugs.hpp"
 #include "core/engine.hpp"
+#include "core/lab.hpp"
 #include "devices/robot_arm.hpp"
 #include "script/workflows.hpp"
 #include "sim/deck.hpp"
@@ -173,10 +174,9 @@ TEST_P(PreemptiveBlockProperty, BlockedCommandsLeaveNoTrace) {
   for (int i = 0; i < 10; ++i) {
     bugs::SyntheticBug bug = bugs::random_mutation(base, rng);
 
-    sim::LabBackend backend(sim::testbed_profile());
-    sim::build_hein_testbed_deck(backend);
-    core::RabitEngine engine(core::config_from_backend(backend, core::Variant::Modified));
-    trace::Supervisor supervisor(&engine, &backend);
+    core::Lab lab(core::Variant::Modified);
+    sim::LabBackend& backend = lab.backend;
+    trace::Supervisor supervisor(&lab.engine, &backend);
     supervisor.start();
     for (const Command& cmd : bug.commands) {
       auto before = backend.registry().fetch_true_state();
@@ -234,11 +234,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ConservationProperty, ::testing::Values(1u, 2u, 
 
 TEST(Determinism, SupervisedRunsAreReproducible) {
   auto run_once = [](unsigned seed) {
-    sim::LabBackend backend(sim::testbed_profile(), seed);
-    sim::build_hein_testbed_deck(backend);
-    core::RabitEngine engine(core::config_from_backend(backend, core::Variant::Modified));
-    trace::Supervisor supervisor(&engine, &backend);
-    auto commands = script::record_workflow(backend, script::testbed_workflow_source());
+    core::Lab lab(core::Variant::Modified, seed);
+    trace::Supervisor supervisor(&lab.engine, &lab.backend);
+    auto commands = script::record_workflow(lab.backend, script::testbed_workflow_source());
     supervisor.run(commands);
     return supervisor.log().to_jsonl();
   };

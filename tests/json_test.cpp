@@ -140,6 +140,10 @@ struct BadInput {
   const char* why;
 };
 
+// Prints the reason, not the pointers: CTest names parameterized cases after
+// this text, and an address would rename the case on every build.
+void PrintTo(const BadInput& b, std::ostream* os) { *os << b.why; }
+
 class JsonParseErrors : public ::testing::TestWithParam<BadInput> {};
 
 TEST_P(JsonParseErrors, Rejected) {
@@ -156,7 +160,7 @@ INSTANTIATE_TEST_SUITE_P(
                       BadInput{"\"abc", "unterminated string"},
                       BadInput{"\"\\x\"", "bad escape"}, BadInput{"01", "leading zero"},
                       BadInput{"1.", "digits after point"}, BadInput{"1e", "empty exponent"},
-                      BadInput{"tru", "bad literal"}, BadInput{"nul", "bad literal"},
+                      BadInput{"tru", "truncated true"}, BadInput{"nul", "truncated null"},
                       BadInput{"1 2", "trailing garbage"},
                       BadInput{"{\"a\":1,\"a\":2}", "duplicate key"},
                       BadInput{"\"\\ud800\"", "unpaired surrogate"},
@@ -170,6 +174,31 @@ TEST(JsonParse, ErrorCarriesLineAndColumn) {
     EXPECT_EQ(e.line(), 3);
     EXPECT_GT(e.column(), 1);
   }
+}
+
+TEST(JsonParse, DeepNestingIsAPositionedErrorNotACrash) {
+  // 100 000 open brackets once overflowed the recursive-descent stack.
+  std::string deep(100000, '[');
+  try {
+    static_cast<void>(parse(deep));
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 1);
+    EXPECT_EQ(e.column(), kMaxParseDepth + 1);  // the first bracket past the limit
+  }
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"a\":";
+  EXPECT_THROW(static_cast<void>(parse(objects)), ParseError);
+}
+
+TEST(JsonParse, NestingJustUnderTheLimitParses) {
+  const int depth = kMaxParseDepth;
+  std::string text = std::string(depth - 1, '[') + "[1]" + std::string(depth - 1, ']');
+  Value v = parse(text);
+  const Value* cursor = &v;
+  for (int i = 1; i < depth; ++i) cursor = &cursor->as_array().front();
+  EXPECT_EQ(cursor->as_array().front().as_int(), 1);
+  EXPECT_THROW(static_cast<void>(parse("[" + text + "]")), ParseError);
 }
 
 // --- serializer -------------------------------------------------------------

@@ -81,6 +81,10 @@ struct IkCase {
   Vec3 target;
 };
 
+// Prints the arm name, not its address: CTest names parameterized cases after
+// this text, and an address would rename the case on every build.
+void PrintTo(const IkCase& c, std::ostream* os) { *os << c.arm << " " << c.target; }
+
 class IkRoundTrip : public ::testing::TestWithParam<IkCase> {};
 
 TEST_P(IkRoundTrip, SolvesAndForwardMatches) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/lab.hpp"
 #include "json/json.hpp"
 #include "obs/obs.hpp"
 #include "recovery/recovery.hpp"
@@ -238,12 +239,6 @@ TEST(Registry, PrometheusTextIsSchemaValid) {
 
 class ObsSupervisorTest : public ::testing::Test {
  protected:
-  ObsSupervisorTest() : backend(sim::testbed_profile()) {
-    sim::build_hein_testbed_deck(backend);
-    engine = std::make_unique<core::RabitEngine>(
-        core::config_from_backend(backend, core::Variant::Modified));
-  }
-
   trace::Supervisor::Options observed_options() {
     trace::Supervisor::Options opts;
     opts.obs_sink = &events;
@@ -252,14 +247,15 @@ class ObsSupervisorTest : public ::testing::Test {
     return opts;
   }
 
-  sim::LabBackend backend;
-  std::unique_ptr<core::RabitEngine> engine;
+  core::Lab lab{core::Variant::Modified};
+  sim::LabBackend& backend = lab.backend;
+  core::RabitEngine* engine = &lab.engine;
   Collector events;
   Registry metrics;
 };
 
 TEST_F(ObsSupervisorTest, OneSpanPerCommandWithOrderedPhases) {
-  trace::Supervisor sup(engine.get(), &backend, observed_options());
+  trace::Supervisor sup(engine, &backend, observed_options());
   auto workflow = script::record_workflow(backend, script::testbed_workflow_source());
   trace::RunReport report = sup.run(workflow);
 
@@ -301,7 +297,7 @@ TEST_F(ObsSupervisorTest, OneSpanPerCommandWithOrderedPhases) {
 }
 
 TEST_F(ObsSupervisorTest, BlockedCommandGetsVerdictAndRule) {
-  trace::Supervisor sup(engine.get(), &backend, observed_options());
+  trace::Supervisor sup(engine, &backend, observed_options());
   sup.start();
   // G1: commanding the arm into a device's space without a reason.
   geom::Vec3 target =
@@ -334,7 +330,7 @@ TEST_F(ObsSupervisorTest, RecoveryRetriesEmitRungs) {
 
   trace::Supervisor::Options opts = observed_options();
   opts.recovery = recovery::RecoveryPolicy{};
-  trace::Supervisor sup(engine.get(), &backend, opts);
+  trace::Supervisor sup(engine, &backend, opts);
   sup.start();
   json::Object door;
   door["state"] = std::string("open");
@@ -361,7 +357,7 @@ TEST_F(ObsSupervisorTest, RecoveryRetriesEmitRungs) {
 }
 
 TEST_F(ObsSupervisorTest, NoSinkMeansNoObservationAndNoSpanLeft) {
-  trace::Supervisor sup(engine.get(), &backend,
+  trace::Supervisor sup(engine, &backend,
                         trace::Supervisor::Options{});  // obs disabled
   auto workflow = script::record_workflow(backend, script::testbed_workflow_source());
   (void)sup.run(workflow);

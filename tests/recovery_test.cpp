@@ -11,6 +11,7 @@
 
 #include "analysis/analysis.hpp"
 #include "core/engine.hpp"
+#include "core/lab.hpp"
 #include "recovery/recovery.hpp"
 #include "script/workflows.hpp"
 #include "sim/deck.hpp"
@@ -512,24 +513,22 @@ TEST_F(RecoveryTest, SafeStateSequenceParksClosesAndStops) {
 // --- degraded mode -----------------------------------------------------------
 
 TEST_F(RecoveryTest, SimulatorDetachmentDegradesToV2WithCountedWarning) {
-  make_engine(core::Variant::ModifiedWithSim);
-  sim::WorldModel world = sim::deck_world_model(backend);
-  sim::ExtendedSimulator simulator(std::move(world));
-  engine->attach_simulator(&simulator);
-  EXPECT_FALSE(engine->degraded());
+  core::Lab lab(core::Variant::ModifiedWithSim);
+  core::RabitEngine& engine = lab.engine;
+  EXPECT_FALSE(engine.degraded());
 
   // Mid-run detachment: the simulator process crashed or disconnected.
-  engine->attach_simulator(nullptr);
-  EXPECT_TRUE(engine->degraded());
+  engine.attach_simulator(nullptr);
+  EXPECT_TRUE(engine.degraded());
 
-  Supervisor sup(engine.get(), &backend, with_recovery());
+  Supervisor sup(&engine, &lab.backend, with_recovery());
   std::vector<Command> workflow =
-      script::record_workflow(backend, script::testbed_workflow_source());
+      script::record_workflow(lab.backend, script::testbed_workflow_source());
   RunReport report = sup.run(workflow);
 
   EXPECT_FALSE(report.halted);
   EXPECT_GT(report.degraded_checks, 0u);  // skipped replays counted, not lost
-  EXPECT_EQ(report.degraded_checks, engine->stats().degraded_checks);
+  EXPECT_EQ(report.degraded_checks, engine.stats().degraded_checks);
 }
 
 // --- seed determinism --------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
+#include "core/lab.hpp"
 #include "devices/robot_arm.hpp"
 #include "devices/stations.hpp"
 #include "sim/deck.hpp"
@@ -25,14 +26,11 @@ Command make_cmd(std::string device, std::string action, json::Object args = {})
 
 class EdgeTest : public ::testing::Test {
  protected:
-  EdgeTest() : backend(sim::testbed_profile()) {
-    sim::build_hein_testbed_deck(backend);
-    engine = std::make_unique<RabitEngine>(config_from_backend(backend, Variant::Modified));
-    engine->initialize(backend.registry().fetch_observed_state());
-  }
+  EdgeTest() { engine->initialize(backend.registry().fetch_observed_state()); }
 
-  sim::LabBackend backend;
-  std::unique_ptr<RabitEngine> engine;
+  Lab lab{Variant::Modified};
+  sim::LabBackend& backend = lab.backend;
+  RabitEngine* engine = &lab.engine;
 };
 
 TEST_F(EdgeTest, MoveWithoutPositionIsInvalid) {
@@ -143,7 +141,7 @@ TEST_F(EdgeTest, VerifyWithoutExpectationsIsClean) {
 }
 
 TEST_F(EdgeTest, HaltedSupervisorRejectsEverything) {
-  trace::Supervisor supervisor(engine.get(), &backend);
+  trace::Supervisor supervisor(engine, &backend);
   supervisor.start();
   json::Object args;
   args["celsius"] = 999.0;

@@ -1,6 +1,7 @@
 // Lab-script DSL tests: lexer, parser, interpreter, and workflow library.
 #include <gtest/gtest.h>
 
+#include "fleet/fleet.hpp"
 #include "script/interp.hpp"
 #include "script/workflows.hpp"
 #include "sim/deck.hpp"
@@ -126,6 +127,38 @@ TEST(Parser, ErrorPositions) {
   }
 }
 
+/// Expects `source` to be refused with a ScriptError at `line`.
+void expect_script_error_at(const std::string& source, int line) {
+  try {
+    static_cast<void>(parse(source));
+    FAIL() << "expected ScriptError";
+  } catch (const ScriptError& e) {
+    EXPECT_EQ(e.line(), line);
+  }
+}
+
+TEST(Parser, DeepNestingIsAScriptErrorNotACrash) {
+  // Each of these 100 000-deep inputs once overflowed the stack.
+  const int n = 100000;
+  expect_script_error_at("let a = 1\nx = " + std::string(n, '(') + "1" + std::string(n, ')'), 2);
+  expect_script_error_at("x = " + std::string(n, '-') + "1", 1);
+  std::string chain = "x = 1";
+  for (int i = 0; i < n; ++i) chain += "+1";
+  expect_script_error_at(chain, 1);
+  std::string blocks;
+  for (int i = 0; i < n; ++i) blocks += "if (true) {\n";
+  // Each nested `if` opens two levels (the statement and its block), so the
+  // condition on line 128 is the first thing past the limit.
+  expect_script_error_at(blocks, 128);
+  std::string else_ifs = "if (true) { }";
+  for (int i = 0; i < n; ++i) else_ifs += " else if (true) { }";
+  expect_script_error_at(else_ifs, 1);
+  // Moderate nesting is untouched.
+  EXPECT_NO_THROW(static_cast<void>(parse("x = " + std::string(100, '(') + "1" +
+                                          std::string(100, ')') + " + " + std::string(100, '-') +
+                                          "2")));
+}
+
 // --- interpreter ----------------------------------------------------------------
 
 class InterpTest : public ::testing::Test {
@@ -217,6 +250,30 @@ TEST_F(InterpTest, RuntimeErrors) {
   EXPECT_THROW(run_and_get("out = unknown_var", "out"), ScriptError);
   EXPECT_THROW(run_and_get("undeclared = 5\nout = 0", "out"), ScriptError);
   EXPECT_THROW(run_and_get("out = \"a\" + 1", "out"), ScriptError);
+}
+
+TEST_F(InterpTest, RunawayRecursionIsAScriptError) {
+  try {
+    run_and_get("def f(n) {\n  return f(n)\n}\nout = f(1)", "out");
+    FAIL() << "expected ScriptError";
+  } catch (const ScriptError& e) {
+    EXPECT_EQ(e.line(), 2);  // the recursive call
+  }
+  // Bounded recursion well inside the limit still runs.
+  EXPECT_DOUBLE_EQ(
+      run_and_get("def down(n) {\n  if (n == 0) { return 0 }\n  return 1 + down(n - 1)\n}\n"
+                  "out = down(100)",
+                  "out")
+          .as_double(),
+      100.0);
+}
+
+TEST(Interp, RunawayRecursionInACampaignScriptIsAScriptError) {
+  // A campaign stream's script is recorded inside Fleet::run; runaway
+  // recursion there once overflowed the stack in record_workflow.
+  fleet::CampaignSpec spec = fleet::load_campaign(json::parse(
+      R"json({"seed": 3, "streams": [{"name": "loop", "script": "def f(n) { return f(n) }\nf(1)"}]})json"));
+  EXPECT_THROW(static_cast<void>(fleet::Fleet::run(spec)), ScriptError);
 }
 
 TEST(Interp, DeviceCommandsGoToSink) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.hpp"
+#include "core/lab.hpp"
 #include "devices/robot_arm.hpp"
 #include "sim/deck.hpp"
 #include "trace/trace.hpp"
@@ -29,12 +30,6 @@ json::Object door(const char* state) {
 
 class SupervisorTest : public ::testing::Test {
  protected:
-  SupervisorTest() : backend(sim::testbed_profile()) {
-    sim::build_hein_testbed_deck(backend);
-    engine = std::make_unique<core::RabitEngine>(
-        core::config_from_backend(backend, core::Variant::Modified));
-  }
-
   Vec3 site_local(const char* arm, const char* site) {
     return backend.arm(arm).to_local(backend.find_site(site)->lab_position);
   }
@@ -45,16 +40,17 @@ class SupervisorTest : public ::testing::Test {
     return make_cmd(arm, "move_to", std::move(args));
   }
 
-  sim::LabBackend backend;
-  std::unique_ptr<core::RabitEngine> engine;
+  core::Lab lab{core::Variant::Modified};
+  sim::LabBackend& backend = lab.backend;
+  core::RabitEngine* engine = &lab.engine;
 };
 
 TEST_F(SupervisorTest, NullBackendRejected) {
-  EXPECT_THROW(Supervisor(engine.get(), nullptr), std::invalid_argument);
+  EXPECT_THROW(Supervisor(engine, nullptr), std::invalid_argument);
 }
 
 TEST_F(SupervisorTest, SafeCommandForwarded) {
-  Supervisor sup(engine.get(), &backend);
+  Supervisor sup(engine, &backend);
   sup.start();
   SupervisedStep step = sup.step(make_cmd(ids::kDosingDevice, "set_door", door("open")));
   EXPECT_FALSE(step.alert.has_value());
@@ -65,7 +61,7 @@ TEST_F(SupervisorTest, SafeCommandForwarded) {
 }
 
 TEST_F(SupervisorTest, AlertBlocksExecutionAndHalts) {
-  Supervisor sup(engine.get(), &backend);
+  Supervisor sup(engine, &backend);
   sup.start();
   // Into the closed dosing device: RABIT must stop it *before* execution.
   SupervisedStep step = sup.step(move(ids::kViperX, site_local(ids::kViperX, "dosing_device")));
@@ -80,7 +76,7 @@ TEST_F(SupervisorTest, AlertBlocksExecutionAndHalts) {
 }
 
 TEST_F(SupervisorTest, HaltOnAlertCanBeDisabled) {
-  Supervisor sup(engine.get(), &backend, Supervisor::Options{/*halt_on_alert=*/false, /*recovery=*/{}});
+  Supervisor sup(engine, &backend, Supervisor::Options{/*halt_on_alert=*/false, /*recovery=*/{}});
   sup.start();
   SupervisedStep step = sup.step(move(ids::kViperX, site_local(ids::kViperX, "dosing_device")));
   ASSERT_TRUE(step.alert.has_value());
@@ -102,7 +98,7 @@ TEST_F(SupervisorTest, WithoutEngineEverythingForwards) {
 }
 
 TEST_F(SupervisorTest, SilentSkipRecorded) {
-  Supervisor sup(engine.get(), &backend);
+  Supervisor sup(engine, &backend);
   sup.start();
   SupervisedStep step = sup.step(move(ids::kViperX, Vec3(0.3, 0.3, 2.0)));
   ASSERT_TRUE(step.exec.has_value());
@@ -111,7 +107,7 @@ TEST_F(SupervisorTest, SilentSkipRecorded) {
 }
 
 TEST_F(SupervisorTest, FirmwareErrorRecorded) {
-  Supervisor sup(engine.get(), &backend);
+  Supervisor sup(engine, &backend);
   sup.start();
   // Ned2 throws on unreachable targets (ViperX would skip).
   SupervisedStep step = sup.step(move(ids::kNed2, Vec3(0.3, 0.3, 2.0)));
@@ -121,7 +117,7 @@ TEST_F(SupervisorTest, FirmwareErrorRecorded) {
 }
 
 TEST_F(SupervisorTest, RunReportIndices) {
-  Supervisor sup(engine.get(), &backend);
+  Supervisor sup(engine, &backend);
   std::vector<Command> workflow = {
       make_cmd(ids::kDosingDevice, "set_door", door("open")),
       move(ids::kViperX, site_local(ids::kViperX, "grid.NW") + Vec3(0, 0, 0.22)),
@@ -152,7 +148,7 @@ TEST_F(SupervisorTest, DamageWithoutAlertIsAMiss) {
 }
 
 TEST_F(SupervisorTest, OverheadScalesWithWorkflowLength) {
-  Supervisor sup(engine.get(), &backend);
+  Supervisor sup(engine, &backend);
   std::vector<Command> workflow(10, make_cmd(ids::kDosingDevice, "stop_action"));
   RunReport report = sup.run(workflow);
   EXPECT_NEAR(report.modeled_overhead_s, 10 * core::RabitEngine::kBaseCheckCost_s, 1e-9);
