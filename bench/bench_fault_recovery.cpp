@@ -83,7 +83,7 @@ std::unique_ptr<core::Lab> chaos_lab(const WorkflowCase& wc, unsigned seed, core
         workflow = script::record_workflow(backend, wc.source());
         backend.set_fault_schedule(chaos_for(workflow, seed));
       },
-      core::HotPathConfig{}, wc.profile());
+      wc.profile());
 }
 
 ChaosRun run_chaos(const WorkflowCase& wc, unsigned seed, bool with_recovery) {

@@ -36,7 +36,7 @@ OverheadRow measure(const char* label, bool with_engine, bool with_sim, bool gui
         sim::build_hein_production_deck(backend);
         commands = script::record_workflow(backend, script::solubility_workflow_source());
       },
-      {}, sim::production_profile());
+      sim::production_profile());
   if (lab.simulator) lab.simulator->set_gui_enabled(gui);
   trace::Supervisor supervisor(with_engine ? &lab.engine : nullptr, &lab.backend);
   trace::RunReport report = supervisor.run(commands);
@@ -83,10 +83,10 @@ void print_latency() {
 //
 // The obs hooks in RabitEngine::check_command must be free when disabled:
 // every hook is a single branch on a null SpanRecord*. This section measures
-// the indexed check three ways — hooks never attached (the PR 3 indexed
-// baseline path), hooks attached then detached (a supervisor that turned obs
-// off), and a live span recording every phase — and gates the detached path
-// at <2% overhead versus the never-attached baseline.
+// the V2 check three ways — hooks never attached (the baseline path), hooks
+// attached then detached (a supervisor that turned obs off), and a live span
+// recording every phase — and gates the detached path at <2% overhead versus
+// the never-attached baseline.
 //
 // Both gated configurations execute byte-identical machine code (the branch
 // tests the same null pointer), so the comparison measures the claim
@@ -110,17 +110,17 @@ double min_check_us(core::RabitEngine& engine, const dev::Command& cmd, int iter
 }
 
 int print_obs_overhead_gate() {
-  print_header("Observability hook overhead (indexed check, V2)",
-               "disabled hooks must cost <2% vs the PR 3 indexed baseline");
+  print_header("Observability hook overhead (V2 check)",
+               "disabled hooks must cost <2% vs hooks never attached");
 
   auto backend = make_production();
   auto make = [&] {
     core::EngineConfig config = core::config_from_backend(*backend, core::Variant::Modified);
-    auto engine = std::make_unique<core::RabitEngine>(std::move(config), core::HotPathConfig{});
+    auto engine = std::make_unique<core::RabitEngine>(std::move(config));
     engine->initialize(backend->registry().fetch_observed_state());
     return engine;
   };
-  auto baseline = make();   // span never attached: the PR 3 indexed path
+  auto baseline = make();   // span never attached
   auto detached = make();   // span attached once, then detached
   auto attached = make();   // live span, phases recorded every check
   obs::SpanRecord throwaway;
@@ -144,7 +144,7 @@ int print_obs_overhead_gate() {
   double enabled_pct = 100.0 * (best_attached - best_baseline) / best_baseline;
   std::printf("%-44s %14s %10s\n", "Configuration", "us/check", "overhead");
   print_rule();
-  std::printf("%-44s %14.4f %10s\n", "indexed baseline (hooks never attached)", best_baseline,
+  std::printf("%-44s %14.4f %10s\n", "baseline (hooks never attached)", best_baseline,
               "--");
   std::printf("%-44s %14.4f %9.2f%%\n", "obs hooks disabled (span detached)", best_detached,
               disabled_pct);
@@ -234,7 +234,7 @@ int print_assurance_overhead_gate() {
 // --- real CPU cost of the checks (not modeled) ------------------------------
 
 void BM_RealCheckCost_NoSim(benchmark::State& state) {
-  core::Lab lab(core::Variant::Modified, 42, sim::build_hein_production_deck, {},
+  core::Lab lab(core::Variant::Modified, 42, sim::build_hein_production_deck,
                 sim::production_profile());
   lab.engine.initialize(lab.backend.registry().fetch_observed_state());
   dev::Command cmd = move_cmd(ids::kUr3e, geom::Vec3(0.25, 0.1, 0.30));
@@ -244,41 +244,8 @@ void BM_RealCheckCost_NoSim(benchmark::State& state) {
 }
 BENCHMARK(BM_RealCheckCost_NoSim);
 
-// Indexed hot path vs the seed engine's linear device/action scan, on the
-// same precondition check. The index is the only toggle that differs, so
-// the delta is pure lookup cost.
-void BM_RealCheckCost_Indexed(benchmark::State& state) {
-  auto backend = make_production();
-  core::EngineConfig config = core::config_from_backend(*backend, core::Variant::Modified);
-  core::HotPathConfig hot;  // defaults: everything on
-  core::RabitEngine engine(std::move(config), hot);
-  engine.initialize(backend->registry().fetch_observed_state());
-  dev::Command cmd = move_cmd(ids::kUr3e, geom::Vec3(0.25, 0.1, 0.30));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.check_command(cmd));
-  }
-}
-BENCHMARK(BM_RealCheckCost_Indexed);
-
-void BM_RealCheckCost_LinearScan(benchmark::State& state) {
-  auto backend = make_production();
-  core::EngineConfig config = core::config_from_backend(*backend, core::Variant::Modified);
-  core::HotPathConfig hot;
-  hot.index_lookups = false;
-  hot.memoize_rule_world = false;
-  hot.broad_phase = false;
-  hot.verdict_cache = false;
-  core::RabitEngine engine(std::move(config), hot);
-  engine.initialize(backend->registry().fetch_observed_state());
-  dev::Command cmd = move_cmd(ids::kUr3e, geom::Vec3(0.25, 0.1, 0.30));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.check_command(cmd));
-  }
-}
-BENCHMARK(BM_RealCheckCost_LinearScan);
-
 void BM_RealCheckCost_WithSimHeadless(benchmark::State& state) {
-  core::Lab lab(core::Variant::ModifiedWithSim, 42, sim::build_hein_production_deck, {},
+  core::Lab lab(core::Variant::ModifiedWithSim, 42, sim::build_hein_production_deck,
                 sim::production_profile());
   lab.simulator->set_gui_enabled(false);
   lab.engine.initialize(lab.backend.registry().fetch_observed_state());
@@ -290,7 +257,7 @@ void BM_RealCheckCost_WithSimHeadless(benchmark::State& state) {
 BENCHMARK(BM_RealCheckCost_WithSimHeadless);
 
 void BM_RealPostconditionCheck(benchmark::State& state) {
-  core::Lab lab(core::Variant::Modified, 42, sim::build_hein_production_deck, {},
+  core::Lab lab(core::Variant::Modified, 42, sim::build_hein_production_deck,
                 sim::production_profile());
   lab.engine.initialize(lab.backend.registry().fetch_observed_state());
   dev::Command cmd = make_cmd(ids::kDosingDevice, "stop_action");

@@ -33,7 +33,7 @@ struct StageOutcome {
 
 StageOutcome run_stage(const sim::StageProfile& profile,
                        const std::vector<dev::Command>& workflow, bool with_rabit) {
-  core::Lab lab(core::Variant::ModifiedWithSim, 42, {}, {}, profile);
+  core::Lab lab(core::Variant::ModifiedWithSim, 42, {}, profile);
   trace::Supervisor supervisor(with_rabit ? &lab.engine : nullptr, &lab.backend);
   trace::RunReport report = supervisor.run(workflow);
 

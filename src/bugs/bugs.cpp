@@ -74,23 +74,12 @@ void StreamEditor::set_arg(std::size_t index, std::string_view key, json::Value 
   commands_[index].args.as_object()[key] = std::move(value);
 }
 
-namespace {
-
-std::optional<Vec3> position_of(const Command& c) {
-  const json::Value* pos = c.args.find("position");
-  if (pos == nullptr || !pos->is_array() || pos->as_array().size() != 3) return std::nullopt;
-  const json::Array& p = pos->as_array();
-  return Vec3(p[0].as_double(), p[1].as_double(), p[2].as_double());
-}
-
-}  // namespace
-
 std::size_t StreamEditor::replace_position(std::string_view device, const Vec3& old_position,
                                            const Vec3& new_position, double tol) {
   std::size_t edits = 0;
   for (Command& c : commands_) {
     if (c.device != device || c.action != "move_to") continue;
-    auto pos = position_of(c);
+    auto pos = dev::position_arg(c.args);
     if (!pos) continue;
     if (std::abs(pos->x - old_position.x) <= tol && std::abs(pos->y - old_position.y) <= tol &&
         std::abs(pos->z - old_position.z) <= tol) {
@@ -223,7 +212,7 @@ const std::vector<BugSpec>& bug_catalogue() {
             json::Value copy = a;
             Command probe;
             probe.args = copy;
-            auto p = position_of(probe);
+            auto p = dev::position_arg(probe.args);
             return p && std::abs(p->x - pickup.x) < 1e-6 && std::abs(p->y - pickup.y) < 1e-6 &&
                    std::abs(p->z - pickup.z) < 1e-6;
           });
@@ -478,7 +467,7 @@ const std::vector<BugSpec>& bug_catalogue() {
             json::Value copy = a;
             Command probe;
             probe.args = copy;
-            auto p = position_of(probe);
+            auto p = dev::position_arg(probe.args);
             return p && std::abs(p->x - nw.x) < 1e-6 && std::abs(p->y - nw.y) < 1e-6 &&
                    std::abs(p->z - nw.z) < 1e-6;
           });
@@ -497,9 +486,8 @@ const std::vector<BugSpec>& bug_catalogue() {
 // ---------------------------------------------------------------------------
 
 BugOutcome evaluate_stream(const std::vector<Command>& commands, core::Variant variant,
-                           const trace::Supervisor::Options& options,
-                           const core::HotPathConfig& hot_path) {
-  core::Lab lab(variant, 42, {}, hot_path);
+                           const trace::Supervisor::Options& options) {
+  core::Lab lab(variant);
   trace::Supervisor supervisor(&lab.engine, &lab.backend, options);
   BugOutcome outcome;
   outcome.report = supervisor.run(commands);

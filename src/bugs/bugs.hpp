@@ -108,13 +108,10 @@ struct BugOutcome {
 /// Runs `commands` under `variant` on a fresh testbed core::Lab (with an
 /// Extended Simulator for ModifiedWithSim). Explicit Supervisor options let
 /// the chaos-campaign bench prove the detection progression is unchanged
-/// with the recovery ladder on; explicit hot-path toggles let the
-/// verdict-parity tests and bench_throughput run every catalogue bug with
-/// the optimizations on and off and require identical outcomes.
+/// with the recovery ladder on.
 [[nodiscard]] BugOutcome evaluate_stream(const std::vector<dev::Command>& commands,
                                          core::Variant variant,
-                                         const trace::Supervisor::Options& options = {},
-                                         const core::HotPathConfig& hot_path = {});
+                                         const trace::Supervisor::Options& options = {});
 
 /// Convenience: builds the bug's stream and evaluates it.
 [[nodiscard]] BugOutcome evaluate_bug(const BugSpec& bug, core::Variant variant);

@@ -22,93 +22,20 @@ std::string_view to_string(Variant v) {
   return "unknown";
 }
 
-bool DeviceMeta::action_index_stale() const {
-  return action_index_.aliases_data != static_cast<const void*>(action_aliases.data()) ||
-         action_index_.aliases_size != action_aliases.size() ||
-         action_index_.thresholds_data != static_cast<const void*>(thresholds.data()) ||
-         action_index_.thresholds_size != thresholds.size() ||
-         action_index_.actives_data != static_cast<const void*>(active_actions.data()) ||
-         action_index_.actives_size != active_actions.size();
-}
-
-void DeviceMeta::rebuild_action_index() const {
-  action_index_.alias_to_entry.clear();
-  action_index_.threshold_by_action.clear();
-  action_index_.active_by_name.clear();
-  // emplace keeps the first occurrence, mirroring the linear scans'
-  // first-match-wins semantics on duplicate entries.
-  for (std::size_t i = 0; i < action_aliases.size(); ++i) {
-    action_index_.alias_to_entry.emplace(action_aliases[i].first, i);
-  }
-  for (std::size_t i = 0; i < thresholds.size(); ++i) {
-    action_index_.threshold_by_action.emplace(thresholds[i].action, i);
-  }
-  for (std::size_t i = 0; i < active_actions.size(); ++i) {
-    action_index_.active_by_name.emplace(active_actions[i], i);
-  }
-  action_index_.aliases_data = action_aliases.data();
-  action_index_.aliases_size = action_aliases.size();
-  action_index_.thresholds_data = thresholds.data();
-  action_index_.thresholds_size = thresholds.size();
-  action_index_.actives_data = active_actions.data();
-  action_index_.actives_size = active_actions.size();
-}
-
 bool DeviceMeta::is_active_action(std::string_view action) const {
-  if (use_indexed_lookup) {
-    const bool rebuilt = action_index_stale();
-    if (rebuilt) rebuild_action_index();
-    auto it = action_index_.active_by_name.find(action);
-    if (it != action_index_.active_by_name.end() && it->second < active_actions.size() &&
-        active_actions[it->second] == action) {
-      return true;
-    }
-    // A freshly rebuilt index is authoritative; otherwise an in-place edit
-    // may have dodged the stamps, so the linear scan gets the final word.
-    if (rebuilt) return false;
-  }
-  bool found =
-      std::find(active_actions.begin(), active_actions.end(), action) != active_actions.end();
-  if (use_indexed_lookup && found) rebuild_action_index();
-  return found;
+  return std::find(active_actions.begin(), active_actions.end(), action) != active_actions.end();
 }
 
 std::string_view DeviceMeta::canonical_action(std::string_view action) const {
-  if (use_indexed_lookup) {
-    const bool rebuilt = action_index_stale();
-    if (rebuilt) rebuild_action_index();
-    auto it = action_index_.alias_to_entry.find(action);
-    if (it != action_index_.alias_to_entry.end() && it->second < action_aliases.size() &&
-        action_aliases[it->second].first == action) {
-      return action_aliases[it->second].second;
-    }
-    if (rebuilt) return action;
-  }
-  for (std::size_t i = 0; i < action_aliases.size(); ++i) {
-    if (action_aliases[i].first == action) {
-      if (use_indexed_lookup) rebuild_action_index();
-      return action_aliases[i].second;
-    }
+  for (const auto& [alias, canonical] : action_aliases) {
+    if (alias == action) return canonical;
   }
   return action;
 }
 
 const ThresholdSpec* DeviceMeta::threshold_for(std::string_view action) const {
-  if (use_indexed_lookup) {
-    const bool rebuilt = action_index_stale();
-    if (rebuilt) rebuild_action_index();
-    auto it = action_index_.threshold_by_action.find(action);
-    if (it != action_index_.threshold_by_action.end() && it->second < thresholds.size() &&
-        thresholds[it->second].action == action) {
-      return &thresholds[it->second];
-    }
-    if (rebuilt) return nullptr;
-  }
   for (const ThresholdSpec& t : thresholds) {
-    if (t.action == action) {
-      if (use_indexed_lookup) rebuild_action_index();
-      return &t;
-    }
+    if (t.action == action) return &t;
   }
   return nullptr;
 }
@@ -131,71 +58,16 @@ const DeviceMeta::DoorMeta& DeviceMeta::door_facing(const geom::Vec3& from_lab) 
   return *best;
 }
 
-bool EngineConfig::lookup_index_stale() const {
-  return lookup_.devices_data != static_cast<const void*>(devices.data()) ||
-         lookup_.devices_size != devices.size() ||
-         lookup_.sites_data != static_cast<const void*>(sites.data()) ||
-         lookup_.sites_size != sites.size();
-}
-
-void EngineConfig::rebuild_lookup_index() const {
-  lookup_.device_by_id.clear();
-  lookup_.site_by_name.clear();
-  for (std::size_t i = 0; i < devices.size(); ++i) {
-    lookup_.device_by_id.emplace(devices[i].id, i);
-  }
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    lookup_.site_by_name.emplace(sites[i].name, i);
-  }
-  lookup_.devices_data = devices.data();
-  lookup_.devices_size = devices.size();
-  lookup_.sites_data = sites.data();
-  lookup_.sites_size = sites.size();
-}
-
-void EngineConfig::warm_index() const {
-  rebuild_lookup_index();
-  for (const DeviceMeta& d : devices) d.rebuild_action_index();
-}
-
 const DeviceMeta* EngineConfig::find_device(std::string_view id) const {
-  if (use_indexed_lookup) {
-    const bool rebuilt = lookup_index_stale();
-    if (rebuilt) rebuild_lookup_index();
-    auto it = lookup_.device_by_id.find(id);
-    if (it != lookup_.device_by_id.end() && it->second < devices.size() &&
-        devices[it->second].id == id) {
-      return &devices[it->second];
-    }
-    if (rebuilt) return nullptr;
-  }
   for (const DeviceMeta& d : devices) {
-    if (d.id == id) {
-      // The index missed an element the linear scan found: it dodged the
-      // stamps (in-place id edit), so rebuild before the next lookup.
-      if (use_indexed_lookup) rebuild_lookup_index();
-      return &d;
-    }
+    if (d.id == id) return &d;
   }
   return nullptr;
 }
 
 const SiteMeta* EngineConfig::find_site(std::string_view name) const {
-  if (use_indexed_lookup) {
-    const bool rebuilt = lookup_index_stale();
-    if (rebuilt) rebuild_lookup_index();
-    auto it = lookup_.site_by_name.find(name);
-    if (it != lookup_.site_by_name.end() && it->second < sites.size() &&
-        sites[it->second].name == name) {
-      return &sites[it->second];
-    }
-    if (rebuilt) return nullptr;
-  }
   for (const SiteMeta& s : sites) {
-    if (s.name == name) {
-      if (use_indexed_lookup) rebuild_lookup_index();
-      return &s;
-    }
+    if (s.name == name) return &s;
   }
   return nullptr;
 }

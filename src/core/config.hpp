@@ -13,7 +13,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "devices/device.hpp"
@@ -37,17 +36,14 @@ enum class Variant {
 
 namespace detail {
 
-/// Transparent-hash string map: find() accepts a string_view key without
-/// materializing a std::string. Keys are owned copies, so an index can never
-/// dangle into config vectors that were later edited.
+/// Transparent string hash: lets an unordered_map keyed on std::string answer
+/// find() for a string_view without materializing a key.
 struct StringViewHash {
   using is_transparent = void;
   [[nodiscard]] std::size_t operator()(std::string_view s) const {
     return std::hash<std::string_view>{}(s);
   }
 };
-using StringIndexMap =
-    std::unordered_map<std::string, std::size_t, StringViewHash, std::equal_to<>>;
 
 }  // namespace detail
 
@@ -118,12 +114,7 @@ struct DeviceMeta {
   /// Symbolic initial state for devices with no status command (vials).
   dev::StateMap initial_state;
 
-  /// Gate for the indexed action lookups below (mirrors
-  /// EngineConfig::use_indexed_lookup; RabitEngine's hot-path config
-  /// propagates it). The linear scans remain the reference semantics — the
-  /// index may only change the cost of an answer, never the answer.
-  bool use_indexed_lookup = true;
-
+  // Action lookups are linear scans; the first of duplicated entries wins.
   [[nodiscard]] bool is_active_action(std::string_view action) const;
   [[nodiscard]] const ThresholdSpec* threshold_for(std::string_view action) const;
   /// Canonical action name for `action` (itself when not aliased).
@@ -131,32 +122,6 @@ struct DeviceMeta {
   /// For multi-door devices: the door guarding an approach from `from_lab`.
   /// Requires a box and a non-empty multi_doors list.
   [[nodiscard]] const DoorMeta& door_facing(const geom::Vec3& from_lab) const;
-
- private:
-  friend struct EngineConfig;
-  /// Prebuilt per-device action lookups (alias -> canonical, action ->
-  /// threshold, active-action set). Stamps record each backing vector's data
-  /// pointer and size; any reallocation, resize, or copy of the meta makes
-  /// them mismatch and triggers a lazy rebuild. Every hit is verified
-  /// against the backing entry, and misses fall back to the linear scan, so
-  /// a stale index can never change an answer. After
-  /// EngineConfig::warm_index() on an otherwise unmodified config, lookups
-  /// are read-only and therefore safe to call concurrently.
-  struct ActionIndex {
-    const void* aliases_data = nullptr;
-    std::size_t aliases_size = 0;
-    const void* thresholds_data = nullptr;
-    std::size_t thresholds_size = 0;
-    const void* actives_data = nullptr;
-    std::size_t actives_size = 0;
-    detail::StringIndexMap alias_to_entry;
-    detail::StringIndexMap threshold_by_action;
-    detail::StringIndexMap active_by_name;
-  };
-  mutable ActionIndex action_index_;
-
-  void rebuild_action_index() const;
-  [[nodiscard]] bool action_index_stale() const;
 };
 
 /// A named deck location RABIT knows about (mirrors sim::SiteBinding, but
@@ -196,39 +161,11 @@ struct EngineConfig {
   /// How close a tracked tip must be to a site to count as interacting.
   double site_tolerance = 0.035;
 
-  /// Gate for the indexed lookup path. On by default; benches and the
-  /// verdict-parity tests flip it off to compare against the seed linear
-  /// scans (the answers must be identical either way).
-  bool use_indexed_lookup = true;
-
+  /// First entry with this id/name, by linear scan (nullptr when absent).
+  /// The config is a plain value: callers may edit it between lookups.
   [[nodiscard]] const DeviceMeta* find_device(std::string_view id) const;
   [[nodiscard]] const SiteMeta* find_site(std::string_view name) const;
   [[nodiscard]] const SiteMeta* site_near(const geom::Vec3& lab_point) const;
-
-  /// Eagerly builds the device/site hash indexes and every device's action
-  /// index. RabitEngine calls this once at construction so that subsequent
-  /// const lookups on an unmodified config never touch mutable state (and
-  /// are therefore safe to run concurrently across fleet streams).
-  void warm_index() const;
-
- private:
-  /// Hash index over `devices` ids and `sites` names. Stamps record the
-  /// backing vector's data pointer and size; any reallocation, resize, or
-  /// copy of the config makes the stamp mismatch and triggers a rebuild.
-  /// Hits are verified against the element (an in-place id edit can't serve
-  /// a stale answer) and misses fall back to the seed linear scan.
-  struct LookupIndex {
-    const void* devices_data = nullptr;
-    std::size_t devices_size = 0;
-    const void* sites_data = nullptr;
-    std::size_t sites_size = 0;
-    detail::StringIndexMap device_by_id;
-    detail::StringIndexMap site_by_name;
-  };
-  mutable LookupIndex lookup_;
-
-  void rebuild_lookup_index() const;
-  [[nodiscard]] bool lookup_index_stale() const;
 };
 
 /// Derives the config a researcher would write for `backend`'s deck. The

@@ -21,20 +21,8 @@ std::string Alert::describe() const {
   return out;
 }
 
-RabitEngine::RabitEngine(EngineConfig config, const HotPathConfig& hot_path)
-    : config_(std::move(config)), tracker_(&config_) {
-  set_hot_path(hot_path);
-}
-
-void RabitEngine::set_hot_path(const HotPathConfig& hot_path) {
-  hot_path_ = hot_path;
-  config_.use_indexed_lookup = hot_path.index_lookups;
-  for (DeviceMeta& d : config_.devices) d.use_indexed_lookup = hot_path.index_lookups;
-  // Warm eagerly so post-construction const lookups never rebuild (and are
-  // therefore safe to issue concurrently across fleet streams).
-  if (hot_path.index_lookups) config_.warm_index();
-  rule_world_cache_ = RuleWorldCache{};
-}
+RabitEngine::RabitEngine(EngineConfig config, HotPathConfig /*unused*/)
+    : config_(std::move(config)), tracker_(&config_) {}
 
 void RabitEngine::attach_simulator(sim::ExtendedSimulator* simulator) {
   simulator_ = simulator;
@@ -107,8 +95,7 @@ std::optional<Alert> RabitEngine::check_command(const dev::Command& raw) {
   };
 
   // Lines 6-7: precondition validation against the tracked state.
-  RuleWorldCache* cache = hot_path_.memoize_rule_world ? &rule_world_cache_ : nullptr;
-  if (auto hit = check_preconditions(config_, tracker_, cmd, cache)) {
+  if (auto hit = check_preconditions(config_, tracker_, cmd, &rule_world_cache_)) {
     ++stats_.precondition_alerts;
     finish_precondition_phase();
     return Alert{AlertKind::InvalidCommand, hit->rule, hit->message, cmd};

@@ -23,21 +23,14 @@
 
 namespace rabit::core {
 
-/// Ablation toggles for the fleet-scale hot path. All on by default; the
-/// benches and the verdict-parity tests flip them off to compare against the
-/// seed-equivalent slow path. Every toggle is transparent — it may change
-/// the cost of a check, never its verdict.
-struct HotPathConfig {
-  bool index_lookups = true;       ///< EngineConfig/DeviceMeta hash indexes
-  bool memoize_rule_world = true;  ///< RuleWorldCache for assemble_rule_world
-  bool broad_phase = true;         ///< simulator uniform-grid pruning
-  bool verdict_cache = true;       ///< simulator collision-verdict cache
-};
+/// Empty: the RabitEngine(EngineConfig, HotPathConfig = {}) constructor takes
+/// it only so perfbench/workloads.cpp's RabitEngine(config, HotPathConfig{})
+/// still compiles. It configures nothing; every check runs one code path.
+struct HotPathConfig {};
 
 class RabitEngine {
  public:
-  explicit RabitEngine(EngineConfig config) : RabitEngine(std::move(config), HotPathConfig{}) {}
-  RabitEngine(EngineConfig config, const HotPathConfig& hot_path);
+  explicit RabitEngine(EngineConfig config, HotPathConfig /*unused*/ = {});
 
   /// Attaches the Extended Simulator (non-owning) — the V3 deployment.
   /// Pass nullptr to detach.
@@ -49,11 +42,6 @@ class RabitEngine {
 
   [[nodiscard]] const EngineConfig& config() const { return config_; }
   [[nodiscard]] const StateTracker& tracker() const { return tracker_; }
-
-  [[nodiscard]] const HotPathConfig& hot_path() const { return hot_path_; }
-  /// Re-applies the hot-path toggles (and re-warms or disables the config
-  /// indexes accordingly). Verdicts are unaffected.
-  void set_hot_path(const HotPathConfig& hot_path);
 
   /// Times the memoized rule world was actually assembled (0 until the first
   /// motion command; stays flat while no arm changes pose).
@@ -187,7 +175,6 @@ class RabitEngine {
   sim::ExtendedSimulator* simulator_ = nullptr;
   Stats stats_;
   double base_overhead_s_ = 0.0;
-  HotPathConfig hot_path_;
   RuleWorldCache rule_world_cache_;
   obs::SpanRecord* span_ = nullptr;
   std::function<void(const MotionAnalysis&)> motion_observer_;

@@ -22,18 +22,14 @@ EngineConfig configure(sim::LabBackend& backend, const Lab::Deck& deck, Variant 
 
 }  // namespace
 
-Lab::Lab(Variant variant, unsigned seed, const Deck& deck, const HotPathConfig& hot_path,
-         sim::StageProfile profile)
-    : backend(std::move(profile), seed), engine(configure(backend, deck, variant), hot_path) {
+Lab::Lab(Variant variant, unsigned seed, const Deck& deck, sim::StageProfile profile)
+    : backend(std::move(profile), seed), engine(configure(backend, deck, variant)) {
   if (variant != Variant::ModifiedWithSim) return;
   sim::WorldModel world = sim::deck_world_model(backend);
   for (const DeviceMeta& m : engine.config().devices) {
     if (m.is_arm && m.sleep_box) world.add_box(m.id, *m.sleep_box, sim::ObstacleKind::ParkedArm);
   }
-  sim::ExtendedSimulator::Options options;
-  options.use_broad_phase = hot_path.broad_phase;
-  options.use_verdict_cache = hot_path.verdict_cache;
-  simulator.emplace(std::move(world), options);
+  simulator.emplace(std::move(world));
   simulator->set_arm_state_provider([this](std::string_view arm_id) -> std::optional<geom::Vec3> {
     const auto* arm = dynamic_cast<const dev::RobotArmDevice*>(backend.registry().find(arm_id));
     if (arm == nullptr) return std::nullopt;

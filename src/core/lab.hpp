@@ -25,7 +25,6 @@ class Lab {
 
   /// An empty `deck` builds the Hein testbed deck (sim::build_hein_testbed_deck).
   explicit Lab(Variant variant, unsigned seed = 42, const Deck& deck = {},
-               const HotPathConfig& hot_path = {},
                sim::StageProfile profile = sim::testbed_profile());
   Lab(const Lab&) = delete;
   Lab& operator=(const Lab&) = delete;

@@ -72,10 +72,9 @@ std::optional<MotionAnalysis> analyze_motion(const EngineConfig& config,
                          : 0.0;
 
   if (cmd.action == "move_to") {
-    const json::Value* pos = cmd.args.find("position");
-    if (pos == nullptr || !pos->is_array() || pos->as_array().size() != 3) return std::nullopt;
-    const json::Array& p = pos->as_array();
-    m.target_lab = meta->base.apply(Vec3(p[0].as_double(), p[1].as_double(), p[2].as_double()));
+    std::optional<Vec3> local = dev::position_arg(cmd.args);
+    if (!local) return std::nullopt;
+    m.target_lab = meta->base.apply(*local);
   } else if (cmd.action == "go_home") {
     m.target_lab = meta->home_position_lab;
   } else if (cmd.action == "go_sleep") {

@@ -27,12 +27,9 @@ bool values_match(const json::Value& a, const json::Value& b) {
 }
 
 Vec3 vec3_from_position_arg(const json::Value& args) {
-  const json::Value* pos = args.find("position");
-  if (pos == nullptr || !pos->is_array() || pos->as_array().size() != 3) {
-    throw std::runtime_error("StateTracker: move_to without a [x,y,z] position");
-  }
-  const json::Array& p = pos->as_array();
-  return Vec3(p[0].as_double(), p[1].as_double(), p[2].as_double());
+  std::optional<Vec3> position = dev::position_arg(args);
+  if (!position) throw std::runtime_error("StateTracker: move_to without a [x,y,z] position");
+  return *position;
 }
 
 }  // namespace

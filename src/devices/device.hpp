@@ -47,6 +47,10 @@ struct Command {
   [[nodiscard]] std::string describe() const;
 };
 
+/// A move command's `position` argument, [x, y, z] in the arm's frame:
+/// nullopt unless `args` holds exactly three numbers under that key.
+[[nodiscard]] std::optional<geom::Vec3> position_arg(const json::Value& args);
+
 /// Named state variables fully describing a device (paper §II-A), e.g.
 /// deviceDoorStatus, robotArmHolding.
 using StateMap = std::map<std::string, json::Value, std::less<>>;

@@ -13,13 +13,12 @@ json::Value position_to_json(const geom::Vec3& p) {
 }
 
 geom::Vec3 position_from_args(const json::Value& args) {
-  const json::Value* v = args.find("position");
-  if (v == nullptr || !v->is_array() || v->as_array().size() != 3) {
+  std::optional<geom::Vec3> position = position_arg(args);
+  if (!position) {
     throw DeviceError(DeviceError::Code::BadArgument,
                       "move_to requires 'position' = [x, y, z]");
   }
-  const json::Array& a = v->as_array();
-  return geom::Vec3(a[0].as_double(), a[1].as_double(), a[2].as_double());
+  return *position;
 }
 
 }  // namespace

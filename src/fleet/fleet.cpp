@@ -22,13 +22,11 @@
 
 namespace rabit::fleet {
 
-StreamSpec testbed_stream(std::string name, core::Variant variant, unsigned seed,
-                          const core::HotPathConfig& hot_path) {
+StreamSpec testbed_stream(std::string name, core::Variant variant, unsigned seed) {
   StreamSpec spec;
   spec.name = std::move(name);
   spec.variant = variant;
   spec.seed = seed;
-  spec.hot_path = hot_path;
   // Record against a staging deck so the stream's own backend starts pristine
   // (recording interprets the workflow, which mutates device state).
   sim::LabBackend staging(sim::testbed_profile(), seed);
@@ -143,7 +141,7 @@ void merge_obs(std::shared_ptr<obs::Collector>& events, std::shared_ptr<obs::Reg
 }  // namespace
 
 StreamResult FleetRunner::run_stream(const StreamSpec& spec) {
-  core::Lab lab(spec.variant, spec.seed, {}, spec.hot_path);
+  core::Lab lab(spec.variant, spec.seed);
   if (lab.simulator) {
     // Shelf rack at x >= 8 m — outside every testbed motion path, so these
     // boxes never collide; they only grow the set the narrow phase must scan.

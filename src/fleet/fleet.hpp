@@ -30,7 +30,6 @@ struct StreamSpec {
   core::Variant variant = core::Variant::ModifiedWithSim;
   unsigned seed = 42;  ///< backend RNG seed; determinism is per-seed
   std::vector<dev::Command> commands;
-  core::HotPathConfig hot_path;
   bool halt_on_alert = true;
   /// Dense-lab load: adds this many static equipment boxes to the simulator
   /// world (V3 only), in a shelf region far from every motion path, so
@@ -50,8 +49,7 @@ struct StreamSpec {
 
 /// Builds the standard testbed stream: a Hein-testbed deck seeded with
 /// `seed` and the Fig. 5 safe workflow recorded against it.
-[[nodiscard]] StreamSpec testbed_stream(std::string name, core::Variant variant, unsigned seed,
-                                        const core::HotPathConfig& hot_path = {});
+[[nodiscard]] StreamSpec testbed_stream(std::string name, core::Variant variant, unsigned seed);
 
 /// Percentiles over per-command check latencies (real wall time).
 ///

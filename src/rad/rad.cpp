@@ -29,12 +29,11 @@ std::vector<Event> abstract_events(const std::vector<Command>& commands,
       }
     } else if (cmd.action == "move_to") {
       // A move whose target lands inside a doored station is an entry.
-      const json::Value* pos = cmd.args.find("position");
+      std::optional<Vec3> pos = dev::position_arg(cmd.args);
       const dev::Device* device = deck.registry().find(cmd.device);
       const auto* arm = dynamic_cast<const dev::RobotArmDevice*>(device);
-      if (arm != nullptr && pos != nullptr && pos->is_array() && pos->as_array().size() == 3) {
-        const json::Array& p = pos->as_array();
-        Vec3 lab = arm->to_lab(Vec3(p[0].as_double(), p[1].as_double(), p[2].as_double()));
+      if (arm != nullptr && pos) {
+        Vec3 lab = arm->to_lab(*pos);
         for (const dev::Device* d : deck.registry().all()) {
           if (dynamic_cast<const dev::DoorMixin*>(d) == nullptr) continue;
           if (auto fp = d->footprint(); fp && fp->inflated(0.01).contains(lab)) {

@@ -273,13 +273,12 @@ ExecResult LabBackend::execute(const Command& cmd) {
 void LabBackend::handle_arm_move(dev::RobotArmDevice& a, const Command& cmd, ExecResult& r) {
   dev::MotionPlan plan;
   if (cmd.action == "move_to" || cmd.action == "move_pose") {
-    const json::Value* pos = cmd.args.find("position");
-    if (pos == nullptr || !pos->is_array() || pos->as_array().size() != 3) {
+    std::optional<Vec3> local = dev::position_arg(cmd.args);
+    if (!local) {
       throw dev::DeviceError(dev::DeviceError::Code::BadArgument,
                              "move_to requires 'position' = [x, y, z]");
     }
-    const json::Array& p = pos->as_array();
-    plan = a.plan_move(Vec3(p[0].as_double(), p[1].as_double(), p[2].as_double()));
+    plan = a.plan_move(*local);
   } else {
     plan = a.plan_pose(cmd.action == "go_home" ? "home" : "sleep");
   }

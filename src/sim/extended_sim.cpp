@@ -95,14 +95,9 @@ std::optional<CollisionReport> ExtendedSimulator::check_leg(
 
   std::uint64_t revision = world_revision();
   if (revision != cache_revision_) {
-    if (options_.use_broad_phase) grid_.rebuild(world_);
+    grid_.rebuild(world_);
     verdicts_.clear();
     cache_revision_ = revision;
-  }
-  const BroadPhaseGrid* grid = options_.use_broad_phase ? &grid_ : nullptr;
-  if (!options_.use_verdict_cache) {
-    ++narrow_runs_;
-    return check_path(world_, start, goal, held_clearance, opts, grid);
   }
 
   VerdictKey key{start, goal, held_clearance, inflate, ignore};
@@ -112,7 +107,7 @@ std::optional<CollisionReport> ExtendedSimulator::check_leg(
   }
   ++narrow_runs_;
   std::optional<CollisionReport> verdict =
-      check_path(world_, start, goal, held_clearance, opts, grid);
+      check_path(world_, start, goal, held_clearance, opts, &grid_);
   if (verdicts_.size() >= options_.verdict_cache_capacity) verdicts_.clear();
   verdicts_.emplace(std::move(key), verdict);
   return verdict;

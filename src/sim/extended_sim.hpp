@@ -41,8 +41,6 @@ class ExtendedSimulator {
     bool gui_enabled = true;       ///< GUI round trip per check (the 2 s mode)
     double gui_latency_s = 2.0;    ///< modeled cost of one GUI invocation
     double headless_latency_s = 0.02;  ///< modeled cost with the GUI bypassed
-    bool use_broad_phase = true;   ///< uniform-grid candidate pruning
-    bool use_verdict_cache = true; ///< epoch-versioned collision-verdict cache
     std::size_t verdict_cache_capacity = 1024;  ///< entries before a flush
   };
 

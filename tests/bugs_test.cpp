@@ -2,6 +2,10 @@
 // (the heart of the §IV evaluation), and the synthetic-bug generator.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <string_view>
+
 #include "bugs/bugs.hpp"
 #include "sim/deck.hpp"
 
@@ -116,6 +120,18 @@ struct BugVariantCase {
 
 class BugDetection : public ::testing::TestWithParam<BugVariantCase> {};
 
+/// The rule of each catalogue bug's first alert under V1, V2 and V3 (empty:
+/// no alert), pinned so that no change to rule order or config lookups can
+/// silently swap which rule catches a bug.
+const std::map<std::string, std::array<std::string_view, 3>, std::less<>> kAlertRules = {
+    {"H1", {"G1", "G1", "G1"}},   {"H2", {"G2", "G2", "G2"}},    {"H3", {"G3", "G3", "G3"}},
+    {"H4", {"G3", "G3", "G3"}},   {"H5", {"G11", "G11", "G11"}}, {"H6", {"G1", "G1", "G1"}},
+    {"M1", {"", "M1", "M1"}},     {"M2", {"", "G3", "G3"}},      {"M3", {"", "G3", "G3"}},
+    {"M4", {"", "", "SIM"}},      {"M5", {"", "G3", "G3"}},      {"M6", {"", "", ""}},
+    {"L1", {"G8", "G8", "G8"}},   {"L2", {"", "", ""}},          {"L3", {"", "", ""}},
+    {"ML1", {"G3", "G3", "G3"}},
+};
+
 TEST_P(BugDetection, MatchesDocumentedVariant) {
   const BugSpec& bug = bug_catalogue()[GetParam().bug_index];
   core::Variant variant = GetParam().variant;
@@ -127,6 +143,8 @@ TEST_P(BugDetection, MatchesDocumentedVariant) {
   EXPECT_EQ(outcome.detected, expect_detected)
       << bug.id << " under " << core::to_string(variant) << " (alert rule '"
       << outcome.alert_rule << "')";
+  EXPECT_EQ(outcome.alert_rule, kAlertRules.at(bug.id)[static_cast<std::size_t>(variant)])
+      << bug.id << " under " << core::to_string(variant);
 
   if (!outcome.detected) {
     // A missed bug must actually damage something — otherwise it isn't a bug.

@@ -9,6 +9,7 @@
 
 #include "fleet/fleet.hpp"
 #include "obs/obs.hpp"
+#include "sim/deck.hpp"
 
 namespace rabit {
 namespace {
@@ -156,6 +157,32 @@ TEST(FleetAggregation, TotalsSumPerStreamStats) {
   EXPECT_LE(report.check_latency.p90_us, report.check_latency.p99_us);
   EXPECT_LE(report.check_latency.p99_us, report.check_latency.p999_us);
   EXPECT_LE(report.check_latency.p999_us, report.check_latency.max_us);
+}
+
+TEST(FleetInput, MalformedMovePositionIsAG3AlertNotACrash) {
+  // A move_to whose position holds three values that are not all numbers is
+  // an unresolvable target: a G3 alert on each stream, never an exception
+  // escaping a worker thread.
+  std::vector<fleet::StreamSpec> specs;
+  for (json::Array position : {json::Array{"a", 0, 0.2}, json::Array{0.3, nullptr, 0.2}}) {
+    json::Object args;
+    args["position"] = std::move(position);
+    fleet::StreamSpec spec;
+    spec.name = "malformed-" + std::to_string(specs.size());
+    spec.commands = {dev::Command{sim::deck_ids::kViperX, "move_to", json::Value(std::move(args))}};
+    specs.push_back(std::move(spec));
+  }
+
+  fleet::FleetReport report = fleet::FleetRunner({.workers = 2}).run(specs);
+
+  ASSERT_EQ(report.streams.size(), specs.size());
+  for (const fleet::StreamResult& stream : report.streams) {
+    ASSERT_EQ(stream.report.steps.size(), 1u) << stream.name;
+    const std::optional<core::Alert>& alert = stream.report.steps.front().alert;
+    ASSERT_TRUE(alert.has_value()) << stream.name;
+    EXPECT_EQ(alert->rule, "G3") << stream.name;
+  }
+  EXPECT_EQ(report.alerts, specs.size());
 }
 
 // --- observability: golden determinism and the sharded-sink audit -----------

@@ -1,8 +1,9 @@
-// Hot-path equivalence and invalidation: the indexed config lookups, the
-// memoized rule world, the broad-phase grid, and the collision-verdict cache
-// are pure accelerations — every test here pins the invariant that they can
-// change the cost of an answer but never the answer, and that every mutation
-// of the underlying config/world/state invalidates what it must.
+// Hot-path equivalence and invalidation: the memoized rule world, the
+// broad-phase grid, and the collision-verdict cache are pure accelerations —
+// every test here pins the invariant that they can change the cost of an
+// answer but never the answer, and that every mutation of the underlying
+// world/state invalidates what it must. The config lookups they sit on are
+// first-match scans over a freely editable config.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -14,6 +15,7 @@
 #include "core/rules.hpp"
 #include "sim/deck.hpp"
 #include "sim/extended_sim.hpp"
+#include "trace/trace.hpp"
 
 namespace rabit::core {
 namespace {
@@ -31,11 +33,8 @@ Command make_cmd(std::string device, std::string action, json::Object args = {})
   return c;
 }
 
-constexpr HotPathConfig kAllOff{/*index_lookups=*/false, /*memoize_rule_world=*/false,
-                                /*broad_phase=*/false, /*verdict_cache=*/false};
-
 // ---------------------------------------------------------------------------
-// Config lookup index
+// Config lookups
 // ---------------------------------------------------------------------------
 
 class ConfigIndexTest : public ::testing::Test {
@@ -43,12 +42,6 @@ class ConfigIndexTest : public ::testing::Test {
   ConfigIndexTest() : backend(sim::testbed_profile()) {
     sim::build_hein_testbed_deck(backend);
     config = config_from_backend(backend, Variant::Modified);
-    config.warm_index();
-  }
-
-  void set_indexed(EngineConfig& c, bool on) {
-    c.use_indexed_lookup = on;
-    for (DeviceMeta& d : c.devices) d.use_indexed_lookup = on;
   }
 
   sim::LabBackend backend;
@@ -56,41 +49,58 @@ class ConfigIndexTest : public ::testing::Test {
 };
 
 TEST_F(ConfigIndexTest, IndexedAndLinearLookupsAgree) {
-  EngineConfig linear = config;
-  set_indexed(linear, false);
-
-  for (const DeviceMeta& d : linear.devices) {
-    const DeviceMeta* via_index = config.find_device(d.id);
-    ASSERT_NE(via_index, nullptr) << d.id;
-    EXPECT_EQ(via_index->id, d.id);
-
-    const DeviceMeta& plain = *linear.find_device(d.id);
-    for (const auto& [alias, canonical] : d.action_aliases) {
-      EXPECT_EQ(via_index->canonical_action(alias), plain.canonical_action(alias));
-    }
-    for (const ThresholdSpec& t : d.thresholds) {
-      const ThresholdSpec* a = via_index->threshold_for(t.action);
-      const ThresholdSpec* b = plain.threshold_for(t.action);
-      ASSERT_NE(a, nullptr);
-      ASSERT_NE(b, nullptr);
-      EXPECT_EQ(a->max, b->max);
-    }
-    for (const std::string& action : d.active_actions) {
-      EXPECT_EQ(via_index->is_active_action(action), plain.is_active_action(action));
-    }
-    // Unknown names answer identically too.
-    EXPECT_EQ(via_index->canonical_action("no_such_action"),
-              plain.canonical_action("no_such_action"));
-    EXPECT_EQ(via_index->threshold_for("no_such_action"), nullptr);
-    EXPECT_FALSE(via_index->is_active_action("no_such_action"));
+  // Every lookup is a first-match scan. Shadow each testbed device and site
+  // with a later entry of the same id/name but a different payload, and give
+  // every device a duplicated alias, threshold and active action: each
+  // lookup must answer with the first entry.
+  EngineConfig dup = config;
+  for (const DeviceMeta& d : config.devices) {
+    DeviceMeta shadow = d;
+    shadow.is_arm = !d.is_arm;
+    dup.devices.push_back(std::move(shadow));
   }
-  for (const SiteMeta& s : linear.sites) {
-    const SiteMeta* via_index = config.find_site(s.name);
-    ASSERT_NE(via_index, nullptr) << s.name;
-    EXPECT_EQ(via_index->name, s.name);
+  for (const SiteMeta& s : config.sites) {
+    SiteMeta shadow = s;
+    shadow.lab_position = s.lab_position + Vec3(1, 1, 1);
+    dup.sites.push_back(std::move(shadow));
   }
-  EXPECT_EQ(config.find_device("no_such_device"), nullptr);
-  EXPECT_EQ(config.find_site("no_such_site"), nullptr);
+  for (DeviceMeta& d : dup.devices) {
+    d.action_aliases.emplace_back("nudge", "first");
+    d.action_aliases.emplace_back("nudge", "second");
+    std::vector<ThresholdSpec> shadowed = d.thresholds;
+    for (ThresholdSpec& t : shadowed) t.max += 1.0;
+    d.thresholds.insert(d.thresholds.end(), shadowed.begin(), shadowed.end());
+    d.active_actions.insert(d.active_actions.end(), 2, "whirl");
+  }
+
+  for (std::size_t i = 0; i < config.devices.size(); ++i) {
+    const DeviceMeta& original = config.devices[i];
+    const DeviceMeta* found = dup.find_device(original.id);
+    ASSERT_EQ(found, &dup.devices[i]) << original.id;
+    EXPECT_EQ(found->is_arm, original.is_arm) << original.id;
+    EXPECT_EQ(found->canonical_action("nudge"), "first") << original.id;
+    for (const auto& [alias, canonical] : original.action_aliases) {
+      EXPECT_EQ(found->canonical_action(alias), canonical) << original.id;
+    }
+    for (std::size_t k = 0; k < original.thresholds.size(); ++k) {
+      const ThresholdSpec* t = found->threshold_for(original.thresholds[k].action);
+      ASSERT_EQ(t, &found->thresholds[k]) << original.id;
+      EXPECT_EQ(t->max, original.thresholds[k].max);
+    }
+    EXPECT_TRUE(found->is_active_action("whirl")) << original.id;
+    for (const std::string& action : original.active_actions) {
+      EXPECT_TRUE(found->is_active_action(action)) << original.id;
+    }
+    // Unknown names: nullptr, or the action unchanged.
+    EXPECT_EQ(found->canonical_action("no_such_action"), "no_such_action");
+    EXPECT_EQ(found->threshold_for("no_such_action"), nullptr);
+    EXPECT_FALSE(found->is_active_action("no_such_action"));
+  }
+  for (std::size_t i = 0; i < config.sites.size(); ++i) {
+    EXPECT_EQ(dup.find_site(config.sites[i].name), &dup.sites[i]) << config.sites[i].name;
+  }
+  EXPECT_EQ(dup.find_device("no_such_device"), nullptr);
+  EXPECT_EQ(dup.find_site("no_such_site"), nullptr);
 }
 
 TEST_F(ConfigIndexTest, IndexSurvivesVectorGrowth) {
@@ -115,8 +125,8 @@ TEST_F(ConfigIndexTest, IndexSurvivesInPlaceRename) {
   std::string old_id = config.devices.front().id;
   ASSERT_NE(config.find_device(old_id), nullptr);
 
-  // In-place id edit: vector data pointer and size are unchanged, so only
-  // the verify-on-hit / linear-fallback protocol can keep answers right.
+  // In-place id edit: vector data pointer and size are unchanged, and the
+  // next lookup must still see the new id.
   config.devices.front().id = "renamed_device";
   EXPECT_EQ(config.find_device("renamed_device"), &config.devices.front());
   EXPECT_EQ(config.find_device(old_id), nullptr);
@@ -231,54 +241,47 @@ TEST(BroadPhase, SweepMatchesLegByLegCheckPath) {
 
   int hits = 0;
   int trips = 0;
-  for (bool broad_phase : {false, true}) {
-    for (bool verdict_cache : {false, true}) {
-      sim::ExtendedSimulator::Options options;
-      options.use_broad_phase = broad_phase;
-      options.use_verdict_cache = verdict_cache;
-      sim::ExtendedSimulator simulator(world, options);
-      std::mt19937 path_rng(7);
-      for (int i = 0; i < 300; ++i) {
-        Vec3 anchor(pos(path_rng), pos(path_rng), pos(path_rng));
-        std::vector<Vec3> waypoints{anchor};
-        for (int k = 0; k < 1 + i % 4; ++k) {
-          waypoints.push_back(waypoints.back() + Vec3(hop(path_rng), hop(path_rng), hop(path_rng)));
-        }
-        std::vector<std::string> ignore;
-        if (i % 3 == 0) ignore = {"box_" + std::to_string(i % 120), "other_arm"};
-        double held = i % 2 == 0 ? 0.05 : 0.0;
-        for (double inflate : {0.0, 0.03}) {
-          // Reference: check_path leg by leg, full scan, no cache.
-          sim::PathCheckOptions exact_opts;
-          exact_opts.ignore = ignore;
-          sim::PathCheckOptions inflated_opts = exact_opts;
-          inflated_opts.inflate = inflate;
-          std::optional<sim::CollisionReport> exact;
-          std::size_t charged_legs = 0;
-          bool inflated_hit = false;
-          for (std::size_t leg = 1; leg < waypoints.size(); ++leg) {
-            if (!exact) exact = sim::check_path(world, waypoints[leg - 1], waypoints[leg], held,
-                                                exact_opts);
-            if (inflated_hit) continue;
-            ++charged_legs;
-            inflated_hit = sim::check_path(world, waypoints[leg - 1], waypoints[leg], held,
-                                           inflated_opts)
-                               .has_value();
-          }
+  sim::ExtendedSimulator simulator(world);
+  std::mt19937 path_rng(7);
+  for (int i = 0; i < 300; ++i) {
+    Vec3 anchor(pos(path_rng), pos(path_rng), pos(path_rng));
+    std::vector<Vec3> waypoints{anchor};
+    for (int k = 0; k < 1 + i % 4; ++k) {
+      waypoints.push_back(waypoints.back() + Vec3(hop(path_rng), hop(path_rng), hop(path_rng)));
+    }
+    std::vector<std::string> ignore;
+    if (i % 3 == 0) ignore = {"box_" + std::to_string(i % 120), "other_arm"};
+    double held = i % 2 == 0 ? 0.05 : 0.0;
+    for (double inflate : {0.0, 0.03}) {
+      // Reference: check_path leg by leg, full scan, no cache.
+      sim::PathCheckOptions exact_opts;
+      exact_opts.ignore = ignore;
+      sim::PathCheckOptions inflated_opts = exact_opts;
+      inflated_opts.inflate = inflate;
+      std::optional<sim::CollisionReport> exact;
+      std::size_t charged_legs = 0;
+      bool inflated_hit = false;
+      for (std::size_t leg = 1; leg < waypoints.size(); ++leg) {
+        if (!exact) exact = sim::check_path(world, waypoints[leg - 1], waypoints[leg], held,
+                                            exact_opts);
+        if (inflated_hit) continue;
+        ++charged_legs;
+        inflated_hit = sim::check_path(world, waypoints[leg - 1], waypoints[leg], held,
+                                       inflated_opts)
+                           .has_value();
+      }
 
-          // Twice: the second sweep is served from the verdict cache.
-          for (int pass = 0; pass < 2; ++pass) {
-            std::size_t charged_before = simulator.checks_performed();
-            sim::ExtendedSimulator::SweepResult swept =
-                simulator.sweep(waypoints, held, ignore, inflate);
-            EXPECT_EQ(simulator.checks_performed() - charged_before, charged_legs) << "path " << i;
-            expect_same_hit(swept.hit, exact, i);
-            EXPECT_EQ(swept.tripped, inflated_hit && !exact) << "path " << i;
-            if (pass == 0 && broad_phase && verdict_cache) {
-              hits += exact ? 1 : 0;
-              trips += swept.tripped ? 1 : 0;
-            }
-          }
+      // Twice: the second sweep is served from the verdict cache.
+      for (int pass = 0; pass < 2; ++pass) {
+        std::size_t charged_before = simulator.checks_performed();
+        sim::ExtendedSimulator::SweepResult swept =
+            simulator.sweep(waypoints, held, ignore, inflate);
+        EXPECT_EQ(simulator.checks_performed() - charged_before, charged_legs) << "path " << i;
+        expect_same_hit(swept.hit, exact, i);
+        EXPECT_EQ(swept.tripped, inflated_hit && !exact) << "path " << i;
+        if (pass == 0) {
+          hits += exact ? 1 : 0;
+          trips += swept.tripped ? 1 : 0;
         }
       }
     }
@@ -476,25 +479,48 @@ TEST(VolumeEpsilon, SharedConstantGovernsPumpBoundaries) {
 }
 
 // ---------------------------------------------------------------------------
-// Catalogue verdict parity
+// Catalogue verdict parity: the memoized engine vs the stateless rulebase
 // ---------------------------------------------------------------------------
 
 TEST(HotPathParity, CatalogueVerdictsUnchangedAtV3) {
+  // Every catalogue bug's buggy and safe stream, stepped through a V3 lab
+  // without halting. At each command, the engine's precondition verdict
+  // (memoized rule world and its grid) must equal the stateless
+  // check_preconditions oracle on the same tracked state and canonical
+  // command: the same rule and message, or no hit on either side.
+  trace::Supervisor::Options options;
+  options.halt_on_alert = false;
+  std::size_t checked = 0;
+  std::size_t hits = 0;
   for (const bugs::BugSpec& bug : bugs::bug_catalogue()) {
     sim::LabBackend staging(sim::testbed_profile());
     sim::build_hein_testbed_deck(staging);
-    std::vector<Command> commands = bug.build(staging);
-
-    bugs::BugOutcome off = bugs::evaluate_stream(commands, Variant::ModifiedWithSim,
-                                                 trace::Supervisor::Options{}, kAllOff);
-    bugs::BugOutcome on = bugs::evaluate_stream(commands, Variant::ModifiedWithSim,
-                                                trace::Supervisor::Options{}, HotPathConfig{});
-    EXPECT_EQ(off.detected, on.detected) << bug.id;
-    EXPECT_EQ(off.alerted, on.alerted) << bug.id;
-    EXPECT_EQ(off.alert_rule, on.alert_rule) << bug.id;
-    EXPECT_EQ(off.damaged, on.damaged) << bug.id;
-    EXPECT_EQ(off.report.first_alert_step, on.report.first_alert_step) << bug.id;
+    for (const std::vector<Command>& commands : {bug.build(staging), bug.build_safe(staging)}) {
+      Lab lab(Variant::ModifiedWithSim);
+      trace::Supervisor supervisor(&lab.engine, &lab.backend, options);
+      supervisor.start();
+      const EngineConfig& config = lab.engine.config();
+      for (std::size_t i = 0; i < commands.size(); ++i) {
+        Command canonical = commands[i];
+        if (const DeviceMeta* meta = config.find_device(canonical.device)) {
+          canonical.action = std::string(meta->canonical_action(canonical.action));
+        }
+        std::optional<RuleHit> oracle =
+            check_preconditions(config, lab.engine.tracker(), canonical);
+        trace::SupervisedStep step = supervisor.step(commands[i]);
+        bool blocked = step.alert && step.alert->kind == AlertKind::InvalidCommand;
+        ASSERT_EQ(blocked, oracle.has_value()) << bug.id << " command " << i;
+        ++checked;
+        if (!oracle) continue;
+        ++hits;
+        EXPECT_EQ(step.alert->rule, oracle->rule) << bug.id << " command " << i;
+        EXPECT_EQ(step.alert->message, oracle->message) << bug.id << " command " << i;
+      }
+    }
   }
+  // Both verdict kinds were actually exercised.
+  EXPECT_GT(checked, 500u);
+  EXPECT_GT(hits, 10u);
 }
 
 }  // namespace

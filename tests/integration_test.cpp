@@ -23,7 +23,7 @@ namespace ids = sim::deck_ids;
 struct Pipeline {
   explicit Pipeline(sim::StageProfile profile, core::Variant variant = core::Variant::Modified,
                     bool production = false)
-      : lab(variant, 42, production ? sim::build_hein_production_deck : core::Lab::Deck{}, {},
+      : lab(variant, 42, production ? sim::build_hein_production_deck : core::Lab::Deck{},
             std::move(profile)) {
     supervisor = std::make_unique<trace::Supervisor>(engine, &backend);
   }

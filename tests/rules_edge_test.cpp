@@ -41,10 +41,21 @@ TEST_F(EdgeTest, MoveWithoutPositionIsInvalid) {
 }
 
 TEST_F(EdgeTest, MoveWithMalformedPositionIsInvalid) {
-  json::Object args;
-  args["position"] = json::Array{1.0, 2.0};  // only two coordinates
-  auto alert = engine->check_command(make_cmd(ids::kViperX, "move_to", std::move(args)));
-  EXPECT_TRUE(alert.has_value());
+  // Two coordinates, or three values that are not all numbers: the target is
+  // unresolvable (G3), never an exception.
+  const json::Array malformed[] = {
+      json::Array{1.0, 2.0},
+      json::Array{"a", 0, 0.2},
+      json::Array{0.3, nullptr, 0.2},
+  };
+  for (const json::Array& position : malformed) {
+    json::Object args;
+    args["position"] = position;
+    auto alert = engine->check_command(make_cmd(ids::kViperX, "move_to", std::move(args)));
+    ASSERT_TRUE(alert.has_value()) << json::serialize(json::Value(position));
+    EXPECT_EQ(alert->kind, AlertKind::InvalidCommand);
+    EXPECT_EQ(alert->rule, "G3");
+  }
 }
 
 TEST_F(EdgeTest, PickAtUnknownSiteIsInvalid) {
