@@ -1,19 +1,19 @@
-// Fleet-scale throughput: shards N independent testbed streams across a
-// worker pool (src/fleet) and reports commands/s plus p50/p99/p999 real
-// check latency at 1/4/16/64 streams. The paper runs RABIT on a single
-// experiment stream; the ROADMAP north-star is a middleware that validates
-// many concurrent streams, which is what this harness measures.
-//
-// Also measures the single-stream *real* CPU cost of the checks — not the
-// modeled 0.03 s / 2 s environment constants — on the sparse testbed world
-// and on a dense lab world.
+// Fleet-scale throughput. The paper runs RABIT on a single experiment
+// stream; the ROADMAP north-star is a middleware that validates many
+// concurrent streams. This harness measures the single-stream *real* CPU
+// cost of the checks — not the modeled 0.03 s / 2 s environment constants —
+// on the sparse testbed world and on a dense lab world, then the sharded
+// campaign path (src/fleet): a 64-stream / 8-group V3 campaign at several
+// worker counts, reporting commands/s, p99/p999 real check latency and
+// per-worker scaling efficiency.
 //
 // Modes:
-//   (default)            full fleet table + sharded-execution worker sweep +
-//                        google-benchmark section, writes
-//                        BENCH_throughput.json
-//   --smoke              quick run (for the TSan CI job), still writes
-//                        BENCH_throughput.json
+//   (default)            single-stream cost + sharded worker sweep (1, 2, 4
+//                        workers) + 64-stream shard smoke + google-benchmark
+//                        section, writes BENCH_throughput.json
+//   --smoke              quick run (for the TSan CI job): single-stream
+//                        cost, the 1- and 4-worker sweep and the shard
+//                        smoke; still writes BENCH_throughput.json
 //   --shard-smoke        plan-driven sharded campaigns: 16 streams / 4
 //                        station groups (V2) and 64 streams / 8 groups (V3,
 //                        with a live-motion shard feeding the epoch-versioned
@@ -24,17 +24,18 @@
 //                        certificate monitor records no envelope breach, no
 //                        coordination event fires, and (Release, unsanitized)
 //                        the worst check latency stays under 1 ms
-//   --baseline <path>    perf-regression gate: compares this run's fleet and
-//                        sharded scaling efficiency against a previously
+//   --baseline <path>    perf-regression gate: compares this run's sharded
+//                        sweep scaling efficiency against a previously
 //                        written BENCH_throughput.json; exits 1 on a >20%
 //                        regression (skipped when the CPU counts differ)
 //   --verify-catalogue   runs all 16 catalogue bugs x 3 variants once; exits
 //                        1 unless every bug is detected exactly from its
 //                        documented variant (BugSpec::detected_from) on and
 //                        the totals are the paper's 8/12/13
-//   --obs-out <dir>      enables per-stream observability on the final fleet
-//                        row and writes the merged events.jsonl, trace.json
-//                        (Chrome trace / Perfetto) and metrics.prom to <dir>
+//   --obs-out <dir>      enables per-shard observability on the largest
+//                        sweep row and writes the merged events.jsonl,
+//                        trace.json (Chrome trace / Perfetto) and
+//                        metrics.prom to <dir>
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -43,7 +44,6 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -84,6 +84,9 @@ using namespace rabit::bench;
 /// box cannot push a check past the gate.
 constexpr double kTailGateUs = 1000.0;
 
+/// Shelf boxes in the dense lab world (sim::add_shelf_rack).
+constexpr std::size_t kDenseShelfBoxes = 400;
+
 std::size_t cpus_online() {
   long n = sysconf(_SC_NPROCESSORS_ONLN);
   return n > 0 ? static_cast<std::size_t>(n) : 1;
@@ -97,87 +100,38 @@ struct CheckCost {
   int iterations = 0;
 };
 
-CheckCost measure_check_cost(const fleet::StreamSpec& spec, int min_iters, double min_seconds) {
+/// The Fig. 5 safe workflow, recorded against a pristine seed-42 testbed.
+std::vector<dev::Command> testbed_workflow() {
+  sim::LabBackend staging(sim::testbed_profile(), 42);
+  sim::build_hein_testbed_deck(staging);
+  return script::record_workflow(staging, script::testbed_workflow_source());
+}
+
+/// One supervised V3 run of `commands` on a fresh seed-42 testbed lab whose
+/// simulator world carries `shelf_boxes` extra shelf boxes.
+trace::RunReport run_single_stream(const std::vector<dev::Command>& commands,
+                                   std::size_t shelf_boxes) {
+  core::Lab lab(core::Variant::ModifiedWithSim, 42);
+  sim::add_shelf_rack(lab.simulator->world(), shelf_boxes);
+  trace::Supervisor supervisor(&lab.engine, &lab.backend);
+  return supervisor.run(commands);
+}
+
+CheckCost measure_check_cost(const std::vector<dev::Command>& commands, std::size_t shelf_boxes,
+                             int min_iters, double min_seconds) {
   CheckCost cost;
   double total_us = 0.0;
   auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < 1000; ++i) {
-    fleet::StreamResult r = fleet::FleetRunner::run_stream(spec);
+    trace::RunReport r = run_single_stream(commands, shelf_boxes);
     total_us += r.check_wall_s * 1e6;
-    cost.commands += r.report.steps.size();
+    cost.commands += r.steps.size();
     ++cost.iterations;
     double elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     if (cost.iterations >= min_iters && elapsed >= min_seconds) break;
   }
   if (cost.commands > 0) cost.us_per_cmd = total_us / static_cast<double>(cost.commands);
   return cost;
-}
-
-// --- fleet scaling table ----------------------------------------------------
-
-struct FleetRow {
-  std::size_t streams = 0;
-  std::size_t workers = 0;
-  double scaling_efficiency = 0.0;  ///< per-worker throughput vs the first row
-  fleet::FleetReport report;
-};
-
-std::size_t workers_for(std::size_t streams) {
-  std::size_t hw = std::thread::hardware_concurrency();
-  // Floor of 4 so the pool is genuinely concurrent even on small CI boxes
-  // (and so the TSan smoke run actually interleaves workers).
-  return std::min(streams, std::max<std::size_t>(hw, 4));
-}
-
-FleetRow run_fleet(const fleet::StreamSpec& base, std::size_t streams, bool obs = false) {
-  std::vector<fleet::StreamSpec> specs;
-  specs.reserve(streams);
-  for (std::size_t i = 0; i < streams; ++i) {
-    fleet::StreamSpec spec = base;
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "stream-%03zu", i);
-    spec.name = buf;
-    spec.seed = 1000 + static_cast<unsigned>(i);
-    spec.obs = obs;
-    // Every other stream runs with the runtime-assurance decision module on:
-    // margins are accurate here so verdicts are identical, but the TSan CI
-    // job now exercises the inflated-sweep fast path across worker threads.
-    spec.assurance = (i % 2 == 0);
-    specs.push_back(std::move(spec));
-  }
-  FleetRow row;
-  row.streams = streams;
-  row.workers = workers_for(streams);
-  fleet::FleetRunner runner(fleet::FleetRunner::Options{row.workers});
-  row.report = runner.run(specs);
-  return row;
-}
-
-/// Per-worker throughput normalized to the table's first row: efficiency of
-/// row r = (commands_per_s / workers) / (commands_per_s_0 / workers_0). 1.0
-/// means perfect scaling relative to the reference row.
-void fill_scaling_efficiency(std::vector<FleetRow>& rows) {
-  if (rows.empty() || rows.front().report.commands_per_s <= 0) return;
-  double per_worker_0 = rows.front().report.commands_per_s /
-                        static_cast<double>(std::max<std::size_t>(1, rows.front().workers));
-  for (FleetRow& r : rows) {
-    double per_worker =
-        r.report.commands_per_s / static_cast<double>(std::max<std::size_t>(1, r.workers));
-    r.scaling_efficiency = per_worker_0 > 0 ? per_worker / per_worker_0 : 0.0;
-  }
-}
-
-void print_fleet_table(const std::vector<FleetRow>& rows) {
-  std::printf("%8s %8s %10s %12s %10s %10s %10s %8s %6s\n", "streams", "workers", "commands",
-              "commands/s", "p50 us", "p99 us", "p999 us", "alerts", "eff");
-  print_rule();
-  for (const FleetRow& r : rows) {
-    std::printf("%8zu %8zu %10zu %12.0f %10.1f %10.1f %10.1f %8zu %6.2f\n", r.streams, r.workers,
-                r.report.commands_checked, r.report.commands_per_s,
-                r.report.check_latency.p50_us, r.report.check_latency.p99_us,
-                r.report.check_latency.p999_us, r.report.alerts, r.scaling_efficiency);
-  }
-  print_rule();
 }
 
 // --- plan-driven sharded campaigns -------------------------------------------
@@ -406,15 +360,20 @@ struct ShardSweepRow {
 /// The sharded hot path through the *default* entry (Fleet::run plans and
 /// executes) at increasing worker counts, on the same 64-stream/8-group V3
 /// campaign the smoke gates. Efficiency is relative to the sweep's own
-/// 1-worker row, so the number is meaningful on any machine.
+/// 1-worker row, so the number is meaningful on any machine. With
+/// `observe_last`, the last (largest) row runs with per-shard observability;
+/// the other rows stay unobserved so their throughput compares with earlier
+/// runs.
 std::vector<ShardSweepRow> run_sharded_sweep(std::size_t streams, std::size_t groups,
-                                             const std::vector<std::size_t>& workers_list) {
+                                             const std::vector<std::size_t>& workers_list,
+                                             bool observe_last) {
   fleet::CampaignSpec spec =
       make_sharded_campaign(streams, groups, core::Variant::ModifiedWithSim);
   std::vector<ShardSweepRow> rows;
   for (std::size_t w : workers_list) {
     fleet::ShardedCampaignOptions options;
     options.workers = w;
+    options.obs = observe_last && rows.size() + 1 == workers_list.size();
     ShardSweepRow row;
     row.workers = w;
     analysis::ShardPlan plan;
@@ -450,8 +409,7 @@ void print_sharded_sweep(const std::vector<ShardSweepRow>& rows) {
 // --- BENCH_throughput.json --------------------------------------------------
 
 void write_json(const char* path, bool smoke, const CheckCost& dense_cost,
-                const std::vector<FleetRow>& rows, const std::vector<ShardSweepRow>& sweep,
-                const ShardSmoke& shard_smoke) {
+                const std::vector<ShardSweepRow>& sweep, const ShardSmoke& shard_smoke) {
   json::Object root;
   root["bench"] = "throughput";
   root["mode"] = smoke ? "smoke" : "full";
@@ -464,25 +422,6 @@ void write_json(const char* path, bool smoke, const CheckCost& dense_cost,
   single["commands_per_iteration"] =
       dense_cost.iterations > 0 ? dense_cost.commands / dense_cost.iterations : std::size_t{0};
   root["single_stream"] = std::move(single);
-
-  json::Array fleet_rows;
-  for (const FleetRow& r : rows) {
-    json::Object o;
-    o["streams"] = r.streams;
-    o["workers"] = r.workers;
-    o["commands_checked"] = r.report.commands_checked;
-    o["commands_per_s"] = r.report.commands_per_s;
-    o["wall_s"] = r.report.wall_s;
-    o["check_p50_us"] = r.report.check_latency.p50_us;
-    o["check_p90_us"] = r.report.check_latency.p90_us;
-    o["check_p99_us"] = r.report.check_latency.p99_us;
-    o["check_p999_us"] = r.report.check_latency.p999_us;
-    o["check_max_us"] = r.report.check_latency.max_us;
-    o["scaling_efficiency"] = r.scaling_efficiency;
-    o["alerts"] = r.report.alerts;
-    fleet_rows.emplace_back(std::move(o));
-  }
-  root["fleet"] = std::move(fleet_rows);
 
   json::Array sweep_rows;
   for (const ShardSweepRow& r : sweep) {
@@ -530,13 +469,12 @@ void write_json(const char* path, bool smoke, const CheckCost& dense_cost,
 // --- perf-regression gate vs a checked-in baseline ---------------------------
 
 /// One-sided gate: fails only when this run's scaling efficiency dropped
-/// more than `tolerance` below the baseline's, never when it improved. Rows
-/// match on (streams, workers) for "fleet" and workers for "sharded_fleet";
-/// rows without a match are skipped, so growing the tables never breaks the
-/// gate. Skipped entirely (exit 0, with a notice) when the baseline was
-/// recorded on a different core count — efficiency is a per-machine number.
+/// more than `tolerance` below the baseline's, never when it improved.
+/// "sharded_fleet" rows match on workers; rows without a match are skipped,
+/// so growing the sweep never breaks the gate. Skipped entirely (exit 0,
+/// with a notice) when the baseline was recorded on a different core count
+/// — efficiency is a per-machine number.
 int compare_baseline(const std::string& path, const std::string& text,
-                     const std::vector<FleetRow>& rows,
                      const std::vector<ShardSweepRow>& sweep) {
   constexpr double kTolerance = 0.20;
   json::Value doc;
@@ -571,23 +509,6 @@ int compare_baseline(const std::string& path, const std::string& text,
     }
   };
 
-  if (const json::Value* fleet = doc.find("fleet"); fleet != nullptr && fleet->is_array()) {
-    for (const json::Value& row : fleet->as_array()) {
-      const json::Value* streams = row.find("streams");
-      const json::Value* workers = row.find("workers");
-      const json::Value* eff = row.find("scaling_efficiency");
-      if (streams == nullptr || workers == nullptr || eff == nullptr || !eff->is_number()) {
-        continue;
-      }
-      for (const FleetRow& r : rows) {
-        if (r.streams == static_cast<std::size_t>(streams->as_double()) &&
-            r.workers == static_cast<std::size_t>(workers->as_double())) {
-          check("fleet", std::to_string(r.streams) + "s/" + std::to_string(r.workers) + "w",
-                eff->as_double(), r.scaling_efficiency);
-        }
-      }
-    }
-  }
   if (const json::Value* shard = doc.find("sharded_fleet");
       shard != nullptr && shard->is_array()) {
     for (const json::Value& row : shard->as_array()) {
@@ -654,10 +575,9 @@ int verify_catalogue() {
 // --- google-benchmark section -----------------------------------------------
 
 void BM_SingleStream_Optimized(benchmark::State& state) {
-  fleet::StreamSpec spec = fleet::testbed_stream("bm", core::Variant::ModifiedWithSim, 42);
-  spec.extra_obstacles = 400;
+  std::vector<dev::Command> commands = testbed_workflow();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fleet::FleetRunner::run_stream(spec));
+    benchmark::DoNotOptimize(run_single_stream(commands, kDenseShelfBoxes));
   }
 }
 BENCHMARK(BM_SingleStream_Optimized)->Unit(benchmark::kMillisecond);
@@ -717,17 +637,14 @@ int main(int argc, char** argv) {
   print_header("Fleet-scale checking throughput",
                "RABIT (DSN'24), Section II-C latency; ROADMAP multi-stream north-star");
 
-  fleet::StreamSpec base = fleet::testbed_stream("probe", core::Variant::ModifiedWithSim, 42);
   // Dense variant: same workflow, but the simulator world carries a
   // production-density shelf rack. This is the representative fleet-scale
   // load; the sparse testbed row is reported for transparency.
-  fleet::StreamSpec dense = base;
-  dense.extra_obstacles = 400;
-
+  std::vector<dev::Command> commands = testbed_workflow();
   int min_iters = smoke ? 1 : 3;
   double min_seconds = smoke ? 0.0 : 0.5;
-  CheckCost sparse_cost = measure_check_cost(base, min_iters, min_seconds);
-  CheckCost dense_cost = measure_check_cost(dense, min_iters, min_seconds);
+  CheckCost sparse_cost = measure_check_cost(commands, 0, min_iters, min_seconds);
+  CheckCost dense_cost = measure_check_cost(commands, kDenseShelfBoxes, min_iters, min_seconds);
 
   std::printf("single-stream real check cost (testbed workflow, V3):\n");
   std::printf("  %-40s %10.1f us/cmd  (%d iters)\n", "sparse testbed world",
@@ -735,34 +652,19 @@ int main(int argc, char** argv) {
   std::printf("  %-40s %10.1f us/cmd  (%d iters)\n\n", "dense lab world (+400 obstacle boxes)",
               dense_cost.us_per_cmd, dense_cost.iterations);
 
-  std::vector<std::size_t> counts = smoke ? std::vector<std::size_t>{1, 16}
-                                          : std::vector<std::size_t>{1, 4, 16, 64};
-  std::vector<FleetRow> rows;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    // With --obs-out, the last (largest) row runs observed so the export
-    // covers the full fleet; the other rows stay unobserved to keep the
-    // throughput numbers comparable with earlier runs.
-    bool obs = !obs_dir.empty() && i + 1 == counts.size();
-    rows.push_back(run_fleet(dense, counts[i], obs));
-  }
-  fill_scaling_efficiency(rows);
-  std::printf("fleet throughput (dense lab world):\n");
-  print_fleet_table(rows);
-  std::printf("\n");
-
   std::vector<std::size_t> sweep_workers =
       smoke ? std::vector<std::size_t>{1, 4} : std::vector<std::size_t>{1, 2, 4};
-  std::vector<ShardSweepRow> sweep = run_sharded_sweep(64, 8, sweep_workers);
+  std::vector<ShardSweepRow> sweep = run_sharded_sweep(64, 8, sweep_workers, !obs_dir.empty());
   print_sharded_sweep(sweep);
 
   ShardSmoke shard_smoke =
       run_shard_smoke(64, 8, core::Variant::ModifiedWithSim, 8, /*gate_tail=*/true);
   print_shard_smoke(shard_smoke, "V3");
 
-  if (!obs_dir.empty() && rows.back().report.obs_events != nullptr) {
+  if (!obs_dir.empty()) {
+    const fleet::CampaignReport& observed = sweep.back().report;
     std::string error;
-    if (!obs::write_export_dir(obs_dir, *rows.back().report.obs_events,
-                               *rows.back().report.obs_metrics, &error)) {
+    if (!obs::write_export_dir(obs_dir, *observed.obs_events, *observed.obs_metrics, &error)) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
       return 1;
     }
@@ -770,15 +672,15 @@ int main(int argc, char** argv) {
                 obs_dir.c_str());
   }
 
-  write_json("BENCH_throughput.json", smoke, dense_cost, rows, sweep, shard_smoke);
+  write_json("BENCH_throughput.json", smoke, dense_cost, sweep, shard_smoke);
 
   if (!shard_smoke.ok) return 1;
   if (!baseline_path.empty()) {
-    int gate = compare_baseline(baseline_path, baseline_text, rows, sweep);
+    int gate = compare_baseline(baseline_path, baseline_text, sweep);
     if (gate != 0) return gate;
   }
 
-  if (smoke) return 0;  // the TSan job wants the fleet exercised, not microbenches
+  if (smoke) return 0;  // the TSan job wants the sharded path exercised, not microbenches
   int pass_argc = static_cast<int>(passthrough.size());
   benchmark::Initialize(&pass_argc, passthrough.data());
   benchmark::RunSpecifiedBenchmarks();

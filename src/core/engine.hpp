@@ -134,18 +134,6 @@ class RabitEngine {
     std::size_t status_repolls = 0;
     /// Line-16 resyncs of S_current onto a fetched S_actual.
     std::size_t resyncs = 0;
-
-    Stats& operator+=(const Stats& o) {
-      commands_checked += o.commands_checked;
-      precondition_alerts += o.precondition_alerts;
-      trajectory_alerts += o.trajectory_alerts;
-      malfunction_alerts += o.malfunction_alerts;
-      trajectory_checks += o.trajectory_checks;
-      degraded_checks += o.degraded_checks;
-      status_repolls += o.status_repolls;
-      resyncs += o.resyncs;
-      return *this;
-    }
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 

@@ -12,12 +12,13 @@ namespace rabit::core {
 
 /// The one lab assembly: backend + deck, config_from_backend, and for V3 an
 /// Extended Simulator over the deck's world plus every parked arm's sleep
-/// box, polling this lab's own arms, attached to the engine. Fleet streams,
-/// shards and solo replays, benches, examples and tests all build labs here.
+/// box, polling this lab's own arms, attached to the engine. Campaign shards
+/// and solo replays, benches, examples and tests all build labs here.
 /// Per-caller extras ride on the deck hook (fault schedules, recorded
-/// workflows) or, after construction, on simulator->world() and
-/// simulator->set_gui_enabled(). Built in place and never moved: the
-/// simulator's arm-state provider holds the backend's address.
+/// workflows) or, after construction, on simulator->world() (e.g.
+/// sim::add_shelf_rack) and simulator->set_gui_enabled(). Built in place and
+/// never moved: the simulator's arm-state provider holds the backend's
+/// address.
 class Lab {
  public:
   /// Populates a fresh backend; must be deterministic for a given seed.

@@ -1,6 +1,7 @@
 #include "devices/device.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace rabit::dev {
 
@@ -26,7 +27,9 @@ std::optional<geom::Vec3> position_arg(const json::Value& args) {
   const json::Value* pos = args.find("position");
   if (pos == nullptr || !pos->is_array() || pos->as_array().size() != 3) return std::nullopt;
   const json::Array& p = pos->as_array();
-  if (!p[0].is_number() || !p[1].is_number() || !p[2].is_number()) return std::nullopt;
+  for (const json::Value& coordinate : p) {
+    if (!coordinate.is_number() || !std::isfinite(coordinate.as_double())) return std::nullopt;
+  }
   return geom::Vec3(p[0].as_double(), p[1].as_double(), p[2].as_double());
 }
 

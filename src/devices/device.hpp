@@ -48,7 +48,7 @@ struct Command {
 };
 
 /// A move command's `position` argument, [x, y, z] in the arm's frame:
-/// nullopt unless `args` holds exactly three numbers under that key.
+/// nullopt unless `args` holds exactly three finite numbers under that key.
 [[nodiscard]] std::optional<geom::Vec3> position_arg(const json::Value& args);
 
 /// Named state variables fully describing a device (paper §II-A), e.g.

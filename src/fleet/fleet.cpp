@@ -11,29 +11,15 @@
 #include <optional>
 #include <random>
 #include <set>
-#include <span>
 #include <stdexcept>
 #include <thread>
 
 #include "core/lab.hpp"
 #include "script/workflows.hpp"
-#include "sim/deck.hpp"
 #include "sim/pose_board.hpp"
+#include "trace/trace.hpp"
 
 namespace rabit::fleet {
-
-StreamSpec testbed_stream(std::string name, core::Variant variant, unsigned seed) {
-  StreamSpec spec;
-  spec.name = std::move(name);
-  spec.variant = variant;
-  spec.seed = seed;
-  // Record against a staging deck so the stream's own backend starts pristine
-  // (recording interprets the workflow, which mutates device state).
-  sim::LabBackend staging(sim::testbed_profile(), seed);
-  sim::build_hein_testbed_deck(staging);
-  spec.commands = script::record_workflow(staging, script::testbed_workflow_source());
-  return spec;
-}
 
 LatencySummary summarize_latencies(std::vector<double> latencies_us) {
   LatencySummary s;
@@ -93,12 +79,12 @@ struct Rendezvous {
 };
 
 /// The one per-lab step loop behind every fleet mode: plan shards (the
-/// monolithic reference is a 1-shard plan), solo replays and FleetRunner
-/// streams. Starts `supervisor`, steps `entries` in order, hands each result
-/// to `on_step`, and ends the lab's run at a halt. Steps on a rendezvous
-/// device hold the rendezvous mutex.
+/// monolithic reference is a 1-shard plan) and solo replays. Starts
+/// `supervisor`, steps `entries` in order, hands each result to `on_step`,
+/// and ends the lab's run at a halt. Steps on a rendezvous device hold the
+/// rendezvous mutex.
 template <class OnStep>
-void step_lab(trace::Supervisor& supervisor, std::span<const std::vector<dev::Command>> commands,
+void step_lab(trace::Supervisor& supervisor, const Commands& commands,
               const std::vector<Entry>& entries, Rendezvous* rendezvous, OnStep&& on_step) {
   supervisor.start();
   for (const Entry& entry : entries) {
@@ -123,9 +109,9 @@ std::vector<Entry> stream_entries(std::size_t stream, std::size_t commands) {
   return entries;
 }
 
-/// Folds one lab's observability sinks into a report's merged pair, created
-/// on first use. Callers merge in spec or shard order, never finish order,
-/// so event exports are byte-identical across worker counts.
+/// Folds one shard's observability sinks into a report's merged pair, created
+/// on first use. Callers merge in shard order, never finish order, so event
+/// exports are byte-identical across worker counts.
 void merge_obs(std::shared_ptr<obs::Collector>& events, std::shared_ptr<obs::Registry>& metrics,
                const std::shared_ptr<obs::Collector>& lab_events,
                const std::shared_ptr<obs::Registry>& lab_metrics) {
@@ -139,80 +125,6 @@ void merge_obs(std::shared_ptr<obs::Collector>& events, std::shared_ptr<obs::Reg
 }
 
 }  // namespace
-
-StreamResult FleetRunner::run_stream(const StreamSpec& spec) {
-  core::Lab lab(spec.variant, spec.seed);
-  if (lab.simulator) {
-    // Shelf rack at x >= 8 m — outside every testbed motion path, so these
-    // boxes never collide; they only grow the set the narrow phase must scan.
-    for (std::size_t i = 0; i < spec.extra_obstacles; ++i) {
-      double x = 8.0 + 0.3 * static_cast<double>(i % 20);
-      double y = 0.3 * static_cast<double>((i / 20) % 20);
-      double z = 0.3 * static_cast<double>(i / 400);
-      lab.simulator->world().add_box(
-          "shelf-" + std::to_string(i),
-          geom::Aabb(geom::Vec3(x, y, z), geom::Vec3(x + 0.25, y + 0.25, z + 0.25)),
-          sim::ObstacleKind::Equipment);
-    }
-  }
-
-  StreamResult result;
-  result.name = spec.name;
-  result.seed = spec.seed;
-
-  trace::Supervisor::Options sup_options;
-  sup_options.halt_on_alert = spec.halt_on_alert;
-  if (spec.assurance) sup_options.assurance = assurance::AssuranceConfig{};
-  if (spec.obs) {
-    // Sharded sinks: each stream observes into its own collector/registry,
-    // so workers never contend (or race) on observability state; the fleet
-    // merges them at join, in spec order.
-    result.obs_events = std::make_shared<obs::Collector>();
-    result.obs_metrics = std::make_shared<obs::Registry>();
-    sup_options.obs_sink = result.obs_events.get();
-    sup_options.obs_metrics = result.obs_metrics.get();
-    sup_options.obs_stream = spec.name;
-  }
-  trace::Supervisor supervisor(&lab.engine, &lab.backend, sup_options);
-  step_lab(supervisor, std::span(&spec.commands, 1), stream_entries(0, spec.commands.size()),
-           nullptr, [&](const Entry&, trace::SupervisedStep step) {
-             result.report.record(std::move(step));
-           });
-  supervisor.finish(result.report);
-  result.engine_stats = lab.engine.stats();
-  result.trace_jsonl = supervisor.log().to_jsonl();
-  result.check_wall_s = result.report.check_wall_s;
-  return result;
-}
-
-FleetReport FleetRunner::run(const std::vector<StreamSpec>& streams) const {
-  FleetReport report;
-  report.streams.resize(streams.size());
-  if (streams.empty()) return report;
-  report.wall_s = run_pool(streams.size(), options_.workers,
-                           [&](std::size_t i) { report.streams[i] = run_stream(streams[i]); });
-
-  std::vector<double> latencies_us;
-  for (const StreamResult& s : report.streams) {
-    merge_obs(report.obs_events, report.obs_metrics, s.obs_events, s.obs_metrics);
-    report.totals += s.engine_stats;
-    report.alerts += s.report.alerts;
-    for (const trace::SupervisedStep& step : s.report.steps) {
-      if (step.check_wall_us > 0) latencies_us.push_back(step.check_wall_us);
-    }
-  }
-  if (report.obs_metrics != nullptr) {
-    report.obs_metrics
-        ->gauge("rabit_fleet_streams", "", "Streams this fleet report aggregates")
-        .add(static_cast<double>(report.streams.size()));
-  }
-  report.commands_checked = report.totals.commands_checked;
-  report.check_latency = summarize_latencies(std::move(latencies_us));
-  if (report.wall_s > 0) {
-    report.commands_per_s = static_cast<double>(report.commands_checked) / report.wall_s;
-  }
-  return report;
-}
 
 // ---------------------------------------------------------------------------
 // Shared-lab campaigns
@@ -230,8 +142,9 @@ struct ResolvedCampaign {
   std::map<std::string, geom::Vec3, std::less<>> initial_poses;
 };
 
-/// Script streams are recorded against a pristine staging lab (same
-/// convention as testbed_stream); command streams pass through.
+/// Script streams are recorded against a staging lab built with the
+/// campaign's deck and seed (recording reads its device ids and site
+/// locations); command streams pass through.
 ResolvedCampaign resolve_campaign(const CampaignSpec& spec) {
   ResolvedCampaign resolved;
   resolved.commands.reserve(spec.streams.size());

@@ -1,12 +1,14 @@
 // rabit::fleet — multi-stream checking at production scale.
 //
 // The paper evaluates RABIT on one experiment stream; the ROADMAP north-star
-// is a middleware validating many concurrent streams. This layer shards N
-// fully independent streams — each with its own backend, engine, simulator,
-// and Supervisor — across a worker pool. Streams share no mutable state, so
-// results (and the trace JSONL each stream emits) are byte-identical for a
-// given seed regardless of how many workers the pool runs or how the
-// scheduler interleaves them.
+// is a middleware validating many concurrent streams. They arrive as a
+// campaign (below). Fleet::run certifies which streams can never interact
+// (analysis::plan_campaign_shards) and checks each shard on its own
+// core::Lab across one worker pool. Shards of a planner-produced plan share
+// only the epoch-versioned pose board, so for a given campaign the report,
+// and the per-shard observability merged in shard order, are identical
+// whatever the worker count or scheduler interleaving. One isolated lab
+// needs no fleet: build a core::Lab and run a trace::Supervisor on it.
 #pragma once
 
 #include <cstddef>
@@ -19,37 +21,8 @@
 #include "core/engine.hpp"
 #include "obs/obs.hpp"
 #include "sim/backend.hpp"
-#include "trace/trace.hpp"
 
 namespace rabit::fleet {
-
-/// One independent experiment stream: a command workflow plus everything
-/// needed to rebuild its lab from scratch.
-struct StreamSpec {
-  std::string name;  ///< e.g. "stream-03"; used in reports and filenames
-  core::Variant variant = core::Variant::ModifiedWithSim;
-  unsigned seed = 42;  ///< backend RNG seed; determinism is per-seed
-  std::vector<dev::Command> commands;
-  bool halt_on_alert = true;
-  /// Dense-lab load: adds this many static equipment boxes to the simulator
-  /// world (V3 only), in a shelf region far from every motion path, so
-  /// verdicts are unchanged while collision checks see a production-density
-  /// world instead of the sparse testbed.
-  std::size_t extra_obstacles = 0;
-  /// Observe this stream: the runner attaches a per-stream obs::Collector
-  /// and obs::Registry to the Supervisor (sharded sinks — workers never
-  /// share observability state) and merges them in StreamSpec order at
-  /// join, so the combined export is byte-identical across worker counts.
-  bool obs = false;
-  /// Enable the runtime-assurance decision module (default config) on this
-  /// stream's Supervisor (V3 streams only; a no-op elsewhere). Streams stay
-  /// fully independent — the margin queries hit the stream's own simulator.
-  bool assurance = false;
-};
-
-/// Builds the standard testbed stream: a Hein-testbed deck seeded with
-/// `seed` and the Fig. 5 safe workflow recorded against it.
-[[nodiscard]] StreamSpec testbed_stream(std::string name, core::Variant variant, unsigned seed);
 
 /// Percentiles over per-command check latencies (real wall time).
 ///
@@ -73,50 +46,20 @@ struct LatencySummary {
 
 [[nodiscard]] LatencySummary summarize_latencies(std::vector<double> latencies_us);
 
-struct StreamResult {
-  std::string name;
-  unsigned seed = 0;
-  trace::RunReport report;
-  core::RabitEngine::Stats engine_stats;
-  std::string trace_jsonl;  ///< the stream's full Supervisor trace
-  /// Real wall-clock spent inside engine checks for this stream.
-  double check_wall_s = 0.0;
-  /// Per-stream observability (null unless StreamSpec::obs was set).
-  std::shared_ptr<obs::Collector> obs_events;
-  std::shared_ptr<obs::Registry> obs_metrics;
-};
-
-struct FleetReport {
-  std::vector<StreamResult> streams;  ///< in StreamSpec order, not finish order
-  /// Aggregated engine stats across all streams.
-  core::RabitEngine::Stats totals;
-  std::size_t commands_checked = 0;
-  std::size_t alerts = 0;
-  double wall_s = 0.0;  ///< fleet wall-clock, pool start to last stream done
-  double commands_per_s = 0.0;  ///< commands_checked / wall_s
-  LatencySummary check_latency;
-  /// Merged observability across all observed streams, combined at join in
-  /// StreamSpec order (never finish order): the event exports are therefore
-  /// byte-identical for a given spec list regardless of worker count. Null
-  /// when no stream had obs enabled.
-  std::shared_ptr<obs::Collector> obs_events;
-  std::shared_ptr<obs::Registry> obs_metrics;
-};
-
 // ---------------------------------------------------------------------------
 // Shared-lab campaigns
 // ---------------------------------------------------------------------------
 //
-// FleetRunner shards *independent* labs; a campaign is the opposite regime:
-// many command streams dispatched concurrently into ONE shared lab (one
-// backend, one engine, one tracker) — the production setting where
-// interference hazards live. Fleet::run_campaign executes a deterministic
-// seeded interleaving of the streams on the shared testbed, then replays
-// each stream solo on an identical fresh lab and diffs the alerts: an alert
-// the interleaved run raises that the stream's solo run does not is a
-// *cross-stream* alert — ground truth for the static interference analyzer
-// (analysis::analyze_campaign), whose differential sweep asserts every such
-// alert maps to an I-diagnostic naming the alerting device.
+// A campaign is many command streams dispatched concurrently into ONE
+// shared lab (one backend, one engine, one tracker) — the production setting
+// where interference hazards live. Fleet::run_campaign(spec) is its
+// reference semantics: a deterministic seeded interleaving of the streams on
+// one lab, then a solo replay of each alerted stream on an identical fresh
+// lab and a diff of the alerts. An alert the interleaved run raises that the
+// stream's solo run does not is a *cross-stream* alert — ground truth for
+// the static interference analyzer (analysis::analyze_campaign), whose
+// differential sweep asserts every such alert maps to an I-diagnostic naming
+// the alerting device. Fleet::run reaches the same verdicts shard by shard.
 
 /// One stream of a shared-lab campaign. Streams are given either as concrete
 /// commands or as DSL script source (recorded against a pristine staging
@@ -281,30 +224,5 @@ class Fleet {
 ///                  { "name": "b", "script": "<DSL source>" } ] }
 /// Throws std::runtime_error naming the offending field on malformed input.
 [[nodiscard]] CampaignSpec load_campaign(const json::Value& doc);
-
-/// Runs isolated-lab stream specs to completion on the fleet's worker pool
-/// and per-lab step loop (the same ones campaign shards run on). run() is
-/// synchronous; the runner holds no state between calls.
-class FleetRunner {
- public:
-  struct Options {
-    /// Worker threads; clamped to the stream count, minimum 1.
-    std::size_t workers = 1;
-  };
-
-  FleetRunner() = default;
-  explicit FleetRunner(Options options) : options_(options) {}
-
-  [[nodiscard]] const Options& options() const { return options_; }
-
-  /// Runs every stream and aggregates. Stream i's result lands at index i.
-  [[nodiscard]] FleetReport run(const std::vector<StreamSpec>& streams) const;
-
-  /// Runs one stream in isolation (what each pool worker executes).
-  [[nodiscard]] static StreamResult run_stream(const StreamSpec& spec);
-
- private:
-  Options options_;
-};
 
 }  // namespace rabit::fleet

@@ -228,21 +228,6 @@ std::vector<Vec3> Polyline::resample(std::size_t count) const {
   return out;
 }
 
-std::optional<Vec3> Polyline::first_hit(const Aabb& box, double step) const {
-  if (points_.empty()) return std::nullopt;
-  if (step <= 0) throw std::invalid_argument("Polyline::first_hit: step must be positive");
-  double total = length();
-  if (total < kEpsilon) {
-    return box.contains(points_.front()) ? std::optional<Vec3>(points_.front()) : std::nullopt;
-  }
-  auto steps = static_cast<std::size_t>(std::ceil(total / step));
-  for (std::size_t i = 0; i <= steps; ++i) {
-    Vec3 p = sample(static_cast<double>(i) / static_cast<double>(steps));
-    if (box.contains(p)) return p;
-  }
-  return std::nullopt;
-}
-
 // ---------------------------------------------------------------------------
 // Transform
 // ---------------------------------------------------------------------------

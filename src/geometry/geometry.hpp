@@ -163,10 +163,6 @@ class Polyline {
   /// collisions that coarse target-only checks miss.
   [[nodiscard]] std::vector<Vec3> resample(std::size_t count) const;
 
-  /// First sampled point (by arc length, at `step` resolution) that lies
-  /// inside `box`, or nullopt if the polyline avoids it.
-  [[nodiscard]] std::optional<Vec3> first_hit(const Aabb& box, double step) const;
-
  private:
   std::vector<Vec3> points_;
 };

@@ -197,12 +197,20 @@ Value Interpreter::evaluate(const Expr& expr, Scope& scope) {
           }
           double a = as_number(lhs, expr.line);
           double b = as_number(rhs, expr.line);
-          if (node.op == "+") return Value(json::Value(a + b));
-          if (node.op == "-") return Value(json::Value(a - b));
-          if (node.op == "*") return Value(json::Value(a * b));
+          // A non-finite result would record an argument that serializes as
+          // null, so the trace would no longer replay the checked command.
+          auto finite = [&](double result) {
+            if (!std::isfinite(result)) {
+              throw ScriptError("arithmetic overflow in '" + node.op + "'", expr.line);
+            }
+            return Value(json::Value(result));
+          };
+          if (node.op == "+") return finite(a + b);
+          if (node.op == "-") return finite(a - b);
+          if (node.op == "*") return finite(a * b);
           if (node.op == "/") {
             if (b == 0.0) throw ScriptError("division by zero", expr.line);
-            return Value(json::Value(a / b));
+            return finite(a / b);
           }
           if (node.op == "%") {
             if (b == 0.0) throw ScriptError("modulo by zero", expr.line);

@@ -1,6 +1,7 @@
 #include "sim/deck.hpp"
 
 #include <memory>
+#include <string>
 
 namespace rabit::sim {
 
@@ -138,6 +139,17 @@ void build_hein_testbed_deck(LabBackend& backend) {
   viperx.commit_move(viperx.plan_pose("sleep"), "sleep");
   ned2.commit_move(ned2.plan_pose("sleep"), "sleep");
   add_stations(backend);
+}
+
+void add_shelf_rack(WorldModel& world, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    double x = 8.0 + 0.3 * static_cast<double>(i % 20);
+    double y = 0.3 * static_cast<double>((i / 20) % 20);
+    double z = 0.3 * static_cast<double>(i / 400);
+    world.add_box("shelf-" + std::to_string(i),
+                  Aabb(Vec3(x, y, z), Vec3(x + 0.25, y + 0.25, z + 0.25)),
+                  ObstacleKind::Equipment);
+  }
 }
 
 WorldModel deck_world_model(const LabBackend& backend, const DeckModelOptions& options) {

@@ -33,6 +33,15 @@ void build_hein_production_deck(LabBackend& backend);
 /// and the same static geometry.
 void build_hein_testbed_deck(LabBackend& backend);
 
+/// Dense-lab load for a simulator world: `count` static 0.25 m equipment
+/// boxes ("shelf-<i>") on a 0.3 m pitch, 20 x 20 per layer, in a shelf rack
+/// at x >= 8 m, outside every testbed motion path. Verdicts stay unchanged
+/// while each trajectory check scans a production-density world. Add it to
+/// a V3 lab's simulator->world(), not through the deck hook: deck
+/// obstacles also enter the engine's rule world (config_from_backend's
+/// static_obstacles).
+void add_shelf_rack(WorldModel& world, std::size_t count);
+
 /// A world model mirroring the deck for the Extended Simulator / RABIT's
 /// target checks. Flags control fidelity — RABIT's detection gaps in §IV
 /// came precisely from what the configured model left out.

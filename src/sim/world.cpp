@@ -123,6 +123,16 @@ void BroadPhaseGrid::rebuild(const WorldModel& world) {
 
 void BroadPhaseGrid::cell_range(const geom::Aabb& box, int& x0, int& x1, int& y0, int& y1,
                                 int& z0, int& z1) const {
+  // A box with an infinite or NaN coordinate spans every cell: the query
+  // becomes a full scan, never a silent miss (and NaN is never cast to int).
+  for (double v : {box.min.x, box.min.y, box.min.z, box.max.x, box.max.y, box.max.z}) {
+    if (std::isfinite(v)) continue;
+    x0 = y0 = z0 = 0;
+    x1 = nx_ - 1;
+    y1 = ny_ - 1;
+    z1 = nz_ - 1;
+    return;
+  }
   auto clamp_cell = [](double v, int n) {
     if (v < 0) return 0;
     if (v >= n) return n - 1;
@@ -158,6 +168,11 @@ void BroadPhaseGrid::candidates(const geom::Aabb& query, std::vector<std::size_t
 
 std::string CollisionReport::describe() const {
   std::ostringstream os;
+  if (too_long_to_poll) {
+    os << "leg to " << position << " too long to poll: over the " << kMaxLegSamples
+       << "-sample per-leg cap";
+    return os.str();
+  }
   if (arm_vs_arm) {
     os << "collision with robot arm '" << obstacle << "'";
   } else {
@@ -184,6 +199,15 @@ geom::Aabb sample_volume(const geom::Vec3& tip, double held_clearance,
         tip + geom::Vec3(options.held_half_width, options.held_half_width, 0.0));
   }
   return geom::Aabb(tip, tip);
+}
+
+/// Polling samples for one leg of `length` at `step`, or nullopt when the leg
+/// needs more than kMaxLegSamples (NaN and infinite lengths included): the
+/// count is range-checked before it is cast.
+std::optional<std::size_t> leg_samples(double length, double step) {
+  const double steps = std::ceil(length / step);
+  if (!(steps < static_cast<double>(kMaxLegSamples))) return std::nullopt;
+  return static_cast<std::size_t>(steps) + 1;
 }
 
 /// Checks a single tip sample against the world. When `candidates` is
@@ -247,6 +271,13 @@ std::optional<CollisionReport> check_path(const WorldModel& world, const geom::V
                                           const PathCheckOptions& options,
                                           const BroadPhaseGrid* grid) {
   if (options.step <= 0) throw std::invalid_argument("check_path: step must be positive");
+  const std::optional<std::size_t> samples = leg_samples(start.distance_to(goal), options.step);
+  if (!samples) {
+    CollisionReport unpolled;
+    unpolled.position = goal;
+    unpolled.too_long_to_poll = true;
+    return unpolled;
+  }
 
   // Broad phase: one swept-volume query covers every sample on the segment,
   // so the per-sample narrow phase only sees boxes near the motion. A grid
@@ -263,10 +294,8 @@ std::optional<CollisionReport> check_path(const WorldModel& world, const geom::V
     candidates = &candidate_storage;
   }
 
-  double length = start.distance_to(goal);
-  auto samples = static_cast<std::size_t>(std::ceil(length / options.step)) + 1;
-  for (std::size_t i = 0; i <= samples; ++i) {
-    double t = samples == 0 ? 1.0 : static_cast<double>(i) / static_cast<double>(samples);
+  for (std::size_t i = 0; i <= *samples; ++i) {
+    double t = static_cast<double>(i) / static_cast<double>(*samples);
     geom::Vec3 tip = geom::lerp(start, goal, t);
     // Skip the departure point itself: the arm is allowed to *leave* a spot
     // that brushes an obstacle boundary (e.g. lifting out of a grid slot).
@@ -323,6 +352,14 @@ MarginProfile margin_profile(const WorldModel& world, const std::vector<geom::Ve
   profile.min_margin_m = std::numeric_limits<double>::infinity();
   if (waypoints.size() < 2) return profile;
 
+  auto record = [&profile](MarginSample sample) {
+    if (sample.h < profile.min_margin_m) {
+      profile.min_margin_m = sample.h;
+      profile.min_s_m = sample.s;
+      profile.min_obstacle = sample.obstacle;
+    }
+    profile.samples.push_back(std::move(sample));
+  };
   auto sample_clearance = [&](const geom::Vec3& tip, double s) {
     std::optional<geom::Aabb> held_box;
     if (held_clearance > 0) held_box = sample_volume(tip, held_clearance, options);
@@ -357,12 +394,7 @@ MarginProfile margin_profile(const WorldModel& world, const std::vector<geom::Ve
       sample.h = std::numeric_limits<double>::max();
       sample.obstacle.clear();
     }
-    if (sample.h < profile.min_margin_m) {
-      profile.min_margin_m = sample.h;
-      profile.min_s_m = s;
-      profile.min_obstacle = sample.obstacle;
-    }
-    profile.samples.push_back(std::move(sample));
+    record(std::move(sample));
   };
 
   double s_base = 0.0;
@@ -370,9 +402,13 @@ MarginProfile margin_profile(const WorldModel& world, const std::vector<geom::Ve
     const geom::Vec3& a = waypoints[leg - 1];
     const geom::Vec3& b = waypoints[leg];
     double length = a.distance_to(b);
-    auto samples = static_cast<std::size_t>(std::ceil(length / options.step)) + 1;
-    for (std::size_t i = 0; i <= samples; ++i) {
-      double t = samples == 0 ? 1.0 : static_cast<double>(i) / static_cast<double>(samples);
+    const std::optional<std::size_t> samples = leg_samples(length, options.step);
+    if (!samples) {
+      record(MarginSample{s_base, 0.0, {}});  // too long to poll: no clearance
+      break;
+    }
+    for (std::size_t i = 0; i <= *samples; ++i) {
+      double t = static_cast<double>(i) / static_cast<double>(*samples);
       // Skip the global departure point (check_path semantics) and each leg's
       // own start, which duplicates the previous leg's end sample.
       if (i == 0) continue;

@@ -129,12 +129,21 @@ class BroadPhaseGrid {
   std::vector<std::uint32_t> oversize_;
 };
 
+/// Most polling samples one straight leg may take in check_path and
+/// margin_profile: 10 km at the default 1 cm step, far past any lab. A
+/// longer leg cannot be polled (past 2^64 samples its count does not even
+/// fit a std::size_t), so check_path reports it as a hit and margin_profile
+/// as zero clearance: it is never a pass.
+inline constexpr std::size_t kMaxLegSamples = 1'000'000;
+
 struct CollisionReport {
   std::string obstacle;     ///< box name or other arm id
   ObstacleKind kind = ObstacleKind::Equipment;
   geom::Vec3 position;      ///< where along the path contact happened (lab)
   bool via_held_object = false;  ///< the held vial hit, not the arm itself
   bool arm_vs_arm = false;
+  /// The leg ending at `position` needs more than kMaxLegSamples samples.
+  bool too_long_to_poll = false;
 
   [[nodiscard]] std::string describe() const;
 };
@@ -161,7 +170,8 @@ struct PathCheckOptions {
 /// Sweeps a straight tip path from `start` to `goal` (lab frame) through the
 /// world. `held_clearance` extends the checked volume below the tip by the
 /// held object's length (the Bug D fix: arm dimensions change when holding).
-/// Returns the first collision, or nullopt for a clear path.
+/// Returns the first collision, or nullopt for a clear path. A path too long
+/// to poll (see kMaxLegSamples) is reported as a collision at `goal`.
 ///
 /// When `grid` is a broad phase built from this world (same box count), only
 /// boxes whose AABB overlaps the swept volume are narrow-phase tested; a
@@ -212,7 +222,9 @@ struct MarginProfile {
 /// only after the inflated fast check trips). Mirrors check_path semantics:
 /// the departure sample s=0 is skipped (the arm may leave a spot that brushes
 /// a boundary), soft walls count per `options`, `options.ignore` filters, and
-/// the held volume hangs `held_clearance` below the tip.
+/// the held volume hangs `held_clearance` below the tip. A leg too long to
+/// poll (see kMaxLegSamples) ends the profile with a zero-clearance sample
+/// at its start.
 [[nodiscard]] MarginProfile margin_profile(const WorldModel& world,
                                            const std::vector<geom::Vec3>& waypoints,
                                            double held_clearance,

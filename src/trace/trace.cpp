@@ -219,8 +219,6 @@ void Supervisor::start() {
   if (engine_ != nullptr) {
     engine_->initialize(backend_->fetch_status().snapshot);
   }
-  start_clock_s_ = backend_->modeled_clock_s();
-  start_overhead_s_ = engine_ != nullptr ? engine_->modeled_overhead_s() : 0.0;
 }
 
 double Supervisor::modeled_now() const {
@@ -821,19 +819,16 @@ void RunReport::record(SupervisedStep step) {
 
 RunReport Supervisor::run(const std::vector<dev::Command>& workflow) {
   start();
+  const double clock_before = backend_->modeled_clock_s();
+  const double overhead_before = engine_ != nullptr ? engine_->modeled_overhead_s() : 0.0;
   RunReport report;
   for (const dev::Command& cmd : workflow) {
     report.record(step(cmd));
     if (report.halted) break;
   }
-  finish(report);
-  return report;
-}
-
-void Supervisor::finish(RunReport& report) {
-  report.modeled_runtime_s = backend_->modeled_clock_s() - start_clock_s_;
+  report.modeled_runtime_s = backend_->modeled_clock_s() - clock_before;
   report.modeled_overhead_s =
-      (engine_ != nullptr ? engine_->modeled_overhead_s() : 0.0) - start_overhead_s_;
+      (engine_ != nullptr ? engine_->modeled_overhead_s() : 0.0) - overhead_before;
   if (options_.recovery || options_.assurance) report.recovery = recovery_report_;
   if (engine_ != nullptr) {
     report.degraded_checks = engine_->stats().degraded_checks;
@@ -841,6 +836,7 @@ void Supervisor::finish(RunReport& report) {
     // (they reset on start(), so each run adds exactly its own activity).
     if (options_.obs_metrics != nullptr) engine_->export_stats(*options_.obs_metrics);
   }
+  return report;
 }
 
 }  // namespace rabit::trace

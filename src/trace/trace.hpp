@@ -169,8 +169,8 @@ class Supervisor {
     /// Stats counters into it.
     obs::Sink* obs_sink = nullptr;
     obs::Registry* obs_metrics = nullptr;
-    /// Stream label stamped on every span/rung (the fleet sets it to the
-    /// StreamSpec name); empty for single-stream runs.
+    /// Stream label stamped on every span/rung (each campaign shard sets
+    /// it to "shard-<k>"); empty for single-stream runs.
     std::string obs_stream;
   };
 
@@ -186,14 +186,11 @@ class Supervisor {
   SupervisedStep step(const dev::Command& cmd);
 
   /// Runs a whole workflow; stops early on alert when halt_on_alert is set.
-  /// Equivalent to start(), then RunReport::record(step(cmd)) per command
-  /// until a halt, then finish().
+  /// start(), then RunReport::record(step(cmd)) per command until a halt;
+  /// the report then gets the run's modeled runtime and overhead, the
+  /// recovery report and degraded checks, and the engine's Stats are
+  /// exported into Options::obs_metrics.
   RunReport run(const std::vector<dev::Command>& workflow);
-
-  /// Closes a run begun by start(): modeled runtime and overhead since
-  /// start(), the recovery report, degraded checks, and the engine-stats
-  /// export into Options::obs_metrics.
-  void finish(RunReport& report);
 
   [[nodiscard]] const TraceLog& log() const { return log_; }
   [[nodiscard]] sim::LabBackend& backend() { return *backend_; }
@@ -246,10 +243,6 @@ class Supervisor {
   bool safe_controller_active_ = false;
   obs::SpanRecord* active_span_ = nullptr;
   std::uint64_t span_seq_ = 0;
-  /// Backend clock and engine overhead when start() returned (finish()
-  /// reports the deltas).
-  double start_clock_s_ = 0.0;
-  double start_overhead_s_ = 0.0;
 };
 
 }  // namespace rabit::trace

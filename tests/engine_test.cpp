@@ -138,6 +138,21 @@ TEST_F(SimEngineTest, TrajectoryAlertOnEnRouteCollision) {
   EXPECT_GT(simulator->checks_performed(), 0u);
 }
 
+TEST_F(SimEngineTest, MoveTooLongToPollRaisesSim) {
+  // Past the per-leg sample cap a leg is never polled, so it is a SIM hit
+  // naming the leg and the cap; at x = 1e18 and 1e300 the sample count would
+  // not even fit a std::size_t.
+  for (double x : {1e17, 1e18, 1e300}) {
+    auto alert = engine->check_command(move(ids::kViperX, Vec3(x, 0.0, 0.2)));
+    ASSERT_TRUE(alert.has_value()) << x;
+    EXPECT_EQ(alert->kind, AlertKind::InvalidTrajectory) << x;
+    EXPECT_EQ(alert->rule, "SIM") << x;
+    EXPECT_NE(alert->message.find("leg to"), std::string::npos) << alert->message;
+    EXPECT_NE(alert->message.find(std::to_string(sim::kMaxLegSamples)), std::string::npos)
+        << alert->message;
+  }
+}
+
 TEST_F(SimEngineTest, SimulatorLatencyCharged) {
   double before = engine->modeled_overhead_s();
   ASSERT_FALSE(engine->check_command(make_cmd(ids::kViperX, "go_home")).has_value());

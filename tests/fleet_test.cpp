@@ -1,18 +1,28 @@
 // Fleet-layer tests: latency percentile math, per-seed byte-identical
-// determinism, worker-count independence, aggregation arithmetic, and the
-// dense-world knob leaving verdicts untouched.
+// determinism of one supervised lab, worker-count independence and
+// aggregation of sharded campaigns, their merged observability, and the
+// dense-world shelf leaving verdicts untouched.
 #include <gtest/gtest.h>
 
-#include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "bugs/bugs.hpp"
+#include "core/lab.hpp"
+#include "devices/stations.hpp"
 #include "fleet/fleet.hpp"
 #include "obs/obs.hpp"
+#include "script/workflows.hpp"
 #include "sim/deck.hpp"
+#include "trace/trace.hpp"
 
 namespace rabit {
 namespace {
+
+using bugs::cmd;
 
 TEST(SummarizeLatencies, NearestRankPercentiles) {
   std::vector<double> samples;
@@ -90,222 +100,301 @@ TEST(SummarizeLatencies, MatchesObsHistogramPercentiles) {
   EXPECT_DOUBLE_EQ(s.p999_us, h.percentile(0.999));
 }
 
-TEST(FleetDeterminism, SameSeedProducesByteIdenticalTrace) {
-  fleet::StreamSpec spec =
-      fleet::testbed_stream("repro", core::Variant::ModifiedWithSim, 42);
+// --- one supervised lab -----------------------------------------------------
 
-  fleet::StreamResult first = fleet::FleetRunner::run_stream(spec);
-  fleet::StreamResult second = fleet::FleetRunner::run_stream(spec);
+/// What one supervised V3 run of the seed-42 testbed workflow leaves behind.
+struct LabRun {
+  std::string trace_jsonl;
+  std::size_t alerts = 0;
+  std::size_t commands_checked = 0;
+};
+
+/// Records the Fig. 5 safe workflow on a pristine seed-42 testbed, then runs
+/// it under a Supervisor on a fresh V3 lab whose simulator world carries
+/// `shelf_boxes` extra shelf boxes.
+LabRun run_testbed_workflow(std::size_t shelf_boxes) {
+  sim::LabBackend staging(sim::testbed_profile(), 42);
+  sim::build_hein_testbed_deck(staging);
+  std::vector<dev::Command> commands =
+      script::record_workflow(staging, script::testbed_workflow_source());
+
+  core::Lab lab(core::Variant::ModifiedWithSim, 42);
+  sim::add_shelf_rack(lab.simulator->world(), shelf_boxes);
+  trace::Supervisor supervisor(&lab.engine, &lab.backend);
+  trace::RunReport report = supervisor.run(commands);
+  return LabRun{supervisor.log().to_jsonl(), report.alerts, lab.engine.stats().commands_checked};
+}
+
+TEST(FleetDeterminism, SameSeedProducesByteIdenticalTrace) {
+  LabRun first = run_testbed_workflow(0);
+  LabRun second = run_testbed_workflow(0);
 
   ASSERT_FALSE(first.trace_jsonl.empty());
   EXPECT_EQ(first.trace_jsonl, second.trace_jsonl);
-  EXPECT_EQ(first.engine_stats.commands_checked, second.engine_stats.commands_checked);
-  EXPECT_EQ(first.report.alerts, second.report.alerts);
+  EXPECT_EQ(first.commands_checked, second.commands_checked);
+  EXPECT_EQ(first.alerts, second.alerts);
+}
+
+TEST(DenseWorld, ExtraObstaclesDoNotChangeVerdicts) {
+  LabRun sparse = run_testbed_workflow(0);
+  LabRun dense = run_testbed_workflow(400);
+
+  // The shelf rack sits outside every motion path: same trace, same alerts.
+  ASSERT_FALSE(sparse.trace_jsonl.empty());
+  EXPECT_EQ(sparse.trace_jsonl, dense.trace_jsonl);
+  EXPECT_EQ(sparse.alerts, dense.alerts);
+  EXPECT_EQ(sparse.commands_checked, dense.commands_checked);
+}
+
+// --- sharded campaigns ---------------------------------------------------------
+
+json::Object num_args(const char* key, double value) {
+  json::Object args;
+  args[key] = value;
+  return args;
+}
+
+json::Object door_args(const char* state) {
+  json::Object args;
+  args["state"] = std::string(state);
+  return args;
+}
+
+/// The Hein testbed deck plus a spin coater, so the campaign below has eight
+/// disjoint device groups (the two arms share the motion token, so they
+/// count as one).
+void testbed_with_spin_coater(sim::LabBackend& backend) {
+  sim::build_hein_testbed_deck(backend);
+  backend.registry().add(std::make_unique<dev::GenericActionDevice>(
+      "spin_coater",
+      std::vector<dev::GenericActionDevice::ValueActionSpec>{
+          {"set_spin_speed", "spinSpeed", "rpm", 8000.0}},
+      /*has_door=*/false, std::nullopt));
+}
+
+/// `streams` V3 streams, stream i in device group i % 8: six testbed
+/// stations, the spin coater and the viperx motion group. Groups share
+/// nothing, so the planner certifies one shard per group in use.
+fleet::CampaignSpec grouped_campaign(std::size_t streams, unsigned seed) {
+  const std::vector<std::vector<dev::Command>> groups = {
+      {cmd("hotplate", "set_temperature", num_args("celsius", 60.0)), cmd("hotplate", "stop")},
+      {cmd("thermoshaker", "set_temperature", num_args("celsius", 40.0)),
+       cmd("thermoshaker", "stop")},
+      {cmd("centrifuge", "set_door", door_args("open")),
+       cmd("centrifuge", "set_door", door_args("closed"))},
+      {cmd("syringe_pump", "draw_solvent", num_args("volume", 0.05)),
+       cmd("syringe_pump", "draw_solvent", num_args("volume", 0.05))},
+      {cmd("dosing_device", "set_door", door_args("open")),
+       cmd("dosing_device", "set_door", door_args("closed"))},
+      {cmd("camera", "start"), cmd("camera", "stop")},
+      {cmd("spin_coater", "set_spin_speed", num_args("rpm", 500.0)), cmd("spin_coater", "stop")},
+      {cmd("viperx", "go_home"), cmd("viperx", "go_sleep")},
+  };
+  fleet::CampaignSpec spec;
+  spec.variant = core::Variant::ModifiedWithSim;
+  spec.seed = seed;
+  spec.deck = testbed_with_spin_coater;
+  for (std::size_t i = 0; i < streams; ++i) {
+    spec.streams.push_back({"stream-" + std::to_string(i), groups[i % groups.size()], ""});
+  }
+  return spec;
+}
+
+std::size_t total_commands(const fleet::CampaignSpec& spec) {
+  std::size_t n = 0;
+  for (const fleet::CampaignStreamSpec& s : spec.streams) n += s.commands.size();
+  return n;
+}
+
+/// Everything in a campaign report that must not depend on the worker count.
+using Verdicts = std::vector<std::tuple<std::size_t, std::size_t, std::string, bool>>;
+
+Verdicts verdicts(const fleet::CampaignReport& report) {
+  Verdicts out;
+  for (const fleet::CampaignAlert& a : report.alerts) {
+    out.emplace_back(a.stream, a.command_index, a.alert.rule, a.cross_stream);
+  }
+  return out;
+}
+
+fleet::CampaignReport run_grouped(const fleet::CampaignSpec& spec, std::size_t workers,
+                                  bool obs = false) {
+  fleet::ShardedCampaignOptions options;
+  options.workers = workers;
+  options.obs = obs;
+  return fleet::Fleet::run(spec, options);
 }
 
 TEST(FleetDeterminism, WorkerCountDoesNotChangeResults) {
-  std::vector<fleet::StreamSpec> specs;
-  for (unsigned i = 0; i < 4; ++i) {
-    specs.push_back(fleet::testbed_stream("stream-" + std::to_string(i),
-                                          core::Variant::ModifiedWithSim, 100 + i));
-  }
+  fleet::CampaignSpec spec = grouped_campaign(12, 100);
+  // One stream alerts (over the hotplate's 150 C limit), so the solo
+  // classification runs too.
+  spec.streams[0].commands[0] = cmd("hotplate", "set_temperature", num_args("celsius", 200.0));
 
-  fleet::FleetReport serial = fleet::FleetRunner({.workers = 1}).run(specs);
-  fleet::FleetReport pooled = fleet::FleetRunner({.workers = 4}).run(specs);
+  fleet::CampaignReport serial = run_grouped(spec, 1);
+  fleet::CampaignReport pooled = run_grouped(spec, 4);
 
-  ASSERT_EQ(serial.streams.size(), specs.size());
-  ASSERT_EQ(pooled.streams.size(), specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    SCOPED_TRACE(specs[i].name);
-    // Stream i lands at index i regardless of finish order.
-    EXPECT_EQ(serial.streams[i].name, specs[i].name);
-    EXPECT_EQ(pooled.streams[i].name, specs[i].name);
-    EXPECT_EQ(serial.streams[i].trace_jsonl, pooled.streams[i].trace_jsonl);
-    EXPECT_EQ(serial.streams[i].engine_stats.commands_checked,
-              pooled.streams[i].engine_stats.commands_checked);
-    EXPECT_EQ(serial.streams[i].report.alerts, pooled.streams[i].report.alerts);
-  }
+  EXPECT_EQ(serial.shards, 8u);
+  EXPECT_EQ(pooled.shards, serial.shards);
+  ASSERT_FALSE(serial.alerts.empty());
+  EXPECT_EQ(verdicts(serial), verdicts(pooled));
+  EXPECT_EQ(serial.schedule, pooled.schedule);
+  EXPECT_EQ(serial.commands_checked, pooled.commands_checked);
+  EXPECT_EQ(serial.snapshot_pose_serves, pooled.snapshot_pose_serves);
+  EXPECT_EQ(serial.coordination_events, 0u);
+  EXPECT_EQ(pooled.coordination_events, 0u);
 }
 
 TEST(FleetAggregation, TotalsSumPerStreamStats) {
-  std::vector<fleet::StreamSpec> specs;
-  for (unsigned i = 0; i < 3; ++i) {
-    specs.push_back(fleet::testbed_stream("agg-" + std::to_string(i),
-                                          core::Variant::ModifiedWithSim, 7 + i));
+  fleet::CampaignSpec spec = grouped_campaign(12, 7);
+  spec.streams[0].commands[0] = cmd("hotplate", "set_temperature", num_args("celsius", 200.0));
+
+  for (std::size_t workers : {1u, 3u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    fleet::CampaignReport report = run_grouped(spec, workers, /*obs=*/true);
+    ASSERT_NE(report.obs_metrics, nullptr);
+
+    // halt_on_alert is off, so every command of every stream is checked.
+    EXPECT_GT(report.shards, 1u);
+    EXPECT_EQ(report.commands_checked, total_commands(spec));
+    const obs::Counter* commands = report.obs_metrics->find_counter("rabit_commands_total");
+    ASSERT_NE(commands, nullptr);
+    EXPECT_EQ(commands->value(), report.commands_checked);
+    const obs::Counter* alerts =
+        report.obs_metrics->find_counter("rabit_alerts_total", "kind=\"invalid_command\"");
+    ASSERT_NE(alerts, nullptr);
+    EXPECT_EQ(alerts->value(), report.alerts.size());
+    EXPECT_EQ(report.alerts.size(), 1u);
+
+    EXPECT_GT(report.wall_s, 0.0);
+    EXPECT_GT(report.commands_per_s, 0.0);
+    EXPECT_EQ(report.check_latency.samples, report.commands_checked);
+    EXPECT_LE(report.check_latency.p50_us, report.check_latency.p90_us);
+    EXPECT_LE(report.check_latency.p90_us, report.check_latency.p99_us);
+    EXPECT_LE(report.check_latency.p99_us, report.check_latency.p999_us);
+    EXPECT_LE(report.check_latency.p999_us, report.check_latency.max_us);
   }
-
-  fleet::FleetReport report = fleet::FleetRunner({.workers = 2}).run(specs);
-
-  std::size_t commands = 0;
-  std::size_t alerts = 0;
-  std::size_t trajectory_checks = 0;
-  for (const fleet::StreamResult& stream : report.streams) {
-    commands += stream.engine_stats.commands_checked;
-    alerts += stream.report.alerts;
-    trajectory_checks += stream.engine_stats.trajectory_checks;
-  }
-  EXPECT_GT(commands, 0u);
-  EXPECT_EQ(report.commands_checked, commands);
-  EXPECT_EQ(report.totals.commands_checked, commands);
-  EXPECT_EQ(report.alerts, alerts);
-  EXPECT_EQ(report.totals.trajectory_checks, trajectory_checks);
-
-  EXPECT_GT(report.wall_s, 0.0);
-  EXPECT_GT(report.commands_per_s, 0.0);
-  EXPECT_GT(report.check_latency.samples, 0u);
-  EXPECT_LE(report.check_latency.p50_us, report.check_latency.p90_us);
-  EXPECT_LE(report.check_latency.p90_us, report.check_latency.p99_us);
-  EXPECT_LE(report.check_latency.p99_us, report.check_latency.p999_us);
-  EXPECT_LE(report.check_latency.p999_us, report.check_latency.max_us);
 }
 
 TEST(FleetInput, MalformedMovePositionIsAG3AlertNotACrash) {
   // A move_to whose position holds three values that are not all numbers is
   // an unresolvable target: a G3 alert on each stream, never an exception
   // escaping a worker thread.
-  std::vector<fleet::StreamSpec> specs;
+  fleet::CampaignSpec spec;
+  spec.variant = core::Variant::ModifiedWithSim;
   for (json::Array position : {json::Array{"a", 0, 0.2}, json::Array{0.3, nullptr, 0.2}}) {
     json::Object args;
     args["position"] = std::move(position);
-    fleet::StreamSpec spec;
-    spec.name = "malformed-" + std::to_string(specs.size());
-    spec.commands = {dev::Command{sim::deck_ids::kViperX, "move_to", json::Value(std::move(args))}};
-    specs.push_back(std::move(spec));
+    spec.streams.push_back({"malformed-" + std::to_string(spec.streams.size()),
+                            {cmd(sim::deck_ids::kViperX, "move_to", std::move(args))},
+                            ""});
   }
+  // Both streams drive viperx, so the planner would merge them; a hand-built
+  // plan puts each in its own shard, on its own worker.
+  analysis::ShardPlan plan;
+  plan.stream_names = {spec.streams[0].name, spec.streams[1].name};
+  plan.shards = {analysis::Shard{{0}}, analysis::Shard{{1}}};
 
-  fleet::FleetReport report = fleet::FleetRunner({.workers = 2}).run(specs);
+  fleet::ShardedCampaignOptions options;
+  options.workers = 2;
+  fleet::CampaignReport report = fleet::Fleet::run_campaign(spec, plan, options);
 
-  ASSERT_EQ(report.streams.size(), specs.size());
-  for (const fleet::StreamResult& stream : report.streams) {
-    ASSERT_EQ(stream.report.steps.size(), 1u) << stream.name;
-    const std::optional<core::Alert>& alert = stream.report.steps.front().alert;
-    ASSERT_TRUE(alert.has_value()) << stream.name;
-    EXPECT_EQ(alert->rule, "G3") << stream.name;
+  EXPECT_EQ(report.commands_checked, 2u);
+  ASSERT_EQ(report.alerts.size(), spec.streams.size());
+  for (std::size_t s = 0; s < spec.streams.size(); ++s) {
+    SCOPED_TRACE(spec.streams[s].name);
+    const fleet::CampaignAlert* alert = nullptr;
+    for (const fleet::CampaignAlert& a : report.alerts) {
+      if (a.stream == s) alert = &a;
+    }
+    ASSERT_NE(alert, nullptr);
+    EXPECT_EQ(alert->command_index, 0u);
+    EXPECT_EQ(alert->alert.rule, "G3");
   }
-  EXPECT_EQ(report.alerts, specs.size());
 }
 
 // --- observability: golden determinism and the sharded-sink audit -----------
 
-std::vector<fleet::StreamSpec> observed_specs(std::size_t n) {
-  std::vector<fleet::StreamSpec> specs;
-  for (unsigned i = 0; i < n; ++i) {
-    fleet::StreamSpec spec = fleet::testbed_stream("obs-" + std::to_string(i),
-                                                   core::Variant::ModifiedWithSim, 500 + i);
-    spec.obs = true;
-    specs.push_back(std::move(spec));
-  }
-  return specs;
-}
-
 TEST(FleetObservability, MergedExportIsByteIdenticalAcrossWorkerCounts) {
-  std::vector<fleet::StreamSpec> specs = observed_specs(16);
+  fleet::CampaignSpec spec = grouped_campaign(16, 500);
 
   std::string golden_events;
   std::string golden_trace;
-  std::string golden_fleet_jsonl;
   for (std::size_t workers : {1u, 4u, 16u}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
-    fleet::FleetReport report = fleet::FleetRunner({.workers = workers}).run(specs);
+    fleet::CampaignReport report = run_grouped(spec, workers, /*obs=*/true);
     ASSERT_NE(report.obs_events, nullptr);
     ASSERT_NE(report.obs_metrics, nullptr);
+    EXPECT_EQ(report.shards, 8u);
 
     std::string events = obs::export_events_jsonl(*report.obs_events);
     std::string trace = obs::export_chrome_trace(*report.obs_events);
-    std::string fleet_jsonl;
-    for (const fleet::StreamResult& s : report.streams) fleet_jsonl += s.trace_jsonl;
-
     if (golden_events.empty()) {
       golden_events = events;
       golden_trace = trace;
-      golden_fleet_jsonl = fleet_jsonl;
       ASSERT_FALSE(golden_events.empty());
     } else {
-      // Byte-identical: merge order is stream-spec order, never finish
-      // order, and the exports carry modeled time only.
+      // Byte-identical: merge order is shard order, never finish order, and
+      // the exports carry modeled time only.
       EXPECT_EQ(events, golden_events);
       EXPECT_EQ(trace, golden_trace);
-      EXPECT_EQ(fleet_jsonl, golden_fleet_jsonl);
     }
   }
 
   // A repeated run at the same worker count is also byte-identical.
-  fleet::FleetReport again = fleet::FleetRunner({.workers = 4}).run(specs);
+  fleet::CampaignReport again = run_grouped(spec, 4, /*obs=*/true);
   EXPECT_EQ(obs::export_events_jsonl(*again.obs_events), golden_events);
   EXPECT_EQ(obs::export_chrome_trace(*again.obs_events), golden_trace);
 }
 
 TEST(FleetObservability, MergedMetricsAggregatePerStreamRegistries) {
-  std::vector<fleet::StreamSpec> specs = observed_specs(4);
-  fleet::FleetReport report = fleet::FleetRunner({.workers = 4}).run(specs);
-  ASSERT_NE(report.obs_metrics, nullptr);
+  fleet::CampaignSpec spec = grouped_campaign(4, 500);
+  for (std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    fleet::CampaignReport report = run_grouped(spec, workers, /*obs=*/true);
+    ASSERT_NE(report.obs_metrics, nullptr);
+    EXPECT_EQ(report.shards, 4u);
 
-  std::uint64_t per_stream_total = 0;
-  for (const fleet::StreamResult& s : report.streams) {
-    ASSERT_NE(s.obs_metrics, nullptr);
-    const obs::Counter* c = s.obs_metrics->find_counter("rabit_commands_total");
-    ASSERT_NE(c, nullptr);
-    per_stream_total += c->value();
+    // The per-shard registries merge into exactly the report's totals.
+    const obs::Counter* merged = report.obs_metrics->find_counter("rabit_commands_total");
+    ASSERT_NE(merged, nullptr);
+    EXPECT_EQ(merged->value(), report.commands_checked);
+    EXPECT_EQ(merged->value(), total_commands(spec));
+    const obs::Histogram* lat = report.obs_metrics->find_histogram("rabit_check_latency_us");
+    ASSERT_NE(lat, nullptr);
+    EXPECT_EQ(lat->count(), report.check_latency.samples);
   }
-  const obs::Counter* merged = report.obs_metrics->find_counter("rabit_commands_total");
-  ASSERT_NE(merged, nullptr);
-  EXPECT_EQ(merged->value(), per_stream_total);
-  EXPECT_EQ(merged->value(), report.commands_checked);
 
-  const obs::Gauge* streams = report.obs_metrics->find_gauge("rabit_fleet_streams");
-  ASSERT_NE(streams, nullptr);
-  EXPECT_DOUBLE_EQ(streams->value(), 4.0);
-
-  // Unobserved specs leave the report's obs fields null.
-  std::vector<fleet::StreamSpec> plain = observed_specs(2);
-  for (fleet::StreamSpec& s : plain) s.obs = false;
-  fleet::FleetReport no_obs = fleet::FleetRunner({.workers = 2}).run(plain);
+  // An unobserved campaign leaves the report's obs fields null.
+  fleet::CampaignReport no_obs = run_grouped(spec, 2);
   EXPECT_EQ(no_obs.obs_events, nullptr);
   EXPECT_EQ(no_obs.obs_metrics, nullptr);
 }
 
-// The sharded-sink audit (run under TSan in CI): 64 observed streams over a
-// heavily contended pool. Every stream owns its collector and registry —
+// The sharded-sink audit (run under TSan in CI): 64 observed streams in 8
+// shards over a contended pool. Every shard owns its collector and registry —
 // metric handles are deliberately unsynchronized, so this test is exactly
 // the workload that would trip TSan if any observability state were ever
 // shared across workers. The assertions pin the aggregation arithmetic; the
 // sanitizer pins the absence of data races.
 TEST(FleetObservability, SixtyFourStreamShardedSinkAudit) {
-  std::vector<fleet::StreamSpec> specs = observed_specs(64);
-  fleet::FleetReport report = fleet::FleetRunner({.workers = 16}).run(specs);
+  fleet::CampaignSpec spec = grouped_campaign(64, 500);
+  for (std::size_t workers : {4u, 16u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    fleet::CampaignReport report = run_grouped(spec, workers, /*obs=*/true);
 
-  ASSERT_EQ(report.streams.size(), 64u);
-  ASSERT_NE(report.obs_events, nullptr);
-  std::size_t span_total = 0;
-  for (const fleet::StreamResult& s : report.streams) {
-    ASSERT_NE(s.obs_events, nullptr);
-    span_total += s.obs_events->spans().size();
-    EXPECT_EQ(s.obs_events->spans().size(), s.report.steps.size());
+    EXPECT_EQ(report.shards, 8u);
+    EXPECT_EQ(report.commands_checked, total_commands(spec));
+    ASSERT_NE(report.obs_events, nullptr);
+    // One span per supervised command, across every shard's collector.
+    EXPECT_EQ(report.obs_events->spans().size(), report.commands_checked);
+    const obs::Counter* merged = report.obs_metrics->find_counter("rabit_commands_total");
+    ASSERT_NE(merged, nullptr);
+    EXPECT_EQ(merged->value(), report.commands_checked);
+    const obs::Histogram* lat = report.obs_metrics->find_histogram("rabit_check_latency_us");
+    ASSERT_NE(lat, nullptr);
+    EXPECT_GT(lat->count(), 0u);
   }
-  EXPECT_EQ(report.obs_events->spans().size(), span_total);
-  const obs::Counter* merged = report.obs_metrics->find_counter("rabit_commands_total");
-  ASSERT_NE(merged, nullptr);
-  EXPECT_EQ(merged->value(), report.commands_checked);
-  const obs::Histogram* lat = report.obs_metrics->find_histogram("rabit_check_latency_us");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_GT(lat->count(), 0u);
-}
-
-TEST(DenseWorld, ExtraObstaclesDoNotChangeVerdicts) {
-  fleet::StreamSpec sparse =
-      fleet::testbed_stream("density", core::Variant::ModifiedWithSim, 42);
-  fleet::StreamSpec dense = sparse;
-  dense.extra_obstacles = 400;
-
-  fleet::StreamResult sparse_result = fleet::FleetRunner::run_stream(sparse);
-  fleet::StreamResult dense_result = fleet::FleetRunner::run_stream(dense);
-
-  // The shelf rack sits outside every motion path: same trace, same alerts.
-  ASSERT_FALSE(sparse_result.trace_jsonl.empty());
-  EXPECT_EQ(sparse_result.trace_jsonl, dense_result.trace_jsonl);
-  EXPECT_EQ(sparse_result.report.alerts, dense_result.report.alerts);
-  EXPECT_EQ(sparse_result.engine_stats.commands_checked,
-            dense_result.engine_stats.commands_checked);
 }
 
 }  // namespace

@@ -213,21 +213,9 @@ TEST(Polyline, Resample) {
   EXPECT_THROW(p.resample(1), std::invalid_argument);
 }
 
-TEST(Polyline, FirstHit) {
-  Polyline p({Vec3(-2, 0, 0), Vec3(2, 0, 0)});
-  Aabb box(Vec3(-0.5, -0.5, -0.5), Vec3(0.5, 0.5, 0.5));
-  auto hit = p.first_hit(box, 0.01);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_NEAR(hit->x, -0.5, 0.02);
-  Aabb far_box(Vec3(5, 5, 5), Vec3(6, 6, 6));
-  EXPECT_FALSE(p.first_hit(far_box, 0.01).has_value());
-  EXPECT_THROW(static_cast<void>(p.first_hit(box, 0.0)), std::invalid_argument);
-}
-
 TEST(Polyline, EmptyAndSingleton) {
   Polyline empty;
   EXPECT_THROW(static_cast<void>(empty.sample(0.5)), std::logic_error);
-  EXPECT_FALSE(Polyline().first_hit(Aabb(Vec3(), Vec3(1, 1, 1)), 0.1).has_value());
   Polyline single({Vec3(1, 2, 3)});
   EXPECT_TRUE(approx_equal(single.sample(0.7), Vec3(1, 2, 3)));
 }

@@ -6,6 +6,7 @@
 // first-match scans over a freely editable config.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -289,6 +290,26 @@ TEST(BroadPhase, SweepMatchesLegByLegCheckPath) {
   // Both verdict kinds were actually exercised.
   EXPECT_GT(hits, 20);
   EXPECT_GT(trips, 5);
+}
+
+TEST(BroadPhase, NonFiniteQueryBoxReturnsFullScanCandidates) {
+  std::mt19937 rng(20240806);
+  sim::WorldModel world = seeded_world(rng);
+  sim::BroadPhaseGrid grid(world);
+  std::vector<std::size_t> every_box(world.boxes.size());
+  for (std::size_t i = 0; i < every_box.size(); ++i) every_box[i] = i;
+
+  // A NaN or infinite coordinate spans every cell: the full scan, never a
+  // silent miss (and never a NaN cast to a cell index).
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::size_t> out;
+  for (const Aabb& query : {Aabb(Vec3(kNaN, 0, 0), Vec3(kNaN, 0, 0)),
+                            Aabb(Vec3(0, kNaN, 0), Vec3(1, 1, kNaN)),
+                            Aabb(Vec3(kInf, 0, 0), Vec3(kInf, 0, 0))}) {
+    grid.candidates(query, out);
+    EXPECT_EQ(out, every_box);
+  }
 }
 
 TEST(BroadPhase, StaleGridFallsBackToFullScan) {

@@ -2,6 +2,8 @@
 // generic-device door interplay, alert formatting, and engine statistics.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/engine.hpp"
 #include "core/lab.hpp"
 #include "devices/robot_arm.hpp"
@@ -41,20 +43,34 @@ TEST_F(EdgeTest, MoveWithoutPositionIsInvalid) {
 }
 
 TEST_F(EdgeTest, MoveWithMalformedPositionIsInvalid) {
-  // Two coordinates, or three values that are not all numbers: the target is
-  // unresolvable (G3), never an exception.
+  // Two coordinates, three values that are not all numbers, or a coordinate
+  // that is not finite: the target is unresolvable (G3) at every variant,
+  // never an exception or a crash.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const json::Array malformed[] = {
       json::Array{1.0, 2.0},
       json::Array{"a", 0, 0.2},
       json::Array{0.3, nullptr, 0.2},
+      json::Array{kInf, 0, 0.2},
+      json::Array{-kInf, 0, 0.2},
+      json::Array{std::numeric_limits<double>::quiet_NaN(), 0, 0.2},
   };
-  for (const json::Array& position : malformed) {
-    json::Object args;
-    args["position"] = position;
-    auto alert = engine->check_command(make_cmd(ids::kViperX, "move_to", std::move(args)));
-    ASSERT_TRUE(alert.has_value()) << json::serialize(json::Value(position));
-    EXPECT_EQ(alert->kind, AlertKind::InvalidCommand);
-    EXPECT_EQ(alert->rule, "G3");
+  for (Variant variant : {Variant::Initial, Variant::Modified, Variant::ModifiedWithSim}) {
+    Lab variant_lab(variant);
+    variant_lab.engine.initialize(variant_lab.backend.registry().fetch_observed_state());
+    for (const json::Array& position : malformed) {
+      json::Object args;
+      args["position"] = position;
+      Command move = make_cmd(ids::kViperX, "move_to", std::move(args));
+      auto alert = variant_lab.engine.check_command(move);
+      ASSERT_TRUE(alert.has_value()) << to_string(variant) << " " << move.describe();
+      EXPECT_EQ(alert->kind, AlertKind::InvalidCommand);
+      EXPECT_EQ(alert->rule, "G3");
+      // The backend refuses the same move (a BadArgument firmware error).
+      sim::ExecResult result = variant_lab.backend.execute(move);
+      EXPECT_FALSE(result.executed);
+      EXPECT_FALSE(result.firmware_error.empty());
+    }
   }
 }
 

@@ -250,6 +250,15 @@ TEST_F(InterpTest, RuntimeErrors) {
   EXPECT_THROW(run_and_get("out = unknown_var", "out"), ScriptError);
   EXPECT_THROW(run_and_get("undeclared = 5\nout = 0", "out"), ScriptError);
   EXPECT_THROW(run_and_get("out = \"a\" + 1", "out"), ScriptError);
+  // A non-finite result would record an argument that serializes as null.
+  for (const char* overflow : {"1e308 + 1e308", "1e308 * 10", "-1e308 - 1e308", "1e308 / 0.5"}) {
+    try {
+      run_and_get(std::string("let x = 1\nout = ") + overflow, "out");
+      ADD_FAILURE() << overflow << ": expected ScriptError";
+    } catch (const ScriptError& e) {
+      EXPECT_EQ(e.line(), 2) << overflow;
+    }
+  }
 }
 
 TEST_F(InterpTest, RunawayRecursionIsAScriptError) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "sim/world.hpp"
 
 namespace rabit::sim {
@@ -128,6 +131,30 @@ TEST(CheckPath, CoarseStepCanMissThinObstacle) {
   coarse.step = 0.3;
   EXPECT_FALSE(
       check_path(w, Vec3(-0.51, 0, 0.5), Vec3(0.49, 0, 0.5), 0.0, coarse).has_value());
+}
+
+TEST(CheckPath, LegTooLongToPollIsAHitWithNoClearance) {
+  // Past kMaxLegSamples a leg is never polled, so it never passes — not even
+  // through empty space, and not where its sample count would overflow.
+  WorldModel w = one_box_world();
+  PathCheckOptions opts;
+  const double past_cap = 2.0 * opts.step * static_cast<double>(kMaxLegSamples);
+  for (double x : {past_cap, 1e18, 1e300, std::numeric_limits<double>::infinity()}) {
+    auto hit = check_path(w, Vec3(0, 5, 0.1), Vec3(x, 5, 0.1), 0.0, opts);
+    ASSERT_TRUE(hit.has_value()) << x;
+    EXPECT_TRUE(hit->too_long_to_poll) << x;
+    EXPECT_NE(hit->describe().find(std::to_string(kMaxLegSamples)), std::string::npos)
+        << hit->describe();
+  }
+
+  // The barrier profile gives such a leg zero clearance from its start.
+  MarginProfile profile =
+      margin_profile(w, {Vec3(0, 5, 0.1), Vec3(0, 5.5, 0.1), Vec3(1e18, 5.5, 0.1)}, 0.0, opts);
+  ASSERT_FALSE(profile.samples.empty());
+  EXPECT_EQ(profile.min_margin_m, 0.0);
+  EXPECT_EQ(profile.samples.back().h, 0.0);
+  EXPECT_DOUBLE_EQ(profile.samples.back().s, 0.5);
+  EXPECT_DOUBLE_EQ(profile.min_s_m, 0.5);
 }
 
 TEST(CheckPoint, TargetOnlySemantics) {
