@@ -152,13 +152,28 @@ struct CommandObservation {
   const std::vector<std::pair<std::string, AbstractValue>>* unresolved = nullptr;
 };
 
+/// A3 frame-calibration slack (m): a motion target this close to a parked arm
+/// is a near-miss. The same slack inflates every arm envelope of a stream
+/// summary and, in a shard plan, the parked sleep box of an arm no stream
+/// commands.
+inline constexpr double kParkedArmMargin = 0.05;
+/// A4 inflation of the configured deck envelope (m): a motion target outside
+/// it may be silently skipped. An arm whose target cannot be resolved
+/// statically occupies this whole inflated envelope in its stream summary.
+inline constexpr double kWorkspaceMargin = 0.25;
+
+/// The configured deck envelope: the union of everything the researcher
+/// described as occupying space (static obstacles, device and sleep boxes,
+/// sensor zones, sites). A motion target far outside it is almost certainly
+/// a typo'd coordinate (the silently-skipped waypoint of §IV footnote 2 sat
+/// at z = 2.0, a metre above the enclosure).
+[[nodiscard]] std::optional<geom::Aabb> workspace_envelope(const core::EngineConfig& config);
+
 struct AnalyzeOptions {
   int loop_unroll_budget = 64;    ///< decidable-loop iterations before widening
   int unknown_loop_unroll = 2;    ///< speculative iterations of unknown loops
   int max_paths = 64;             ///< path-set cap (forked branches)
   int max_diagnostics = 200;      ///< total report cap
-  double parked_arm_margin = 0.05;   ///< A3: frame-calibration slack (m)
-  double workspace_margin = 0.25;    ///< A4: inflation of the deck envelope (m)
   /// Summary hook: called once per checked device command (on every path and
   /// loop iteration), before its postconditions are applied. Diagnostics are
   /// unaffected — the hook only feeds effect-summary construction.

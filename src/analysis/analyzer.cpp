@@ -38,31 +38,12 @@ const SiteMeta* receptacle_site_of(const EngineConfig& config, std::string_view 
   return nullptr;
 }
 
-/// The configured deck envelope: the union of everything the researcher
-/// described as occupying space. A motion target far outside it is almost
-/// certainly a typo'd coordinate (the silently-skipped waypoint of §IV
-/// footnote 2 sat at z = 2.0, a metre above the enclosure).
-std::optional<geom::Aabb> workspace_envelope(const EngineConfig& config) {
-  std::optional<geom::Aabb> env;
-  auto extend = [&env](const geom::Aabb& box) {
-    env = env ? env->united(box) : box;
-  };
-  for (const sim::NamedBox& b : config.static_obstacles) extend(b.box);
-  for (const DeviceMeta& d : config.devices) {
-    if (d.box) extend(*d.box);
-    if (d.sleep_box) extend(*d.sleep_box);
-    if (d.sensor_zone) extend(*d.sensor_zone);
-  }
-  for (const SiteMeta& s : config.sites) extend(geom::Aabb(s.lab_position, s.lab_position));
-  return env;
-}
-
 using EmitFn = std::function<void(Severity, const std::string&, const std::string&)>;
 
 /// Analyzer-only checks (A1..A4): hazards the runtime rulebase deliberately
 /// or provably cannot flag, but that a pre-flight pass can warn about.
 void extra_command_checks(const EngineConfig& config, const StateTracker& tracker,
-                          const Command& cmd, const AnalyzeOptions& opts, const EmitFn& emit) {
+                          const Command& cmd, const EmitFn& emit) {
   const DeviceMeta* meta = config.find_device(cmd.device);
   if (meta == nullptr) return;  // unknown device is check_preconditions' G3
   std::string_view action = meta->canonical_action(cmd.action);
@@ -121,7 +102,7 @@ void extra_command_checks(const EngineConfig& config, const StateTracker& tracke
       continue;
     }
     double d = box.box.distance_to(motion->target_lab);
-    if (d > 0.0 && d < opts.parked_arm_margin) {
+    if (d > 0.0 && d < kParkedArmMargin) {
       emit(Severity::Warning, "A3",
            meta->id + " target passes within " + std::to_string(d * 100.0).substr(0, 4) +
                " cm of parked arm '" + box.name +
@@ -133,7 +114,7 @@ void extra_command_checks(const EngineConfig& config, const StateTracker& tracke
   // are silently skipped by some controllers (footnote 2), after which the
   // shortcut path sweeps through whatever stood between the neighbours.
   if (auto envelope = workspace_envelope(config)) {
-    if (!envelope->inflated(opts.workspace_margin).contains(motion->target_lab)) {
+    if (!envelope->inflated(kWorkspaceMargin).contains(motion->target_lab)) {
       emit(Severity::Warning, "A4",
            meta->id + " target lies outside the configured workspace — an unreachable "
                       "point may be silently skipped and the shortcut path is unchecked");
@@ -229,7 +210,7 @@ class Analyzer {
     if (auto hit = core::check_preconditions(config_, p.tracker, cmd)) {
       emit(Severity::Error, hit->rule, hit->message, line, p.speculative);
     }
-    extra_command_checks(config_, p.tracker, cmd, opts_,
+    extra_command_checks(config_, p.tracker, cmd,
                          [&](Severity s, const std::string& rule, const std::string& msg) {
                            emit(s, rule, msg, line, p.speculative);
                          });
@@ -364,8 +345,9 @@ class Analyzer {
     }
     if (base.constant.is_array() && index.constant.is_number()) {
       const json::Array& items = base.constant.as_array();
-      auto i = static_cast<std::size_t>(index.constant.as_double());
-      if (i < items.size()) return AbstractValue::make_const(items[i]);
+      if (auto i = script::list_index(index.constant.as_double(), items.size())) {
+        return AbstractValue::make_const(items[*i]);
+      }
       emit(Severity::Error, "A6", "list index out of range", line, p.speculative);
       return AbstractValue::top();
     }
@@ -725,6 +707,19 @@ class Analyzer {
 // Entry points
 // ---------------------------------------------------------------------------
 
+std::optional<geom::Aabb> workspace_envelope(const core::EngineConfig& config) {
+  std::optional<geom::Aabb> env;
+  auto extend = [&env](const geom::Aabb& box) { env = env ? env->united(box) : box; };
+  for (const sim::NamedBox& b : config.static_obstacles) extend(b.box);
+  for (const DeviceMeta& d : config.devices) {
+    if (d.box) extend(*d.box);
+    if (d.sleep_box) extend(*d.sleep_box);
+    if (d.sensor_zone) extend(*d.sensor_zone);
+  }
+  for (const SiteMeta& s : config.sites) extend(geom::Aabb(s.lab_position, s.lab_position));
+  return env;
+}
+
 json::Value seed_locations(const core::EngineConfig& config, double safe_lift) {
   json::Object table;
   for (const SiteMeta& site : config.sites) {
@@ -804,7 +799,7 @@ AnalysisReport analyze_stream(const core::EngineConfig& config,
     if (auto hit = core::check_preconditions(config, tracker, cmd)) {
       emit(Severity::Error, hit->rule, hit->message, line);
     }
-    extra_command_checks(config, tracker, cmd, options,
+    extra_command_checks(config, tracker, cmd,
                          [&](Severity s, const std::string& rule, const std::string& msg) {
                            emit(s, rule, msg, line);
                          });

@@ -1,13 +1,16 @@
 // Summary-based static race detection over fleet campaigns. Phase 1 rides
 // the abstract interpreter's observe_command hook to fold every observed
-// device command into a per-stream effect summary; phase 2 checks summaries
-// pairwise (I1/I2/I4/I5) and campaign-wide (I3/I6). See interference.hpp for
-// the soundness model.
+// device command into a per-stream effect summary; phase 2 is the one
+// interference predicate (find_interference) over the summaries, pairwise
+// (I1/I2/I4/I5) and campaign-wide (I3/I6), which check_interference and the
+// shard planner both consume. See interference.hpp for the soundness model.
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <string_view>
 
 #include "analysis/interference.hpp"
 #include "core/rules.hpp"
@@ -36,21 +39,6 @@ const SiteMeta* receptacle_site_of(const EngineConfig& config, std::string_view 
     if (s.receptacle_device == device) return &s;
   }
   return nullptr;
-}
-
-/// The configured deck envelope (same union the A4 check uses): the fallback
-/// occupancy for an arm whose motion target cannot be resolved statically.
-std::optional<geom::Aabb> deck_envelope(const EngineConfig& config) {
-  std::optional<geom::Aabb> env;
-  auto extend = [&env](const geom::Aabb& box) { env = env ? env->united(box) : box; };
-  for (const sim::NamedBox& b : config.static_obstacles) extend(b.box);
-  for (const DeviceMeta& d : config.devices) {
-    if (d.box) extend(*d.box);
-    if (d.sleep_box) extend(*d.sleep_box);
-    if (d.sensor_zone) extend(*d.sensor_zone);
-  }
-  for (const SiteMeta& s : config.sites) extend(geom::Aabb(s.lab_position, s.lab_position));
-  return env;
 }
 
 /// Actions whose thresholded argument is *additive* across commands —
@@ -106,8 +94,7 @@ const std::string* arg_string(const CommandObservation& obs, std::string_view na
 /// than guessing.
 class EffectAccumulator {
  public:
-  EffectAccumulator(const EngineConfig& config, const AnalyzeOptions& opts, std::string name)
-      : config_(config), opts_(opts) {
+  EffectAccumulator(const EngineConfig& config, std::string name) : config_(config) {
     sum_.name = std::move(name);
   }
 
@@ -256,7 +243,7 @@ class EffectAccumulator {
       env = env.united(geom::Aabb(motion->target_lab, motion->target_lab));
       // A3 frame-calibration slack plus the held-object drop: the same
       // margins under which the single-stream checks call a pose unsafe.
-      env = env.inflated(opts_.parked_arm_margin + motion->held_clearance);
+      env = env.inflated(kParkedArmMargin + motion->held_clearance);
       unite_envelope(meta.id, env);
       for (const std::string& ig : motion->ignores) {
         // analyze_motion always lists the arm itself (its parked cuboid is
@@ -269,8 +256,8 @@ class EffectAccumulator {
     } else {
       // Unresolvable target: the arm may occupy anywhere in the configured
       // workspace (A4 margin). Sound, maximally imprecise — and flagged.
-      if (std::optional<geom::Aabb> ws = deck_envelope(config_)) {
-        unite_envelope(meta.id, ws->inflated(opts_.workspace_margin));
+      if (std::optional<geom::Aabb> ws = workspace_envelope(config_)) {
+        unite_envelope(meta.id, ws->inflated(kWorkspaceMargin));
       }
       sum_.truncated = true;
     }
@@ -282,265 +269,49 @@ class EffectAccumulator {
   }
 
   const EngineConfig& config_;
-  const AnalyzeOptions& opts_;
   StreamSummary sum_;
 };
 
 // ---------------------------------------------------------------------------
-// Phase 2 — pairwise and campaign-wide checks
+// Phase 2 — helpers of the interference predicate
 // ---------------------------------------------------------------------------
 
-class InterferenceChecker {
- public:
-  InterferenceChecker(const EngineConfig& config, const std::vector<StreamSummary>& streams,
-                      const AnalyzeOptions& opts)
-      : config_(config), streams_(streams), opts_(opts) {}
+/// Concatenation with one allocation: the predicate formats a message per
+/// finding, thousands per large campaign.
+std::string cat(std::initializer_list<std::string_view> parts) {
+  std::size_t size = 0;
+  for (std::string_view p : parts) size += p.size();
+  std::string out;
+  out.reserve(size);
+  for (std::string_view p : parts) out += p;
+  return out;
+}
 
-  AnalysisReport run() {
-    for (const StreamSummary& s : streams_) {
-      if (s.truncated) report_.truncated = true;
-    }
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      for (std::size_t j = i + 1; j < streams_.size(); ++j) {
-        const StreamSummary& a = streams_[i];
-        const StreamSummary& b = streams_[j];
-        check_device_races(a, b);      // I1 (same device / multiplex token / entity)
-        check_envelope_overlap(a, b);  // I2
-        check_setpoint_races(a, b);    // I4
-        check_ignore_asymmetry(a, b);  // I5
-        check_ignore_asymmetry(b, a);
-      }
-    }
-    check_consumable_budgets();  // I3
-    check_rule_capacity();       // I6
-    return std::move(report_);
+template <typename Names>
+std::string join(const Names& names) {
+  std::string out;
+  for (const std::string& s : names) {
+    if (!out.empty()) out += ", ";
+    out += s;
   }
+  return out;
+}
 
- private:
-  void emit(Severity severity, const std::string& rule, std::string message,
-            std::vector<std::string> subjects, bool speculative = false,
-            std::vector<std::string> stream_names = {}) {
-    std::sort(subjects.begin(), subjects.end());
-    subjects.erase(std::unique(subjects.begin(), subjects.end()), subjects.end());
-    if (speculative && severity == Severity::Error) {
-      severity = Severity::Warning;
-      message += " (may happen on some path)";
-    }
-    std::string key = rule + "|" + message;
-    for (const std::string& s : subjects) key += "|" + s;
-    if (!seen_.insert(key).second) return;
-    if (report_.diagnostics.size() >= static_cast<std::size_t>(opts_.max_diagnostics)) {
-      report_.truncated = true;
-      return;
-    }
-    Diagnostic d{severity, rule, std::move(message), 0};
-    d.subjects = std::move(subjects);
-    d.streams = std::move(stream_names);
-    report_.diagnostics.push_back(std::move(d));
+/// The I-rule and severity each finding kind reports as.
+std::pair<const char*, Severity> rule_of(ConflictKind kind) {
+  switch (kind) {
+    case ConflictKind::SharedDevice:
+    case ConflictKind::MultiplexToken:
+    case ConflictKind::SharedEntity: return {"I1", Severity::Error};
+    case ConflictKind::EnvelopeOverlap: return {"I2", Severity::Error};
+    case ConflictKind::ConsumableBudget: return {"I3", Severity::Error};
+    case ConflictKind::SetpointRace: return {"I4", Severity::Warning};
+    case ConflictKind::IgnoreAsymmetry: return {"I5", Severity::Warning};
+    case ConflictKind::ThresholdBudget: return {"I6", Severity::Warning};
+    case ConflictKind::TruncatedSummary: break;  // the planner's own edge, never found here
   }
-
-  static std::string join(const std::set<std::string>& items, const char* sep = ", ") {
-    std::string out;
-    for (const std::string& s : items) {
-      if (!out.empty()) out += sep;
-      out += s;
-    }
-    return out;
-  }
-
-  // I1a same commanded device, I1b exclusive-motion token, I1c shared entity.
-  void check_device_races(const StreamSummary& a, const StreamSummary& b) {
-    for (const auto& [device, fa] : a.devices) {
-      auto it = b.devices.find(device);
-      if (it == b.devices.end()) continue;
-      const DeviceFootprint& fb = it->second;
-      std::set<std::string> actions = fa.actions;
-      actions.insert(fb.actions.begin(), fb.actions.end());
-      emit(Severity::Error, "I1",
-           "streams '" + a.name + "' and '" + b.name + "' both command device '" + device +
-               "' (" + join(actions) + "): the interleaving of their commands is unordered",
-           {device}, fa.speculative || fb.speculative, {a.name, b.name});
-    }
-    if (config_.time_multiplex) {
-      for (const auto& [arm_a, env_a] : a.arm_envelopes) {
-        for (const auto& [arm_b, env_b] : b.arm_envelopes) {
-          if (arm_a == arm_b) continue;
-          emit(Severity::Error, "I1",
-               "streams '" + a.name + "' and '" + b.name + "' race the exclusive-motion " +
-                   "token: '" + arm_a + "' and '" + arm_b +
-                   "' cannot both hold it, so one stream's motion is rejected (M1) under " +
-                   "any interleaving where both arms are awake",
-               {arm_a, arm_b}, false, {a.name, b.name});
-        }
-      }
-    }
-    for (const auto& [entity, ta] : a.entities) {
-      auto it = b.entities.find(entity);
-      if (it == b.entities.end()) continue;
-      std::vector<std::string> subjects{entity};
-      subjects.insert(subjects.end(), ta.via.begin(), ta.via.end());
-      subjects.insert(subjects.end(), it->second.via.begin(), it->second.via.end());
-      emit(Severity::Error, "I1",
-           "streams '" + a.name + "' and '" + b.name + "' both act on '" + entity +
-               "' (via " + join(ta.via) + " / " + join(it->second.via) +
-               "): its occupancy and contents depend on the interleaving",
-           std::move(subjects), false, {a.name, b.name});
-    }
-  }
-
-  // I2: two different arms' inflated occupancy envelopes intersect.
-  void check_envelope_overlap(const StreamSummary& a, const StreamSummary& b) {
-    for (const auto& [arm_a, env_a] : a.arm_envelopes) {
-      for (const auto& [arm_b, env_b] : b.arm_envelopes) {
-        if (arm_a == arm_b) continue;  // same arm: an I1 command race
-        if (!env_a.intersects(env_b)) continue;
-        emit(Severity::Error, "I2",
-             "workspace envelopes of '" + arm_a + "' (stream '" + a.name + "') and '" +
-                 arm_b + "' (stream '" + b.name +
-                 "') overlap: concurrent motion can collide inside the shared region",
-             {arm_a, arm_b}, false, {a.name, b.name});
-      }
-    }
-  }
-
-  // I4: both streams write the same setpoint with non-identical values.
-  void check_setpoint_races(const StreamSummary& a, const StreamSummary& b) {
-    for (const auto& [device, vars_a] : a.setpoints) {
-      auto dit = b.setpoints.find(device);
-      if (dit == b.setpoints.end()) continue;
-      for (const auto& [variable, iv_a] : vars_a) {
-        auto vit = dit->second.find(variable);
-        if (vit == dit->second.end()) continue;
-        if (iv_a.same_as(vit->second)) continue;  // identical writes commute
-        emit(Severity::Warning, "I4",
-             "conflicting setpoint writes to " + device + "." + variable + ": stream '" +
-                 a.name + "' writes " + iv_a.format() + ", stream '" + b.name + "' writes " +
-                 vit->second.format() + " — the final value depends on the interleaving",
-             {device}, false, {a.name, b.name});
-      }
-    }
-  }
-
-  // I5: `a` declares a deliberate interaction (collision checks suppressed
-  // for that box) that `b`, which also uses the device, never declares.
-  void check_ignore_asymmetry(const StreamSummary& a, const StreamSummary& b) {
-    std::set<std::string> declared_by_b;
-    for (const auto& [arm, names] : b.ignores) declared_by_b.insert(names.begin(), names.end());
-    for (const auto& [arm, names] : a.ignores) {
-      for (const std::string& name : names) {
-        if (declared_by_b.contains(name)) continue;
-        if (b.devices.find(name) == b.devices.end() &&
-            b.entities.find(name) == b.entities.end()) {
-          continue;
-        }
-        emit(Severity::Warning, "I5",
-             "stream '" + a.name + "' declares a deliberate interaction of '" + arm +
-                 "' with '" + name + "' (its box is excluded from collision checks) while " +
-                 "stream '" + b.name + "' also uses '" + name + "' without declaring one",
-             {arm, name}, false, {a.name, b.name});
-      }
-    }
-  }
-
-  // I3: the *sum* of per-stream deltas overflows (or overdraws) a shared
-  // container, even where each stream alone fits.
-  void check_consumable_budgets() {
-    check_budget_table([](const StreamSummary& s) { return &s.mass_delta_mg; },
-                       [](const DeviceMeta& m) { return m.capacity_mg; }, "solidMg", "mg");
-    check_budget_table([](const StreamSummary& s) { return &s.volume_delta_ml; },
-                       [](const DeviceMeta& m) { return m.capacity_ml; }, "liquidMl", "mL");
-  }
-
-  template <typename TableOf, typename CapacityOf>
-  void check_budget_table(const TableOf& table_of, const CapacityOf& capacity_of,
-                          const char* initial_var, const char* unit) {
-    std::set<std::string> keys;
-    for (const StreamSummary& s : streams_) {
-      for (const auto& [key, iv] : *table_of(s)) keys.insert(key);
-    }
-    for (const std::string& key : keys) {
-      const DeviceMeta* meta = config_.find_device(key);
-      if (meta == nullptr) continue;  // delta attributed to a site: no capacity model
-      double capacity = capacity_of(*meta);
-      double initial = 0.0;
-      if (auto it = meta->initial_state.find(initial_var);
-          it != meta->initial_state.end() && it->second.is_number()) {
-        initial = it->second.as_double();
-      }
-      Interval total;
-      std::set<std::string> contributors;
-      for (const StreamSummary& s : streams_) {
-        auto it = table_of(s)->find(key);
-        if (it == table_of(s)->end() || !it->second.set) continue;
-        total.accumulate(it->second.lo, it->second.hi);
-        contributors.insert(s.name);
-      }
-      if (contributors.size() < 2) continue;  // single-stream checks own this
-      std::vector<std::string> subjects{key};
-      subjects.insert(subjects.end(), contributors.begin(), contributors.end());
-      std::vector<std::string> names(contributors.begin(), contributors.end());
-      if (capacity > 0.0 && initial + total.hi > capacity + core::kVolumeEpsilon) {
-        emit(Severity::Error, "I3",
-             "shared container '" + key + "': the summed deltas of streams " +
-                 join(contributors) + " reach " + fmt_num(initial + total.hi) + " " + unit +
-                 ", over its capacity " + fmt_num(capacity) + " " + unit +
-                 " — each stream alone may pass, the campaign cannot",
-             subjects, false, names);
-      }
-      if (initial + total.lo < -core::kVolumeEpsilon) {
-        emit(Severity::Error, "I3",
-             "shared container '" + key + "': the summed draws of streams " +
-                 join(contributors) + " can overdraw it by " +
-                 fmt_num(-(initial + total.lo)) + " " + unit,
-             subjects, false, names);
-      }
-    }
-  }
-
-  // I6: the campaign-wide cumulative total of a thresholded additive
-  // argument exceeds the per-command cap the rulebase enforces — a budget
-  // the runtime provably cannot police one command at a time.
-  void check_rule_capacity() {
-    std::set<std::pair<std::string, std::string>> keys;
-    for (const StreamSummary& s : streams_) {
-      for (const auto& [device, actions] : s.threshold_totals) {
-        for (const auto& [action, iv] : actions) keys.emplace(device, action);
-      }
-    }
-    for (const auto& [device, action] : keys) {
-      const DeviceMeta* meta = config_.find_device(device);
-      const ThresholdSpec* th = meta != nullptr ? meta->threshold_for(action) : nullptr;
-      if (th == nullptr) continue;
-      Interval total;
-      std::set<std::string> contributors;
-      for (const StreamSummary& s : streams_) {
-        auto dit = s.threshold_totals.find(device);
-        if (dit == s.threshold_totals.end()) continue;
-        auto ait = dit->second.find(action);
-        if (ait == dit->second.end() || !ait->second.set) continue;
-        total.accumulate(ait->second.lo, ait->second.hi);
-        contributors.insert(s.name);
-      }
-      if (contributors.size() < 2) continue;
-      if (total.hi <= th->max + core::kVolumeEpsilon) continue;
-      std::vector<std::string> subjects{device};
-      subjects.insert(subjects.end(), contributors.begin(), contributors.end());
-      emit(Severity::Warning, "I6",
-           "campaign-wide " + device + "." + action + " total " + total.format() +
-               " exceeds the per-command threshold " + fmt_num(th->max) + " (" + th->argument +
-               "): the rulebase caps single commands, not the cumulative budget of streams " +
-               join(contributors),
-           std::move(subjects), false,
-           std::vector<std::string>(contributors.begin(), contributors.end()));
-    }
-  }
-
-  const EngineConfig& config_;
-  const std::vector<StreamSummary>& streams_;
-  const AnalyzeOptions& opts_;
-  AnalysisReport report_;
-  std::set<std::string> seen_;
-};
+  return {"", Severity::Info};
+}
 
 }  // namespace
 
@@ -589,7 +360,7 @@ std::string Interval::format() const {
 StreamSummary summarize_stream(const core::EngineConfig& config, std::string name,
                                const std::vector<dev::Command>& commands,
                                const AnalyzeOptions& options, AnalysisReport* per_stream) {
-  EffectAccumulator acc(config, options, std::move(name));
+  EffectAccumulator acc(config, std::move(name));
   AnalyzeOptions opts = options;
   opts.observe_command = [&acc](const CommandObservation& obs) { acc.observe(obs); };
   AnalysisReport report = analyze_stream(config, commands, opts);
@@ -602,7 +373,7 @@ StreamSummary summarize_stream(const core::EngineConfig& config, std::string nam
 StreamSummary summarize_script(const core::EngineConfig& config, std::string name,
                                std::string_view source, const AnalyzeOptions& options,
                                AnalysisReport* per_stream) {
-  EffectAccumulator acc(config, options, std::move(name));
+  EffectAccumulator acc(config, std::move(name));
   AnalyzeOptions opts = options;
   opts.observe_command = [&acc](const CommandObservation& obs) { acc.observe(obs); };
   AnalysisReport report = analyze_script(config, source, opts);
@@ -612,10 +383,247 @@ StreamSummary summarize_script(const core::EngineConfig& config, std::string nam
   return summary;
 }
 
+std::string_view to_string(ConflictKind kind) {
+  switch (kind) {
+    case ConflictKind::SharedDevice: return "shared-device";
+    case ConflictKind::MultiplexToken: return "multiplex-token";
+    case ConflictKind::SharedEntity: return "shared-entity";
+    case ConflictKind::EnvelopeOverlap: return "envelope-overlap";
+    case ConflictKind::ConsumableBudget: return "consumable-budget";
+    case ConflictKind::SetpointRace: return "setpoint-race";
+    case ConflictKind::IgnoreAsymmetry: return "ignore-asymmetry";
+    case ConflictKind::ThresholdBudget: return "threshold-budget";
+    case ConflictKind::TruncatedSummary: return "truncated-summary";
+  }
+  return "unknown";
+}
+
+void find_interference(const core::EngineConfig& config,
+                       const std::vector<StreamSummary>& streams,
+                       const std::function<void(InterferenceFinding&)>& on_finding) {
+  auto emit = [&on_finding](InterferenceFinding f) { on_finding(f); };
+
+  // I5: stream `d` declares a deliberate interaction (collision checks
+  // suppressed for that box) that stream `u`, which also uses the device,
+  // never declares.
+  auto ignore_asymmetry = [&](std::size_t d, std::size_t u) {
+    const StreamSummary& a = streams[d];
+    const StreamSummary& b = streams[u];
+    if (a.ignores.empty()) return;
+    std::set<std::string> declared_by_b;
+    for (const auto& [arm, names] : b.ignores) declared_by_b.insert(names.begin(), names.end());
+    for (const auto& [arm, names] : a.ignores) {
+      for (const std::string& name : names) {
+        if (declared_by_b.contains(name)) continue;
+        if (!b.devices.contains(name) && !b.entities.contains(name)) continue;
+        emit({ConflictKind::IgnoreAsymmetry, {d, u}, name, {arm, name},
+                       cat({"stream '", a.name, "' declares a deliberate interaction of '", arm,
+                            "' with '", name,
+                            "' (its box is excluded from collision checks) while stream '",
+                            b.name, "' also uses '", name, "' without declaring one"})});
+      }
+    }
+  };
+
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    for (std::size_t j = i + 1; j < streams.size(); ++j) {
+      const StreamSummary& a = streams[i];
+      const StreamSummary& b = streams[j];
+      // I1a: both streams command one device.
+      for (const auto& [device, fa] : a.devices) {
+        auto it = b.devices.find(device);
+        if (it == b.devices.end()) continue;
+        std::set<std::string> actions = fa.actions;
+        actions.insert(it->second.actions.begin(), it->second.actions.end());
+        emit({ConflictKind::SharedDevice, {i, j}, device, {device},
+                       cat({"streams '", a.name, "' and '", b.name, "' both command device '",
+                            device, "' (", join(actions),
+                            "): the interleaving of their commands is unordered"}),
+                       fa.speculative || it->second.speculative});
+      }
+      // I1b: different arms race the time-multiplex exclusive-motion token.
+      if (config.time_multiplex) {
+        for (const auto& [arm_a, env_a] : a.arm_envelopes) {
+          for (const auto& [arm_b, env_b] : b.arm_envelopes) {
+            if (arm_a == arm_b) continue;
+            emit({ConflictKind::MultiplexToken, {i, j}, arm_a + "+" + arm_b,
+                           {arm_a, arm_b},
+                           cat({"streams '", a.name, "' and '", b.name,
+                                "' race the exclusive-motion token: '", arm_a, "' and '", arm_b,
+                                "' cannot both hold it, so one stream's motion is rejected (M1) "
+                                "under any interleaving where both arms are awake"})});
+          }
+        }
+      }
+      // I1c: both streams act on one shared entity.
+      for (const auto& [entity, ta] : a.entities) {
+        auto it = b.entities.find(entity);
+        if (it == b.entities.end()) continue;
+        std::vector<std::string> subjects{entity};
+        subjects.insert(subjects.end(), ta.via.begin(), ta.via.end());
+        subjects.insert(subjects.end(), it->second.via.begin(), it->second.via.end());
+        emit({ConflictKind::SharedEntity, {i, j}, entity, std::move(subjects),
+                       cat({"streams '", a.name, "' and '", b.name, "' both act on '", entity,
+                            "' (via ", join(ta.via), " / ", join(it->second.via),
+                            "): its occupancy and contents depend on the interleaving"})});
+      }
+      // I2: two different arms' inflated occupancy envelopes intersect.
+      for (const auto& [arm_a, env_a] : a.arm_envelopes) {
+        for (const auto& [arm_b, env_b] : b.arm_envelopes) {
+          if (arm_a == arm_b) continue;  // same arm: an I1a command race
+          if (!env_a.intersects(env_b)) continue;
+          emit({ConflictKind::EnvelopeOverlap, {i, j}, arm_a + "+" + arm_b,
+                         {arm_a, arm_b},
+                         cat({"workspace envelopes of '", arm_a, "' (stream '", a.name,
+                              "') and '", arm_b, "' (stream '", b.name,
+                              "') overlap: concurrent motion can collide inside the shared "
+                              "region"})});
+        }
+      }
+      // I4: both streams write one setpoint with non-identical values.
+      for (const auto& [device, vars_a] : a.setpoints) {
+        auto dit = b.setpoints.find(device);
+        if (dit == b.setpoints.end()) continue;
+        for (const auto& [variable, iv_a] : vars_a) {
+          auto vit = dit->second.find(variable);
+          if (vit == dit->second.end()) continue;
+          if (iv_a.same_as(vit->second)) continue;  // identical writes commute
+          emit({ConflictKind::SetpointRace, {i, j}, device, {device},
+                         cat({"conflicting setpoint writes to ", device, ".", variable,
+                              ": stream '", a.name, "' writes ", iv_a.format(), ", stream '",
+                              b.name, "' writes ", vit->second.format(),
+                              " — the final value depends on the interleaving"})});
+        }
+      }
+      ignore_asymmetry(i, j);
+      ignore_asymmetry(j, i);
+    }
+  }
+
+  // Contributors of a violated budget, listed (and named) in name order.
+  auto by_name = [&streams](std::vector<std::size_t>& contributors) {
+    std::stable_sort(contributors.begin(), contributors.end(),
+                     [&streams](std::size_t x, std::size_t y) {
+                       return streams[x].name < streams[y].name;
+                     });
+    std::vector<std::string> names;
+    for (std::size_t k : contributors) names.push_back(streams[k].name);
+    return names;
+  };
+
+  // I3: the *sum* of per-stream deltas overflows (or overdraws) a shared
+  // container, even where each stream alone fits.
+  auto consumable_budget = [&](std::map<std::string, Interval> StreamSummary::*table,
+                               double DeviceMeta::*capacity_of, const char* initial_var,
+                               std::string_view unit) {
+    std::set<std::string> keys;
+    for (const StreamSummary& s : streams) {
+      for (const auto& [key, iv] : s.*table) keys.insert(key);
+    }
+    for (const std::string& key : keys) {
+      const DeviceMeta* meta = config.find_device(key);
+      if (meta == nullptr) continue;  // delta attributed to a site: no capacity model
+      double capacity = meta->*capacity_of;
+      double initial = 0.0;
+      if (auto it = meta->initial_state.find(initial_var);
+          it != meta->initial_state.end() && it->second.is_number()) {
+        initial = it->second.as_double();
+      }
+      Interval total;
+      std::vector<std::size_t> contributors;
+      for (std::size_t k = 0; k < streams.size(); ++k) {
+        auto it = (streams[k].*table).find(key);
+        if (it == (streams[k].*table).end() || !it->second.set) continue;
+        total.accumulate(it->second.lo, it->second.hi);
+        contributors.push_back(k);
+      }
+      if (contributors.size() < 2) continue;  // single-stream checks own this
+      std::vector<std::string> names = by_name(contributors);
+      std::vector<std::string> subjects{key};
+      subjects.insert(subjects.end(), names.begin(), names.end());
+      if (capacity > 0.0 && initial + total.hi > capacity + core::kVolumeEpsilon) {
+        emit({ConflictKind::ConsumableBudget, contributors, key, subjects,
+                       cat({"shared container '", key, "': the summed deltas of streams ",
+                            join(names), " reach ", fmt_num(initial + total.hi), " ", unit,
+                            ", over its capacity ", fmt_num(capacity), " ", unit,
+                            " — each stream alone may pass, the campaign cannot"})});
+      }
+      if (initial + total.lo < -core::kVolumeEpsilon) {
+        emit({ConflictKind::ConsumableBudget, contributors, key, subjects,
+                       cat({"shared container '", key, "': the summed draws of streams ",
+                            join(names), " can overdraw it by ", fmt_num(-(initial + total.lo)),
+                            " ", unit})});
+      }
+    }
+  };
+  consumable_budget(&StreamSummary::mass_delta_mg, &DeviceMeta::capacity_mg, "solidMg", "mg");
+  consumable_budget(&StreamSummary::volume_delta_ml, &DeviceMeta::capacity_ml, "liquidMl", "mL");
+
+  // I6: the campaign-wide cumulative total of a thresholded additive
+  // argument exceeds the per-command cap the rulebase enforces — a budget
+  // the runtime provably cannot police one command at a time.
+  std::set<std::pair<std::string, std::string>> keys;
+  for (const StreamSummary& s : streams) {
+    for (const auto& [device, actions] : s.threshold_totals) {
+      for (const auto& [action, iv] : actions) keys.emplace(device, action);
+    }
+  }
+  for (const auto& [device, action] : keys) {
+    const DeviceMeta* meta = config.find_device(device);
+    const ThresholdSpec* th = meta != nullptr ? meta->threshold_for(action) : nullptr;
+    if (th == nullptr) continue;
+    Interval total;
+    std::vector<std::size_t> contributors;
+    for (std::size_t k = 0; k < streams.size(); ++k) {
+      auto dit = streams[k].threshold_totals.find(device);
+      if (dit == streams[k].threshold_totals.end()) continue;
+      auto ait = dit->second.find(action);
+      if (ait == dit->second.end() || !ait->second.set) continue;
+      total.accumulate(ait->second.lo, ait->second.hi);
+      contributors.push_back(k);
+    }
+    if (contributors.size() < 2) continue;
+    if (total.hi <= th->max + core::kVolumeEpsilon) continue;
+    std::vector<std::string> names = by_name(contributors);
+    std::vector<std::string> subjects{device};
+    subjects.insert(subjects.end(), names.begin(), names.end());
+    emit({ConflictKind::ThresholdBudget, contributors, device, std::move(subjects),
+                   cat({"campaign-wide ", device, ".", action, " total ", total.format(),
+                        " exceeds the per-command threshold ", fmt_num(th->max), " (",
+                        th->argument,
+                        "): the rulebase caps single commands, not the cumulative budget of "
+                        "streams ",
+                        join(names)})});
+  }
+}
+
 AnalysisReport check_interference(const core::EngineConfig& config,
                                   const std::vector<StreamSummary>& streams,
                                   const AnalyzeOptions& options) {
-  return InterferenceChecker(config, streams, options).run();
+  AnalysisReport report;
+  for (const StreamSummary& s : streams) report.truncated = report.truncated || s.truncated;
+  std::set<std::string> seen;
+  find_interference(config, streams, [&](InterferenceFinding& f) {
+    auto [rule, severity] = rule_of(f.kind);
+    std::sort(f.subjects.begin(), f.subjects.end());
+    f.subjects.erase(std::unique(f.subjects.begin(), f.subjects.end()), f.subjects.end());
+    if (f.speculative) {
+      severity = Severity::Warning;
+      f.message += " (may happen on some path)";
+    }
+    std::string key = std::string(rule) + "|" + f.message;
+    for (const std::string& s : f.subjects) key += "|" + s;
+    if (!seen.insert(key).second) return;
+    if (report.diagnostics.size() >= static_cast<std::size_t>(options.max_diagnostics)) {
+      report.truncated = true;
+      return;
+    }
+    Diagnostic d{severity, rule, std::move(f.message), 0};
+    d.subjects = std::move(f.subjects);
+    for (std::size_t k : f.streams) d.streams.push_back(streams[k].name);
+    report.diagnostics.push_back(std::move(d));
+  });
+  return report;
 }
 
 AnalysisReport analyze_campaign(const core::EngineConfig& config,

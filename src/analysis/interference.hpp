@@ -15,8 +15,8 @@
 //   (vial/container mass and volume) as intervals, setpoint writes, and the
 //   deliberate-interaction ignore sets each stream declares.
 //
-//   Phase 2 — pairwise interference checks over the summaries, emitting the
-//   I1..I6 diagnostic family:
+//   Phase 2 — one interference predicate over the summaries
+//   (find_interference), firing the I1..I6 family:
 //     I1  same-device command race: two streams drive one device, race the
 //         time-multiplex exclusive-motion token with different arms, or both
 //         act on one shared entity (site, vial, receptacle station)
@@ -27,6 +27,11 @@
 //     I5  a deliberate-interaction ignore set only one stream declares
 //     I6  campaign-wide rule-capacity exhaustion: the cumulative total of a
 //         G11-thresholded additive argument across streams exceeds the cap
+//
+// The predicate has two consumers: check_interference turns each finding
+// into an I-diagnostic, and the shard planner (shard_plan.hpp) turns each
+// into conflict-edge evidence between the streams it names. Neither re-tests
+// a summary, so the analyzer and the planner cannot disagree on a pair.
 //
 // Soundness model: summaries are may-analyses over each stream in isolation
 // from the configured initial state. The checks therefore over-approximate
@@ -39,9 +44,12 @@
 // report.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/analysis.hpp"
@@ -91,8 +99,8 @@ struct StreamSummary {
   std::map<std::string, DeviceFootprint> devices;  ///< devices commanded
   std::map<std::string, EntityTouch> entities;     ///< shared entities acted on
   /// Per-arm workspace occupancy: union of per-segment trajectory AABBs,
-  /// inflated by the A3 frame-calibration margin. An unresolvable motion
-  /// target widens the arm to the whole configured workspace (A4 margin).
+  /// inflated by kParkedArmMargin. An unresolvable motion target widens the
+  /// arm to the whole configured workspace, inflated by kWorkspaceMargin.
   std::map<std::string, geom::Aabb> arm_envelopes;
   /// Per-arm declared deliberate interactions: boxes the stream's motion
   /// analysis excludes from collision checks (grid reached over, open-door
@@ -129,9 +137,49 @@ struct StreamSummary {
 // Interference checks (phase 2)
 // ---------------------------------------------------------------------------
 
-/// Runs the pairwise I1..I6 checks over the summaries. Diagnostics carry the
-/// devices / entities involved in `subjects`. Any truncated summary marks
-/// the report truncated (the campaign verdict may be incomplete).
+/// Which branch of the I1..I6 predicate fired. The shard planner adds
+/// TruncatedSummary, its own pessimistic edge for an incomplete summary.
+enum class ConflictKind {
+  SharedDevice,      ///< I1a: both streams command one device
+  MultiplexToken,    ///< I1b: different arms race the exclusive-motion token
+  SharedEntity,      ///< I1c: both act on one site/vial/occupant
+  EnvelopeOverlap,   ///< I2: inflated envelopes of different arms intersect
+  ConsumableBudget,  ///< I3: both contribute to a violated container budget
+  SetpointRace,      ///< I4: non-identical writes to one setpoint
+  IgnoreAsymmetry,   ///< I5: one-sided deliberate-interaction declaration
+  ThresholdBudget,   ///< I6: both contribute to a violated rule-capacity sum
+  TruncatedSummary,  ///< S3: a summary is incomplete, independence unprovable
+};
+
+[[nodiscard]] std::string_view to_string(ConflictKind kind);
+
+/// One firing of the interference predicate.
+struct InterferenceFinding {
+  ConflictKind kind = ConflictKind::SharedDevice;
+  /// Indices into the summary vector: the pair for I1/I2/I4/I5 (for I5 the
+  /// declaring stream first), or every contributor of a violated budget
+  /// (I3/I6) in name order.
+  std::vector<std::size_t> streams;
+  std::string subject;                ///< the planner's edge subject
+  std::vector<std::string> subjects;  ///< the diagnostic's subjects, unsorted
+  std::string message;
+  /// I1a only: either stream's access sits past an undecidable branch.
+  bool speculative = false;
+};
+
+/// The I1..I6 predicate: hands `on_finding` each firing once, in this order:
+/// for each pair i < j, I1a, I1b, I1c, I2, I4, I5 declared by i, I5 declared
+/// by j; then I3 over mass, I3 over volume, and I6. The consumer may move
+/// from the finding; none is retained, so a large campaign's findings never
+/// sit in memory all at once.
+void find_interference(const core::EngineConfig& config,
+                       const std::vector<StreamSummary>& streams,
+                       const std::function<void(InterferenceFinding&)>& on_finding);
+
+/// Maps every finding to a diagnostic carrying the devices / entities
+/// involved in `subjects`. A speculative I1a is a warning. Any truncated
+/// summary marks the report truncated (the campaign verdict may be
+/// incomplete).
 [[nodiscard]] AnalysisReport check_interference(const core::EngineConfig& config,
                                                 const std::vector<StreamSummary>& streams,
                                                 const AnalyzeOptions& options = {});

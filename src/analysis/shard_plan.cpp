@@ -1,8 +1,8 @@
-// Shard planning over stream effect summaries. The edge predicate here is a
-// deliberate superset of the phase-2 I1..I6 firing conditions (see
-// shard_plan.hpp for the soundness argument); the graph work on top is
-// ordinary: connected components for the shards, Stoer–Wagner for the S1
-// min-cut evidence, Tarjan lowlinks for the S2 articulation streams.
+// Shard planning over stream effect summaries. The conflict edges come from
+// the one I1..I6 predicate (find_interference) plus the truncated-summary
+// edges (see shard_plan.hpp for the soundness argument); the graph work on
+// top is ordinary: connected components for the shards, Stoer–Wagner for the
+// S1 min-cut evidence, Tarjan lowlinks for the S2 articulation streams.
 #include "analysis/shard_plan.hpp"
 
 #include <algorithm>
@@ -13,30 +13,12 @@
 #include <sstream>
 #include <utility>
 
-#include "core/rules.hpp"
-
 namespace rabit::analysis {
 
 namespace {
 
 using core::DeviceMeta;
 using core::EngineConfig;
-using core::ThresholdSpec;
-
-std::string fmt_num(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-std::string join(const std::set<std::string>& items, const char* sep = ", ") {
-  std::string out;
-  for (const std::string& s : items) {
-    if (!out.empty()) out += sep;
-    out += s;
-  }
-  return out;
-}
 
 std::string join_names(const std::vector<std::string>& names, const std::vector<std::size_t>& idx,
                        const char* sep = ", ") {
@@ -48,226 +30,26 @@ std::string join_names(const std::vector<std::string>& names, const std::vector<
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Edge predicate — pairwise part (mirrors I1/I2/I4/I5)
-// ---------------------------------------------------------------------------
-
-void shared_device_evidence(const StreamSummary& a, const StreamSummary& b,
-                            std::vector<ConflictEvidence>& out) {
-  for (const auto& [device, fa] : a.devices) {
-    auto it = b.devices.find(device);
-    if (it == b.devices.end()) continue;
-    std::set<std::string> actions = fa.actions;
-    actions.insert(it->second.actions.begin(), it->second.actions.end());
-    out.push_back({ConflictKind::SharedDevice, device,
-                   "both streams command '" + device + "' (" + join(actions) + ")"});
-  }
-}
-
-void multiplex_evidence(const EngineConfig& config, const StreamSummary& a,
-                        const StreamSummary& b, std::vector<ConflictEvidence>& out) {
-  if (!config.time_multiplex) return;
-  for (const auto& [arm_a, env_a] : a.arm_envelopes) {
-    for (const auto& [arm_b, env_b] : b.arm_envelopes) {
-      if (arm_a == arm_b) continue;
-      out.push_back({ConflictKind::MultiplexToken, arm_a + "+" + arm_b,
-                     "'" + arm_a + "' (" + a.name + ") and '" + arm_b + "' (" + b.name +
-                         ") race the exclusive-motion token"});
-    }
-  }
-}
-
-void shared_entity_evidence(const StreamSummary& a, const StreamSummary& b,
-                            std::vector<ConflictEvidence>& out) {
-  for (const auto& [entity, ta] : a.entities) {
-    auto it = b.entities.find(entity);
-    if (it == b.entities.end()) continue;
-    out.push_back({ConflictKind::SharedEntity, entity,
-                   "both streams act on '" + entity + "' (via " + join(ta.via) + " / " +
-                       join(it->second.via) + ")"});
-  }
-}
-
-void envelope_evidence(const StreamSummary& a, const StreamSummary& b,
-                       std::vector<ConflictEvidence>& out) {
-  for (const auto& [arm_a, env_a] : a.arm_envelopes) {
-    for (const auto& [arm_b, env_b] : b.arm_envelopes) {
-      if (arm_a == arm_b) continue;  // same arm: a SharedDevice edge already
-      if (!env_a.intersects(env_b)) continue;
-      out.push_back({ConflictKind::EnvelopeOverlap, arm_a + "+" + arm_b,
-                     "inflated workspace envelopes of '" + arm_a + "' (" + a.name + ") and '" +
-                         arm_b + "' (" + b.name + ") overlap"});
-    }
-  }
-}
-
-void setpoint_evidence(const StreamSummary& a, const StreamSummary& b,
-                       std::vector<ConflictEvidence>& out) {
-  for (const auto& [device, vars_a] : a.setpoints) {
-    auto dit = b.setpoints.find(device);
-    if (dit == b.setpoints.end()) continue;
-    for (const auto& [variable, iv_a] : vars_a) {
-      auto vit = dit->second.find(variable);
-      if (vit == dit->second.end()) continue;
-      if (iv_a.same_as(vit->second)) continue;  // identical writes commute
-      out.push_back({ConflictKind::SetpointRace, device,
-                     device + "." + variable + " written as " + iv_a.format() + " by '" +
-                         a.name + "' and " + vit->second.format() + " by '" + b.name + "'"});
-    }
-  }
-}
-
-void ignore_evidence(const StreamSummary& a, const StreamSummary& b,
-                     std::vector<ConflictEvidence>& out) {
-  std::set<std::string> declared_by_b;
-  for (const auto& [arm, names] : b.ignores) declared_by_b.insert(names.begin(), names.end());
-  for (const auto& [arm, names] : a.ignores) {
-    for (const std::string& name : names) {
-      if (declared_by_b.contains(name)) continue;
-      if (b.devices.find(name) == b.devices.end() && b.entities.find(name) == b.entities.end()) {
-        continue;
-      }
-      out.push_back({ConflictKind::IgnoreAsymmetry, name,
-                     "'" + a.name + "' declares a deliberate interaction of '" + arm +
-                         "' with '" + name + "'; '" + b.name + "' uses '" + name +
-                         "' without declaring one"});
-    }
-  }
-}
-
-void append_pair_evidence(const EngineConfig& config, const StreamSummary& a,
-                          const StreamSummary& b, std::vector<ConflictEvidence>& out) {
-  shared_device_evidence(a, b, out);
-  multiplex_evidence(config, a, b, out);
-  shared_entity_evidence(a, b, out);
-  envelope_evidence(a, b, out);
-  setpoint_evidence(a, b, out);
-  ignore_evidence(a, b, out);
-  ignore_evidence(b, a, out);
-}
-
-// ---------------------------------------------------------------------------
-// Edge predicate — campaign-wide part (mirrors I3/I6)
-// ---------------------------------------------------------------------------
-
-/// A violated campaign-wide budget: every pair of contributors gets an edge
-/// (they must coordinate on the shared budget, whatever the interleaving).
-struct BudgetClique {
-  ConflictKind kind = ConflictKind::ConsumableBudget;
-  std::string subject;
-  std::string detail;
-  std::vector<std::size_t> contributors;
-};
-
-template <typename TableOf, typename CapacityOf>
-void consumable_cliques(const EngineConfig& config, const std::vector<StreamSummary>& streams,
-                        const TableOf& table_of, const CapacityOf& capacity_of,
-                        const char* initial_var, const char* unit,
-                        std::vector<BudgetClique>& out) {
-  std::set<std::string> keys;
-  for (const StreamSummary& s : streams) {
-    for (const auto& [key, iv] : *table_of(s)) keys.insert(key);
-  }
-  for (const std::string& key : keys) {
-    const DeviceMeta* meta = config.find_device(key);
-    if (meta == nullptr) continue;  // site-attributed delta: no capacity model
-    double capacity = capacity_of(*meta);
-    double initial = 0.0;
-    if (auto it = meta->initial_state.find(initial_var);
-        it != meta->initial_state.end() && it->second.is_number()) {
-      initial = it->second.as_double();
-    }
-    Interval total;
-    std::vector<std::size_t> contributors;
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-      auto it = table_of(streams[i])->find(key);
-      if (it == table_of(streams[i])->end() || !it->second.set) continue;
-      total.accumulate(it->second.lo, it->second.hi);
-      contributors.push_back(i);
-    }
-    if (contributors.size() < 2) continue;  // single-stream checks own this
-    if (capacity > 0.0 && initial + total.hi > capacity + core::kVolumeEpsilon) {
-      out.push_back({ConflictKind::ConsumableBudget, key,
-                     "summed deltas on '" + key + "' reach " + fmt_num(initial + total.hi) +
-                         " " + unit + ", over its capacity " + fmt_num(capacity) + " " + unit,
-                     contributors});
-    }
-    if (initial + total.lo < -core::kVolumeEpsilon) {
-      out.push_back({ConflictKind::ConsumableBudget, key,
-                     "summed draws on '" + key + "' can overdraw it by " +
-                         fmt_num(-(initial + total.lo)) + " " + unit,
-                     contributors});
-    }
-  }
-}
-
-void threshold_cliques(const EngineConfig& config, const std::vector<StreamSummary>& streams,
-                       std::vector<BudgetClique>& out) {
-  std::set<std::pair<std::string, std::string>> keys;
-  for (const StreamSummary& s : streams) {
-    for (const auto& [device, actions] : s.threshold_totals) {
-      for (const auto& [action, iv] : actions) keys.emplace(device, action);
-    }
-  }
-  for (const auto& [device, action] : keys) {
-    const DeviceMeta* meta = config.find_device(device);
-    const ThresholdSpec* th = meta != nullptr ? meta->threshold_for(action) : nullptr;
-    if (th == nullptr) continue;
-    Interval total;
-    std::vector<std::size_t> contributors;
-    for (std::size_t i = 0; i < streams.size(); ++i) {
-      auto dit = streams[i].threshold_totals.find(device);
-      if (dit == streams[i].threshold_totals.end()) continue;
-      auto ait = dit->second.find(action);
-      if (ait == dit->second.end() || !ait->second.set) continue;
-      total.accumulate(ait->second.lo, ait->second.hi);
-      contributors.push_back(i);
-    }
-    if (contributors.size() < 2) continue;
-    if (total.hi <= th->max + core::kVolumeEpsilon) continue;
-    out.push_back({ConflictKind::ThresholdBudget, device,
-                   "campaign-wide " + device + "." + action + " total " + total.format() +
-                       " exceeds the per-command threshold " + fmt_num(th->max) + " (" +
-                       th->argument + ")",
-                   contributors});
-  }
-}
-
-std::vector<BudgetClique> budget_cliques(const EngineConfig& config,
-                                         const std::vector<StreamSummary>& streams) {
-  std::vector<BudgetClique> out;
-  consumable_cliques(
-      config, streams, [](const StreamSummary& s) { return &s.mass_delta_mg; },
-      [](const DeviceMeta& m) { return m.capacity_mg; }, "solidMg", "mg", out);
-  consumable_cliques(
-      config, streams, [](const StreamSummary& s) { return &s.volume_delta_ml; },
-      [](const DeviceMeta& m) { return m.capacity_ml; }, "liquidMl", "mL", out);
-  threshold_cliques(config, streams, out);
-  return out;
-}
-
-/// The whole edge predicate, shared by plan_shards and verify_plan: evidence
-/// for every conflicting pair, keyed (a, b) with a < b.
+/// The conflict edges, shared by plan_shards and verify_plan: evidence for
+/// every conflicting pair, keyed (a, b) with a < b. A finding's message is
+/// formatted once, however many contributor pairs of a budget carry it.
 std::map<std::pair<std::size_t, std::size_t>, std::vector<ConflictEvidence>> derive_edges(
     const EngineConfig& config, const std::vector<StreamSummary>& streams) {
   std::map<std::pair<std::size_t, std::size_t>, std::vector<ConflictEvidence>> edges;
-  for (std::size_t i = 0; i < streams.size(); ++i) {
-    for (std::size_t j = i + 1; j < streams.size(); ++j) {
-      std::vector<ConflictEvidence> evidence;
-      append_pair_evidence(config, streams[i], streams[j], evidence);
-      if (!evidence.empty()) edges[{i, j}] = std::move(evidence);
-    }
-  }
-  for (const BudgetClique& clique : budget_cliques(config, streams)) {
-    for (std::size_t x = 0; x < clique.contributors.size(); ++x) {
-      for (std::size_t y = x + 1; y < clique.contributors.size(); ++y) {
-        std::size_t a = clique.contributors[x];
-        std::size_t b = clique.contributors[y];
-        edges[{std::min(a, b), std::max(a, b)}].push_back(
-            {clique.kind, clique.subject, clique.detail});
+  find_interference(config, streams, [&edges](InterferenceFinding& f) {
+    std::size_t n = f.streams.size();
+    for (std::size_t x = 0; x < n; ++x) {
+      for (std::size_t y = x + 1; y < n; ++y) {
+        std::vector<ConflictEvidence>& evidence =
+            edges[{std::min(f.streams[x], f.streams[y]), std::max(f.streams[x], f.streams[y])}];
+        if (x + 2 == n) {  // the last pair takes the text over
+          evidence.push_back({f.kind, std::move(f.subject), std::move(f.message)});
+        } else {
+          evidence.push_back({f.kind, f.subject, f.message});
+        }
       }
     }
-  }
+  });
   // A truncated summary may under-describe its stream, so nothing about it
   // can be certified: pessimistically conflict it with everyone (S3).
   for (std::size_t t = 0; t < streams.size(); ++t) {
@@ -460,21 +242,6 @@ std::vector<std::string> certificate_conditions(const EngineConfig& config,
 // ShardPlan accessors
 // ---------------------------------------------------------------------------
 
-std::string_view to_string(ConflictKind kind) {
-  switch (kind) {
-    case ConflictKind::SharedDevice: return "shared-device";
-    case ConflictKind::MultiplexToken: return "multiplex-token";
-    case ConflictKind::SharedEntity: return "shared-entity";
-    case ConflictKind::EnvelopeOverlap: return "envelope-overlap";
-    case ConflictKind::ConsumableBudget: return "consumable-budget";
-    case ConflictKind::SetpointRace: return "setpoint-race";
-    case ConflictKind::IgnoreAsymmetry: return "ignore-asymmetry";
-    case ConflictKind::ThresholdBudget: return "threshold-budget";
-    case ConflictKind::TruncatedSummary: return "truncated-summary";
-  }
-  return "unknown";
-}
-
 std::size_t ShardPlan::shard_of(std::size_t stream) const {
   for (std::size_t k = 0; k < shards.size(); ++k) {
     const std::vector<std::size_t>& s = shards[k].streams;
@@ -557,7 +324,7 @@ ShardPlan plan_shards(const EngineConfig& config, const std::vector<StreamSummar
   for (const DeviceMeta& m : config.devices) {
     if (!m.is_arm || !m.sleep_box) continue;
     if (plan.arm_envelopes.contains(m.id)) continue;
-    plan.arm_envelopes.emplace(m.id, m.sleep_box->inflated(options.parked_arm_margin));
+    plan.arm_envelopes.emplace(m.id, m.sleep_box->inflated(kParkedArmMargin));
   }
 
   auto emit = [&plan](std::string rule, std::string message, std::vector<std::string> subjects,

@@ -1,18 +1,19 @@
 // rabit::analysis shard planning — phase 3 of the campaign analyzer.
 //
-// Phase 1 summarizes each stream's effects (interference.hpp); phase 2 checks
-// summaries pairwise for the I1..I6 hazards. This module is the third phase:
-// it turns the same evidence into an *execution plan*. Two streams are
-// conflict-graph neighbours wherever any I1..I6 condition could fire between
-// them — a shared commanded device, a shared entity, the exclusive-motion
-// token, overlapping inflated arm envelopes, joint contribution to a
-// violated consumable or rule-capacity budget, a conflicting setpoint, an
-// asymmetric deliberate-interaction declaration — or wherever a truncated
-// summary leaves the analyzer unable to rule any of those out. Connected
-// components of that graph are the campaign's *shards*: stream sets that may
-// observably interact. Everything across a shard boundary is provably
-// independent, and the plan carries a machine-checkable certificate per
-// cross-shard pair naming the conditions that were verified.
+// Phase 1 summarizes each stream's effects (interference.hpp); phase 2 is the
+// one I1..I6 interference predicate over those summaries (find_interference).
+// This module is its second consumer, next to check_interference: it turns
+// the same findings into an *execution plan*. Two streams are conflict-graph
+// neighbours wherever a finding names them both — a shared commanded device,
+// a shared entity, the exclusive-motion token, overlapping inflated arm
+// envelopes, joint contribution to a violated consumable or rule-capacity
+// budget, a conflicting setpoint, an asymmetric deliberate-interaction
+// declaration — or wherever a truncated summary leaves the analyzer unable
+// to rule any of those out. Connected components of that graph are the
+// campaign's *shards*: stream sets that may observably interact. Everything
+// across a shard boundary is provably independent, and the plan carries a
+// machine-checkable certificate per cross-shard pair naming the conditions
+// that were verified.
 //
 // Consumers:
 //   - fleet::Fleet::run_campaign (plan-driven mode) runs each shard against
@@ -21,11 +22,11 @@
 //   - rabit_lint --shard-plan prints the plan (text or --json) so CI can
 //     gate on shardability before a campaign is scheduled.
 //
-// Soundness: the edge predicate is a conservative superset of the phase-2
-// checks, which the differential sweep validates against runtime ground
-// truth (every cross-stream runtime alert has a static I-cover, and the
-// plan-driven runner's oracle asserts certified-independent streams never
-// change verdicts when isolated). A truncated summary cannot certify
+// Soundness: the edges are exactly the phase-2 findings plus the truncated-
+// summary edges, which the differential sweep validates against runtime
+// ground truth (every cross-stream runtime alert has a static I-cover, and
+// the plan-driven runner's oracle asserts certified-independent streams
+// never change verdicts when isolated). A truncated summary cannot certify
 // anything, so it conflicts with every other stream (diagnosed as S3).
 //
 // Plan diagnostics (same Diagnostic schema as A/CFG/I families):
@@ -51,27 +52,13 @@ namespace rabit::analysis {
 // Conflict evidence
 // ---------------------------------------------------------------------------
 
-/// Why a pair of streams cannot be certified independent. Each kind maps to
-/// the phase-2 check family whose firing it over-approximates.
-enum class ConflictKind {
-  SharedDevice,      ///< I1a: both streams command one device
-  MultiplexToken,    ///< I1b: different arms race the exclusive-motion token
-  SharedEntity,      ///< I1c: both act on one site/vial/occupant
-  EnvelopeOverlap,   ///< I2: inflated envelopes of different arms intersect
-  ConsumableBudget,  ///< I3: both contribute to a violated container budget
-  SetpointRace,      ///< I4: non-identical writes to one setpoint
-  IgnoreAsymmetry,   ///< I5: one-sided deliberate-interaction declaration
-  ThresholdBudget,   ///< I6: both contribute to a violated rule-capacity sum
-  TruncatedSummary,  ///< S3: a summary is incomplete, independence unprovable
-};
-
-[[nodiscard]] std::string_view to_string(ConflictKind kind);
-
-/// One concrete reason an edge exists: the footprint/envelope/resource that
-/// induced it, plus a human-readable account.
+/// One concrete reason an edge exists: an interference finding that names
+/// both streams, or a truncated summary.
 struct ConflictEvidence {
   ConflictKind kind = ConflictKind::SharedDevice;
   std::string subject;  ///< device / entity / container / "armA+armB" pair
+  /// The finding's I-message, as check_interference reports it minus the
+  /// speculative suffix; for TruncatedSummary, the planner's own account.
   std::string detail;
 };
 
@@ -110,11 +97,6 @@ struct ShardPlanOptions {
   /// only the degenerate check — warn when the whole campaign collapses into
   /// a single multi-stream shard (nothing can run lock-free at all).
   std::size_t max_shard_streams = 0;
-  /// Slack added around an *uncommanded* arm's parked sleep box when deriving
-  /// ShardPlan::arm_envelopes (commanded arms carry their summary envelopes,
-  /// which the A3 frame-calibration margin already inflates). Mirrors
-  /// AnalyzeOptions::parked_arm_margin.
-  double parked_arm_margin = 0.05;
 };
 
 struct ShardPlan {
@@ -129,10 +111,10 @@ struct ShardPlan {
   /// Per-arm certified pose envelope: for a commanded arm, the union of its
   /// margin-inflated summary envelopes across every stream that moves it;
   /// for an arm no stream commands, its parked sleep box inflated by
-  /// ShardPlanOptions::parked_arm_margin. This is the margin data the
-  /// runtime snapshot soundness check audits live cross-shard pose reads
-  /// against: any pose an arm ever publishes must lie inside its envelope,
-  /// so a stale epoch-versioned snapshot cannot change a verdict.
+  /// kParkedArmMargin. This is the margin data the runtime snapshot
+  /// soundness check audits live cross-shard pose reads against: any pose
+  /// an arm ever publishes must lie inside its envelope, so a stale
+  /// epoch-versioned snapshot cannot change a verdict.
   std::map<std::string, geom::Aabb, std::less<>> arm_envelopes;
   /// Any input summary was truncated: the partition is still sound (the
   /// truncated stream was merged pessimistically) but may be coarser than

@@ -516,8 +516,9 @@ CampaignReport Fleet::run(const CampaignSpec& spec, const ShardedCampaignOptions
     planned.push_back(analysis::CampaignStream{spec.streams[i].name, resolved.commands[i]});
   }
   analysis::ShardPlan plan = analysis::plan_campaign_shards(resolved.config, planned);
-  if (plan_out != nullptr) *plan_out = plan;
-  return run_plan(spec, resolved, plan, options);
+  if (plan_out == nullptr) return run_plan(spec, resolved, plan, options);
+  *plan_out = std::move(plan);  // one plan in memory, not a copy per caller
+  return run_plan(spec, resolved, *plan_out, options);
 }
 
 CampaignReport Fleet::run_campaign(const CampaignSpec& spec, const analysis::ShardPlan& plan,

@@ -179,7 +179,7 @@ class Fleet {
   /// one probe lab (backend, deck and config) once, runs the static shard
   /// planner (analysis::plan_campaign_shards), and executes the plan on the
   /// sharded hot path below. An unshardable campaign yields a 1-shard plan.
-  /// When `plan_out` is non-null the computed plan is copied there.
+  /// When `plan_out` is non-null the computed plan is stored there.
   [[nodiscard]] static CampaignReport run(const CampaignSpec& spec,
                                           const ShardedCampaignOptions& options = {},
                                           analysis::ShardPlan* plan_out = nullptr);

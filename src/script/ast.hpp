@@ -1,6 +1,7 @@
 // AST for the lab-script DSL.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <string>
@@ -61,6 +62,15 @@ struct Index {
   ExprPtr base;
   ExprPtr index;
 };
+
+/// The element a numeric index selects in a list of `size`, or nullopt when
+/// it selects none: NaN, infinities and values outside [0, size). An
+/// in-range fraction truncates toward zero. The interpreter and the analyzer
+/// both index through this, so the range check runs before any cast.
+inline std::optional<std::size_t> list_index(double index, std::size_t size) {
+  if (!(index >= 0.0 && index < static_cast<double>(size))) return std::nullopt;
+  return static_cast<std::size_t>(index);
+}
 
 struct Expr {
   int line = 0;

@@ -241,13 +241,10 @@ Value Interpreter::evaluate(const Expr& expr, Scope& scope) {
           Value index = evaluate(*node.index, scope);
           if (base.is_device()) throw ScriptError("cannot index a device", expr.line);
           if (base.data.is_array()) {
-            double raw = as_number(index, expr.line);
-            auto i = static_cast<std::size_t>(raw);
             const json::Array& arr = base.data.as_array();
-            if (raw < 0 || i >= arr.size()) {
-              throw ScriptError("list index out of range", expr.line);
-            }
-            return Value(arr[i]);
+            std::optional<std::size_t> i = list_index(as_number(index, expr.line), arr.size());
+            if (!i) throw ScriptError("list index out of range", expr.line);
+            return Value(arr[*i]);
           }
           if (base.data.is_object()) {
             if (index.is_device() || !index.data.is_string()) {

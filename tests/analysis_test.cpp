@@ -237,6 +237,23 @@ TEST(Analyzer, UnknownIdentifierIsA6) {
   EXPECT_EQ(d->line, 1);
 }
 
+TEST(Analyzer, OutOfRangeListIndexIsA6) {
+  // Same index conversion as the interpreter: a huge or negative index
+  // selects no element, so the lint is no longer clean where the run fails.
+  for (const char* index : {"1e300", "-0.5"}) {
+    std::string source = std::string("let xs = [10, 20, 30]\nlet x = xs[") + index + "]\n";
+    AnalysisReport report = analysis::analyze_script(testbed_config(), source);
+    const analysis::Diagnostic* d = find_rule(report, "A6");
+    ASSERT_NE(d, nullptr) << index;
+    EXPECT_EQ(d->severity, Severity::Error) << index;
+    EXPECT_EQ(d->message, "list index out of range") << index;
+    EXPECT_EQ(d->line, 2) << index;
+  }
+  AnalysisReport fraction =
+      analysis::analyze_script(testbed_config(), "let xs = [10, 20, 30]\nlet x = xs[1.5]\n");
+  EXPECT_EQ(find_rule(fraction, "A6"), nullptr);  // an in-range fraction truncates
+}
+
 TEST(Analyzer, SpeculativePathDowngradesToWarning) {
   // The violation only happens when the measurement-driven branch is taken:
   // an error on a speculative path reports as a warning.

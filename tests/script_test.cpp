@@ -197,6 +197,11 @@ TEST_F(InterpTest, ListsAndIndexing) {
   EXPECT_DOUBLE_EQ(run_and_get("let l = [10, 20, 30]\nout = l[1]", "out").as_double(), 20.0);
   EXPECT_DOUBLE_EQ(run_and_get("out = len([1, 2, 3])", "out").as_double(), 3.0);
   EXPECT_THROW(run_and_get("let l = [1]\nout = l[5]", "out"), ScriptError);
+  // The range check runs before the index is converted: a huge index used
+  // to wrap around to l[0], and a negative fraction is rejected, not rounded.
+  EXPECT_THROW(run_and_get("let l = [10, 20, 30]\nout = l[1e300]", "out"), ScriptError);
+  EXPECT_THROW(run_and_get("let l = [10, 20, 30]\nout = l[-0.5]", "out"), ScriptError);
+  EXPECT_DOUBLE_EQ(run_and_get("let l = [10, 20, 30]\nout = l[1.5]", "out").as_double(), 20.0);
 }
 
 TEST_F(InterpTest, ObjectIndexing) {

@@ -1,16 +1,20 @@
 // Tests for the static shard planner (analysis/shard_plan) and its fleet
 // consumer: conflict-graph construction, S1..S3 diagnostics, independence
-// certificates, verify_plan, the JSON rendering, and the plan-driven
-// run_campaign mode with its runtime certificate oracle.
+// certificates, verify_plan, the JSON rendering, the one-predicate property
+// (every conflict edge is an I-diagnostic and vice versa), and the
+// plan-driven run_campaign mode with its runtime certificate oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <set>
 
 #include "analysis/shard_plan.hpp"
 #include "bugs/bugs.hpp"
 #include "devices/robot_arm.hpp"
 #include "fleet/fleet.hpp"
+#include "interference_sweep.hpp"
 #include "script/workflows.hpp"
 #include "sim/deck.hpp"
 
@@ -471,4 +475,149 @@ TEST(ShardPlanFleet, RejectsAPlanForTheWrongCampaign) {
   spec.streams.pop_back();
   fleet::ShardedCampaignOptions options;
   EXPECT_THROW((void)fleet::Fleet::run_campaign(spec, plan, options), std::runtime_error);
+}
+
+// --- one predicate, two consumers -------------------------------------------
+
+namespace {
+
+/// The I-rule each evidence kind is reported under (the test's own table).
+std::string rule_for(ConflictKind kind) {
+  switch (kind) {
+    case ConflictKind::SharedDevice:
+    case ConflictKind::MultiplexToken:
+    case ConflictKind::SharedEntity: return "I1";
+    case ConflictKind::EnvelopeOverlap: return "I2";
+    case ConflictKind::ConsumableBudget: return "I3";
+    case ConflictKind::SetpointRace: return "I4";
+    case ConflictKind::IgnoreAsymmetry: return "I5";
+    case ConflictKind::ThresholdBudget: return "I6";
+    case ConflictKind::TruncatedSummary: break;
+  }
+  return "";
+}
+
+/// A diagnostic's message as conflict evidence carries it: without the
+/// speculative I1a suffix.
+std::string evidence_text(const analysis::Diagnostic& d) {
+  constexpr std::string_view kSuffix = " (may happen on some path)";
+  std::string_view message = d.message;
+  if (d.rule == "I1" && message.ends_with(kSuffix)) message.remove_suffix(kSuffix.size());
+  return std::string(message);
+}
+
+bool names(const std::vector<std::string>& streams, const std::string& name) {
+  return std::find(streams.begin(), streams.end(), name) != streams.end();
+}
+
+struct OnePredicateCase {
+  std::string name;
+  core::EngineConfig config;
+  std::vector<StreamSummary> summaries;
+};
+
+/// Both directions of the one-predicate property on one campaign, with the
+/// I-diagnostics uncapped. Records every evidence kind seen in `kinds`.
+void expect_one_predicate(const OnePredicateCase& c, std::set<ConflictKind>& kinds) {
+  analysis::AnalyzeOptions uncapped;
+  uncapped.max_diagnostics = std::numeric_limits<int>::max();
+  analysis::AnalysisReport report = analysis::check_interference(c.config, c.summaries, uncapped);
+  ShardPlan plan = analysis::plan_shards(c.config, c.summaries);
+
+  for (const analysis::ConflictEdge& e : plan.edges) {
+    const std::string& a = plan.stream_names[e.a];
+    const std::string& b = plan.stream_names[e.b];
+    for (const analysis::ConflictEvidence& ev : e.evidence) {
+      if (ev.kind == ConflictKind::TruncatedSummary) continue;
+      kinds.insert(ev.kind);
+      bool diagnosed = std::any_of(
+          report.diagnostics.begin(), report.diagnostics.end(),
+          [&](const analysis::Diagnostic& d) {
+            return d.rule == rule_for(ev.kind) && evidence_text(d) == ev.detail &&
+                   names(d.streams, a) && names(d.streams, b);
+          });
+      EXPECT_TRUE(diagnosed) << c.name << ": no I-diagnostic for edge " << a << " <-> " << b
+                             << " [" << analysis::to_string(ev.kind) << " '" << ev.subject
+                             << "'] " << ev.detail;
+    }
+  }
+
+  std::map<std::string, std::size_t> index;
+  for (std::size_t i = 0; i < plan.stream_names.size(); ++i) index[plan.stream_names[i]] = i;
+  for (const analysis::Diagnostic& d : report.diagnostics) {
+    std::string text = evidence_text(d);
+    for (std::size_t x = 0; x < d.streams.size(); ++x) {
+      for (std::size_t y = x + 1; y < d.streams.size(); ++y) {
+        const analysis::ConflictEdge* e =
+            plan.edge_between(index.at(d.streams[x]), index.at(d.streams[y]));
+        bool edged = e != nullptr &&
+                     std::any_of(e->evidence.begin(), e->evidence.end(),
+                                 [&](const analysis::ConflictEvidence& ev) {
+                                   return rule_for(ev.kind) == d.rule && ev.detail == text;
+                                 });
+        EXPECT_TRUE(edged) << c.name << ": " << d.format() << " is no evidence between '"
+                           << d.streams[x] << "' and '" << d.streams[y] << "'";
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST(OnePredicate, PlanEvidenceAndInterferenceDiagnosticsAgree) {
+  // The analyzer's I-diagnostics and the planner's conflict edges come from
+  // one predicate: every edge is a diagnostic of its rule with the same text,
+  // and every diagnostic is an edge on every pair of its streams.
+  core::EngineConfig config = sweep::testbed_config();
+  std::vector<OnePredicateCase> cases;
+  for (unsigned i = 0; i < sweep::kSeedCount; ++i) {
+    unsigned seed = sweep::kSeedBase + i;
+    OnePredicateCase c{"sweep seed " + std::to_string(seed), config, {}};
+    for (const fleet::CampaignStreamSpec& s : sweep::campaign_for(seed).streams) {
+      c.summaries.push_back(analysis::summarize_stream(config, s.name, s.commands));
+    }
+    cases.push_back(std::move(c));
+  }
+
+  // The sweep reaches neither I4 nor I6, and its command streams are never
+  // speculative; three small campaigns cover those.
+  auto dose = [](double quantity) {
+    return cmd("dosing_device", "run_action", num_args({{"delay", 0.0}, {"quantity", quantity}}));
+  };
+  auto heat = [](double celsius) {
+    return cmd("hotplate", "set_temperature", num_args({{"celsius", celsius}}));
+  };
+  OnePredicateCase setpoints{"setpoint race", config, {}};
+  setpoints.summaries.push_back(analysis::summarize_stream(config, "heat-50", {heat(50.0)}));
+  setpoints.summaries.push_back(analysis::summarize_stream(config, "heat-90", {heat(90.0)}));
+  cases.push_back(std::move(setpoints));
+
+  // A 5 mg G11 cap: each 3 mg dose passes alone, the three together do not.
+  core::EngineConfig capped = config;
+  for (core::DeviceMeta& d : capped.devices) {
+    if (d.id == "dosing_device") d.thresholds.push_back({"run_action", "quantity", 5.0});
+  }
+  OnePredicateCase budget{"threshold budget", capped, {}};
+  for (const char* name : {"dose-a", "dose-b", "dose-c"}) {
+    budget.summaries.push_back(analysis::summarize_stream(capped, name, {dose(3.0)}));
+  }
+  cases.push_back(std::move(budget));
+
+  OnePredicateCase speculative{"speculative device race", config, {}};
+  speculative.summaries.push_back(analysis::summarize_script(
+      config, "maybe",
+      "let p = camera.measure_solubility(target=vial_1)\n"
+      "if (p > 0.5) {\n  hotplate.stop()\n}\n"));
+  speculative.summaries.push_back(
+      analysis::summarize_stream(config, "always", {cmd("hotplate", "stop", {})}));
+  analysis::AnalysisReport race = analysis::check_interference(config, speculative.summaries);
+  const analysis::Diagnostic* i1 = find_rule(race, "I1");
+  ASSERT_NE(i1, nullptr);
+  EXPECT_EQ(i1->severity, analysis::Severity::Warning);
+  EXPECT_NE(i1->message.find("(may happen on some path)"), std::string::npos);
+  cases.push_back(std::move(speculative));
+
+  std::set<ConflictKind> kinds;
+  for (const OnePredicateCase& c : cases) expect_one_predicate(c, kinds);
+  EXPECT_EQ(kinds.size(), 8u) << "every I-kind must fire at least once";
 }

@@ -22,6 +22,7 @@
 #include <sstream>
 #include <string>
 
+#include "cli_number.hpp"
 #include "scenario/fuzz.hpp"
 
 using namespace rabit;
@@ -135,11 +136,11 @@ int main(int argc, char** argv) {
         print_usage(stdout, argv[0]);
         return 0;
       } else if (arg == "--seed") {
-        options.seed = std::strtoull(next().c_str(), nullptr, 10);
+        options.seed = tools::number_flag<std::uint64_t>(arg, next());
       } else if (arg == "--iterations") {
-        options.iterations = std::strtoull(next().c_str(), nullptr, 10);
+        options.iterations = tools::number_flag<std::size_t>(arg, next());
       } else if (arg == "--time-budget-s") {
-        options.time_budget_s = std::strtod(next().c_str(), nullptr);
+        options.time_budget_s = tools::number_flag(arg, next(), 0.0);
       } else if (arg == "--corpus") {
         corpus_dir = next();
       } else if (arg == "--save-repros") {
@@ -149,11 +150,11 @@ int main(int argc, char** argv) {
       } else if (arg == "--no-shrink") {
         options.shrink_failures = false;
       } else if (arg == "--min-coverage") {
-        min_coverage = std::strtod(next().c_str(), nullptr);
+        min_coverage = tools::number_flag(arg, next(), 0.0, 1.0);
       } else if (arg == "--replay") {
         return replay_file(next());
       } else if (arg == "--replay-seed") {
-        return replay_seed(std::strtoull(next().c_str(), nullptr, 10));
+        return replay_seed(tools::number_flag<std::uint64_t>(arg, next()));
       } else if (arg == "--corpus-smoke") {
         return corpus_smoke(next());
       } else {

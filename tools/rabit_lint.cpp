@@ -59,6 +59,7 @@
 #include "analysis/interference.hpp"
 #include "analysis/rulecheck.hpp"
 #include "bugs/bugs.hpp"
+#include "cli_number.hpp"
 #include "core/config.hpp"
 #include "fleet/fleet.hpp"
 #include "recovery/recovery.hpp"
@@ -301,22 +302,13 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: --max-shard-streams needs a number argument\n");
         return 2;
       }
-      int n = std::atoi(argv[++i]);
-      if (n < 0) {
-        std::fprintf(stderr, "error: --max-shard-streams must be >= 0\n");
-        return 2;
-      }
-      plan_options.max_shard_streams = static_cast<std::size_t>(n);
+      plan_options.max_shard_streams = tools::number_flag<std::size_t>(arg, argv[++i]);
     } else if (arg == "--max-diagnostics") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "error: --max-diagnostics needs a number argument\n");
         return 2;
       }
-      options.max_diagnostics = std::atoi(argv[++i]);
-      if (options.max_diagnostics < 0) {
-        std::fprintf(stderr, "error: --max-diagnostics must be >= 0\n");
-        return 2;
-      }
+      options.max_diagnostics = tools::number_flag(arg, argv[++i], 0);
     } else if (arg == "--fleet") {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "error: --fleet needs a campaign file argument\n");

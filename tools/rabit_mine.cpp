@@ -11,6 +11,7 @@
 #include <sstream>
 #include <vector>
 
+#include "cli_number.hpp"
 #include "rad/rad.hpp"
 #include "sim/deck.hpp"
 #include "trace/trace.hpp"
@@ -31,11 +32,11 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--days") {
-      days = std::atoi(next());
+      days = tools::number_flag(arg, next(), 0);
     } else if (arg == "--min-support") {
-      miner.min_support = static_cast<std::size_t>(std::atoll(next()));
+      miner.min_support = tools::number_flag<std::size_t>(arg, next());
     } else if (arg == "--min-confidence") {
-      miner.min_confidence = std::atof(next());
+      miner.min_confidence = tools::number_flag(arg, next(), 0.0, 1.0);
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "error: unknown flag '%s'\n", arg.c_str());
       return 2;
