@@ -45,6 +45,10 @@ struct Command {
   int source_line = 0;
 
   [[nodiscard]] std::string describe() const;
+
+  /// Field by field, source_line included: the same call issued from two
+  /// script lines is two different commands.
+  friend bool operator==(const Command&, const Command&) = default;
 };
 
 /// A move command's `position` argument, [x, y, z] in the arm's frame:

@@ -43,6 +43,11 @@ namespace {
 /// (stream index, command index): one dispatch slot of a campaign schedule.
 using Entry = std::pair<std::size_t, std::size_t>;
 using Commands = std::vector<std::vector<dev::Command>>;
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
 
 /// The one worker pool every fleet mode runs on: job(i) for each i in
 /// [0, jobs) across min(workers, jobs) threads (at least one), claiming work
@@ -52,7 +57,7 @@ using Commands = std::vector<std::vector<dev::Command>>;
 double run_pool(std::size_t jobs, std::size_t workers,
                 const std::function<void(std::size_t)>& job) {
   workers = std::max<std::size_t>(1, std::min(workers, jobs));
-  auto t0 = std::chrono::steady_clock::now();
+  Clock::time_point t0 = Clock::now();
   std::atomic<std::size_t> next{0};
   auto worker_loop = [&] {
     for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < jobs;
@@ -68,7 +73,7 @@ double run_pool(std::size_t jobs, std::size_t workers,
     for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker_loop);
     for (std::thread& t : pool) t.join();
   }
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  return seconds_since(t0);
 }
 
 /// The explicit cross-shard coordination path: steps on these devices (and
@@ -140,25 +145,35 @@ struct ResolvedCampaign {
   core::EngineConfig config;
   std::set<std::string, std::less<>> arm_ids;
   std::map<std::string, geom::Vec3, std::less<>> initial_poses;
+  Clock::time_point started;  ///< start of the campaign call (total_s)
+  double resolve_s = 0.0;
+  std::size_t scripts_recorded = 0;
 };
 
-/// Script streams are recorded against a staging lab built with the
-/// campaign's deck and seed (recording reads its device ids and site
-/// locations); command streams pass through.
+/// Builds the probe lab with the campaign's deck and seed and records each
+/// distinct script text once against it (recording reads device ids and
+/// site locations and never mutates the lab); streams with an equal script
+/// copy that recording. Command streams pass through.
 ResolvedCampaign resolve_campaign(const CampaignSpec& spec) {
   ResolvedCampaign resolved;
+  resolved.started = Clock::now();
+  sim::LabBackend probe(sim::testbed_profile(), spec.seed);
+  core::build_deck(probe, spec.deck);
+  std::map<std::string_view, std::size_t> recorded;  // script -> first stream with it
   resolved.commands.reserve(spec.streams.size());
   for (const CampaignStreamSpec& stream : spec.streams) {
     if (!stream.commands.empty() || stream.script.empty()) {
       resolved.commands.push_back(stream.commands);
       continue;
     }
-    sim::LabBackend staging(sim::testbed_profile(), spec.seed);
-    core::build_deck(staging, spec.deck);
-    resolved.commands.push_back(script::record_workflow(staging, stream.script));
+    auto [first, fresh] = recorded.try_emplace(stream.script, resolved.commands.size());
+    if (fresh) {
+      resolved.commands.push_back(script::record_workflow(probe, stream.script));
+      ++resolved.scripts_recorded;
+    } else {
+      resolved.commands.push_back(resolved.commands[first->second]);
+    }
   }
-  sim::LabBackend probe(sim::testbed_profile(), spec.seed);
-  core::build_deck(probe, spec.deck);
   resolved.config = core::config_from_backend(probe, spec.variant);
   for (const core::DeviceMeta& m : resolved.config.devices) {
     if (!m.is_arm) continue;
@@ -166,6 +181,7 @@ ResolvedCampaign resolve_campaign(const CampaignSpec& spec) {
     const auto* arm = dynamic_cast<const dev::RobotArmDevice*>(probe.registry().find(m.id));
     if (arm != nullptr) resolved.initial_poses.emplace(m.id, arm->position_lab());
   }
+  resolved.resolve_s = seconds_since(resolved.started);
   return resolved;
 }
 
@@ -204,29 +220,79 @@ std::vector<Entry> make_schedule(const Commands& commands, unsigned seed) {
   return schedule;
 }
 
-/// Solo baselines: each alerted stream alone on an isolated lab, through the
+/// Solo baselines: an alerted stream alone on an isolated lab, through the
 /// same step loop. An alert present in the campaign run but absent at the
 /// same (command index, rule) solo can only come from what other streams did
-/// to the shared state.
-void classify_against_solo(const CampaignSpec& spec, const Commands& commands,
-                           CampaignReport& report) {
-  std::set<std::size_t> alerted;
-  for (const CampaignAlert& a : report.alerts) alerted.insert(a.stream);
-  for (std::size_t s : alerted) {
+/// to the shared state. A solo run is a function of the seed, the deck and
+/// the commands it steps, and with halt_on_alert off its alert at command k
+/// depends on commands 0..k only. So alerted streams with equal command
+/// lists share one replay, cut after the furthest alerted command among
+/// them. Returns the number of replays.
+std::size_t classify_against_solo(const CampaignSpec& spec, const Commands& commands,
+                                  CampaignReport& report) {
+  struct Replay {
+    std::size_t stream = 0;  ///< whose command list it steps
+    std::size_t length = 0;  ///< commands stepped: through the furthest alert
+    std::set<std::pair<std::size_t, std::string>> alerts;  ///< (command index, rule)
+  };
+  std::vector<Replay> replays;
+  std::map<std::size_t, std::size_t> replay_of;  // alerted stream -> its replay
+  for (const CampaignAlert& a : report.alerts) {
+    auto [slot, fresh] = replay_of.try_emplace(a.stream, replays.size());
+    if (fresh) {
+      auto same = std::find_if(replays.begin(), replays.end(), [&](const Replay& r) {
+        return commands[r.stream] == commands[a.stream];
+      });
+      slot->second = static_cast<std::size_t>(same - replays.begin());
+      if (same == replays.end()) replays.push_back(Replay{a.stream, 0, {}});
+    }
+    Replay& replay = replays[slot->second];
+    replay.length = std::max(replay.length, a.command_index + 1);
+  }
+  for (Replay& replay : replays) {
     core::Lab solo(spec.variant, spec.seed, spec.deck);
     trace::Supervisor::Options solo_options;
     solo_options.halt_on_alert = false;
     trace::Supervisor supervisor(&solo.engine, &solo.backend, solo_options);
-    std::set<std::pair<std::size_t, std::string>> solo_alerts;
-    step_lab(supervisor, commands, stream_entries(s, commands[s].size()), nullptr,
+    step_lab(supervisor, commands, stream_entries(replay.stream, replay.length), nullptr,
              [&](const Entry& entry, const trace::SupervisedStep& step) {
-               if (step.alert) solo_alerts.emplace(entry.second, step.alert->rule);
+               if (step.alert) replay.alerts.emplace(entry.second, step.alert->rule);
              });
-    for (CampaignAlert& a : report.alerts) {
-      if (a.stream != s) continue;
-      a.cross_stream = !solo_alerts.contains({a.command_index, a.alert.rule});
+  }
+  for (CampaignAlert& a : report.alerts) {
+    a.cross_stream = !replays[replay_of[a.stream]].alerts.contains({a.command_index, a.alert.rule});
+  }
+  return replays.size();
+}
+
+/// Throws unless the shards of `plan` partition the spec's streams: returns
+/// each stream's shard.
+std::vector<std::size_t> shard_of_streams(const CampaignSpec& spec,
+                                          const analysis::ShardPlan& plan) {
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> shard_of(spec.streams.size(), kNone);
+  for (std::size_t k = 0; k < plan.shards.size(); ++k) {
+    for (std::size_t s : plan.shards[k].streams) {
+      if (s >= shard_of.size()) {
+        throw std::runtime_error("sharded campaign: shard " + std::to_string(k) +
+                                 " names stream #" + std::to_string(s) + ", spec has " +
+                                 std::to_string(spec.streams.size()) + " stream(s)");
+      }
+      if (shard_of[s] != kNone) {
+        throw std::runtime_error("sharded campaign: stream '" + spec.streams[s].name +
+                                 "' is in shards " + std::to_string(shard_of[s]) + " and " +
+                                 std::to_string(k));
+      }
+      shard_of[s] = k;
     }
   }
+  for (std::size_t s = 0; s < shard_of.size(); ++s) {
+    if (shard_of[s] == kNone) {
+      throw std::runtime_error("sharded campaign: stream '" + spec.streams[s].name +
+                               "' is in no shard");
+    }
+  }
+  return shard_of;
 }
 
 /// Runs `plan` over a resolved campaign: the shard phase on the worker pool,
@@ -239,6 +305,7 @@ CampaignReport run_plan(const CampaignSpec& spec, const ResolvedCampaign& resolv
                              std::to_string(plan.stream_names.size()) + " stream(s), spec has " +
                              std::to_string(spec.streams.size()));
   }
+  const std::vector<std::size_t> shard_of = shard_of_streams(spec, plan);
   const Commands& commands = resolved.commands;
   CampaignReport report;
   report.shards = plan.shards.size();
@@ -251,14 +318,8 @@ CampaignReport run_plan(const CampaignSpec& spec, const ResolvedCampaign& resolv
   std::vector<std::string> board_arms;
   for (const auto& [arm, pose] : resolved.initial_poses) board_arms.push_back(arm);
 
-  // Stream -> shard, each device's claiming shards, and each arm's
-  // commanding streams — the inputs for deciding what stays lock-free.
-  std::vector<std::size_t> shard_of(spec.streams.size(), 0);
-  for (std::size_t k = 0; k < plan.shards.size(); ++k) {
-    for (std::size_t s : plan.shards[k].streams) {
-      if (s < shard_of.size()) shard_of[s] = k;
-    }
-  }
+  // Each device's claiming shards and each arm's commanding streams — with
+  // the stream -> shard map, the inputs for deciding what stays lock-free.
   std::map<std::string, std::set<std::size_t>, std::less<>> device_shards;
   std::map<std::string, std::set<std::size_t>, std::less<>> arm_owner_streams;
   for (std::size_t s = 0; s < commands.size(); ++s) {
@@ -331,7 +392,6 @@ CampaignReport run_plan(const CampaignSpec& spec, const ResolvedCampaign& resolv
     // shard's own backend; every other arm comes from the pose board.
     std::set<std::string, std::less<>> shard_arms;
     for (std::size_t s : member_set) {
-      if (s >= commands.size()) continue;
       for (const dev::Command& c : commands[s]) {
         if (resolved.arm_ids.contains(c.device)) shard_arms.insert(c.device);
       }
@@ -444,7 +504,7 @@ CampaignReport run_plan(const CampaignSpec& spec, const ResolvedCampaign& resolv
                const dev::Command& cmd = commands[entry.first][entry.second];
                if (rendezvous.names.contains(cmd.device)) count_coordination();
                ++outcome.commands_checked;
-               if (step.check_wall_us > 0) outcome.latencies_us.push_back(step.check_wall_us);
+               if (step.check_cpu_us > 0) outcome.latencies_us.push_back(step.check_cpu_us);
                if (step.alert) {
                  outcome.alerts.push_back(
                      CampaignAlert{entry.first, entry.second, *step.alert, false});
@@ -481,7 +541,13 @@ CampaignReport run_plan(const CampaignSpec& spec, const ResolvedCampaign& resolv
     report.commands_per_s = static_cast<double>(report.commands_checked) / report.wall_s;
   }
 
-  classify_against_solo(spec, commands, report);
+  Clock::time_point classify_start = Clock::now();
+  report.solo_replays = classify_against_solo(spec, commands, report);
+  report.classify_s = seconds_since(classify_start);
+  report.resolve_s = resolved.resolve_s;
+  report.scripts_recorded = resolved.scripts_recorded;
+  report.labs_built = 1 + report.shards + report.solo_replays;
+  report.total_s = seconds_since(resolved.started);
 
   if (options.validate_certificates) {
     CampaignReport monolithic = run_plan(spec, resolved, single_shard_plan(spec), {});
@@ -515,10 +581,14 @@ CampaignReport Fleet::run(const CampaignSpec& spec, const ShardedCampaignOptions
   for (std::size_t i = 0; i < spec.streams.size(); ++i) {
     planned.push_back(analysis::CampaignStream{spec.streams[i].name, resolved.commands[i]});
   }
+  Clock::time_point plan_start = Clock::now();
   analysis::ShardPlan plan = analysis::plan_campaign_shards(resolved.config, planned);
-  if (plan_out == nullptr) return run_plan(spec, resolved, plan, options);
-  *plan_out = std::move(plan);  // one plan in memory, not a copy per caller
-  return run_plan(spec, resolved, *plan_out, options);
+  double plan_s = seconds_since(plan_start);
+  if (plan_out != nullptr) *plan_out = std::move(plan);  // one plan in memory, not a copy
+  CampaignReport report =
+      run_plan(spec, resolved, plan_out != nullptr ? *plan_out : plan, options);
+  report.plan_s = plan_s;
+  return report;
 }
 
 CampaignReport Fleet::run_campaign(const CampaignSpec& spec, const analysis::ShardPlan& plan,

@@ -24,7 +24,8 @@
 
 namespace rabit::fleet {
 
-/// Percentiles over per-command check latencies (real wall time).
+/// Percentiles over per-command check latencies (thread-CPU time, see
+/// trace::SupervisedStep::check_cpu_us).
 ///
 /// Convention (shared with obs::Histogram::percentile, see
 /// obs::nearest_rank): nearest-rank over ascending-sorted samples, rank =
@@ -55,15 +56,17 @@ struct LatencySummary {
 // where interference hazards live. Fleet::run_campaign(spec) is its
 // reference semantics: a deterministic seeded interleaving of the streams on
 // one lab, then a solo replay of each alerted stream on an identical fresh
-// lab and a diff of the alerts. An alert the interleaved run raises that the
-// stream's solo run does not is a *cross-stream* alert — ground truth for
+// lab (streams with equal command lists share one) and a diff of the
+// alerts. An alert the interleaved run raises that the stream's solo run
+// does not is a *cross-stream* alert — ground truth for
 // the static interference analyzer (analysis::analyze_campaign), whose
 // differential sweep asserts every such alert maps to an I-diagnostic naming
 // the alerting device. Fleet::run reaches the same verdicts shard by shard.
 
 /// One stream of a shared-lab campaign. Streams are given either as concrete
-/// commands or as DSL script source (recorded against a pristine staging
-/// testbed when commands are empty).
+/// commands or as DSL script source (recorded against the campaign's probe
+/// lab, a pristine backend and deck, when commands are empty; equal script
+/// texts are recorded once).
 struct CampaignStreamSpec {
   std::string name;
   std::vector<dev::Command> commands;
@@ -77,10 +80,11 @@ struct CampaignSpec {
   unsigned seed = 42;
   bool halt_on_alert = false;  ///< default: check everything, block, continue
   std::vector<CampaignStreamSpec> streams;
-  /// Deck builder run against every lab this campaign creates (shared lab,
-  /// shard labs, solo-replay labs, staging lab for script recording). Null
-  /// means the standard Hein testbed (sim::build_hein_testbed_deck). Must be
-  /// deterministic: every lab of a campaign has to be built identically.
+  /// Deck builder run against every lab this campaign creates (the probe lab
+  /// that scripts are recorded on and the planner's config comes from, shard
+  /// labs, solo-replay labs). Null means the standard Hein testbed
+  /// (sim::build_hein_testbed_deck). Must be deterministic: every lab of a
+  /// campaign has to be built identically.
   std::function<void(sim::LabBackend&)> deck;
 };
 
@@ -128,8 +132,24 @@ struct CampaignReport {
   /// script recording, the probe lab, solo replays and the validation oracle.
   double wall_s = 0.0;
   double commands_per_s = 0.0;  ///< commands_checked / wall_s
+  /// Wall-clock seconds of the other stages of the campaign call.
+  /// resolve_s: the probe lab and script recording. plan_s: the shard
+  /// planner, 0 when the caller passes the plan. classify_s: the solo
+  /// replays. total_s: the whole call, resolve through classification, the
+  /// validation oracle excluded.
+  double resolve_s = 0.0;
+  double plan_s = 0.0;
+  double classify_s = 0.0;
+  double total_s = 0.0;
+  /// Work counts, deterministic for a given spec and plan. scripts_recorded:
+  /// distinct script texts recorded. solo_replays: one per distinct alerted
+  /// command list. labs_built: the probe, one lab per shard and one per solo
+  /// replay (the validation oracle's labs are not counted).
+  std::size_t scripts_recorded = 0;
+  std::size_t solo_replays = 0;
+  std::size_t labs_built = 0;
   /// Per-command engine check latencies across all shards (thread-CPU time,
-  /// see trace::SupervisedStep::check_wall_us).
+  /// see trace::SupervisedStep::check_cpu_us).
   LatencySummary check_latency;
   /// Merged per-shard observability (null unless ShardedCampaignOptions::obs).
   /// Merged in shard-index order at join, so event exports are byte-identical
@@ -171,14 +191,15 @@ class Fleet {
  public:
   /// Runs the seeded interleaving on one shared lab — a 1-shard plan through
   /// the same runner as every other mode — then classifies every alert
-  /// against per-stream solo baselines. This is the *reference* (monolithic)
-  /// semantics; Fleet::run is the default execution model.
+  /// against solo baselines: one replay per distinct alerted command list,
+  /// cut after its furthest alerted command. This is the *reference*
+  /// (monolithic) semantics; Fleet::run is the default execution model.
   [[nodiscard]] static CampaignReport run_campaign(const CampaignSpec& spec);
 
-  /// The default fleet execution model: resolves script streams and builds
-  /// one probe lab (backend, deck and config) once, runs the static shard
-  /// planner (analysis::plan_campaign_shards), and executes the plan on the
-  /// sharded hot path below. An unshardable campaign yields a 1-shard plan.
+  /// The default fleet execution model: builds one probe lab (backend, deck
+  /// and config), records each distinct script on it once, runs the static
+  /// shard planner (analysis::plan_campaign_shards), and executes the plan on
+  /// the sharded hot path below. An unshardable campaign yields a 1-shard plan.
   /// When `plan_out` is non-null the computed plan is stored there.
   [[nodiscard]] static CampaignReport run(const CampaignSpec& spec,
                                           const ShardedCampaignOptions& options = {},
@@ -194,8 +215,9 @@ class Fleet {
   /// in coordination_events). Alerts are classified against solo baselines
   /// and merged in global-schedule order, so the report is independent of
   /// worker count. `halt_on_alert` is shard-local: an alert halts its own
-  /// shard only. Throws std::runtime_error when the plan does not cover
-  /// spec.streams.
+  /// shard only. Throws std::runtime_error, naming the stream, unless the
+  /// plan's shards partition spec.streams: every stream index in exactly one
+  /// shard, none out of range.
   [[nodiscard]] static CampaignReport run_campaign(const CampaignSpec& spec,
                                                    const analysis::ShardPlan& plan,
                                                    const ShardedCampaignOptions& options = {});

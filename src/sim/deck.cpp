@@ -88,14 +88,16 @@ void add_stations(LabBackend& b) {
   grid.place("SE", vial2.id());
 }
 
-/// Tunes an arm's named poses to deck-safe tip positions (the generic
-/// presets can park below the platform on some geometries, e.g. Ned2).
-void tune_pose(dev::RobotArmDevice& arm, std::string_view pose, const Vec3& local_tip) {
+/// Solves a named pose for a deck-safe tip position in the arm's frame (the
+/// generic presets can park below the platform on some geometries, e.g.
+/// Ned2): damped-least-squares IK from the fresh arm's joints.
+kin::JointVector solve_pose(const dev::RobotArmDevice& arm, std::string_view pose,
+                            const Vec3& local_tip) {
   kin::IkResult ik = arm.model().inverse(arm.to_lab(local_tip), arm.joints());
   if (!ik.joints) {
     throw std::logic_error(arm.id() + ": deck pose '" + std::string(pose) + "' unreachable");
   }
-  arm.set_named_pose(pose, *ik.joints);
+  return *ik.joints;
 }
 
 }  // namespace
@@ -108,8 +110,12 @@ void build_hein_production_deck(LabBackend& backend) {
       std::make_unique<dev::RobotArmDevice>(
           deck_ids::kUr3e, kin::make_ur3e(Transform::translation(Vec3(0.0, 0.0, kPlatformTop))),
           dev::MotionPolicy::ThrowOnUnreachable)));
-  tune_pose(ur3e, "home", Vec3(0.20, 0.0, 0.40));
-  tune_pose(ur3e, "sleep", Vec3(0.15, 0.0, 0.15));
+  // Every IK input (arm model, mount, initial joints, target) is a constant
+  // of this deck, so the poses are solved once per process.
+  static const kin::JointVector home = solve_pose(ur3e, "home", Vec3(0.20, 0.0, 0.40));
+  static const kin::JointVector sleep = solve_pose(ur3e, "sleep", Vec3(0.15, 0.0, 0.15));
+  ur3e.set_named_pose("home", home);
+  ur3e.set_named_pose("sleep", sleep);
   ur3e.commit_move(ur3e.plan_pose("home"), "home");
   add_stations(backend);
 }
@@ -130,10 +136,16 @@ void build_hein_testbed_deck(LabBackend& backend) {
           kin::make_ned2(Transform::translation(Vec3(0.60, 0.10, kPlatformTop)) *
                          Transform::rotation_z(3.14159265358979323846)),
           dev::MotionPolicy::ThrowOnUnreachable)));
-  tune_pose(viperx, "home", Vec3(0.25, 0.0, 0.30));
-  tune_pose(viperx, "sleep", Vec3(0.12, -0.10, 0.12));
-  tune_pose(ned2, "home", Vec3(0.20, 0.0, 0.25));
-  tune_pose(ned2, "sleep", Vec3(0.15, 0.0, 0.12));
+  // Solved once per process, as on the production deck.
+  static const kin::JointVector viperx_home = solve_pose(viperx, "home", Vec3(0.25, 0.0, 0.30));
+  static const kin::JointVector viperx_sleep =
+      solve_pose(viperx, "sleep", Vec3(0.12, -0.10, 0.12));
+  static const kin::JointVector ned2_home = solve_pose(ned2, "home", Vec3(0.20, 0.0, 0.25));
+  static const kin::JointVector ned2_sleep = solve_pose(ned2, "sleep", Vec3(0.15, 0.0, 0.12));
+  viperx.set_named_pose("home", viperx_home);
+  viperx.set_named_pose("sleep", viperx_sleep);
+  ned2.set_named_pose("home", ned2_home);
+  ned2.set_named_pose("sleep", ned2_sleep);
   // Testbed discipline: both arms start parked so either may move first
   // under time multiplexing.
   viperx.commit_move(viperx.plan_pose("sleep"), "sleep");

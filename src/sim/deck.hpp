@@ -26,11 +26,17 @@ inline constexpr const char* kVial2 = "vial_2";
 /// Populates `backend` with the Hein production deck: one UR3e, the five
 /// automation stations, a 2x2 vial grid (slots NW/NE/SW/SE), two vials
 /// (vial_1 at grid.NW, vial_2 at grid.SE), ground, platform, and walls.
+///
+/// Both deck builders tune each arm's "home" and "sleep" poses to deck-safe
+/// tip positions by inverse kinematics from the fresh arm's joints. Those
+/// inputs are constants of the deck, so the poses are solved once per
+/// process (thread-safe, on first use) and set on every new arm; an
+/// unreachable pose throws std::logic_error on every call.
 void build_hein_production_deck(LabBackend& backend);
 
 /// Populates `backend` with the testbed deck: ViperX and Ned2 (separate
 /// coordinate frames), cardboard-mockup stations at the same sites, vials,
-/// and the same static geometry.
+/// and the same static geometry. Poses are solved once, as above.
 void build_hein_testbed_deck(LabBackend& backend);
 
 /// Dense-lab load for a simulator world: `count` static 0.25 m equipment

@@ -279,10 +279,10 @@ void Supervisor::update_metrics(const obs::SpanRecord& span, const SupervisedSte
     reg.counter("rabit_alerts_total", "kind=\"" + std::string(kind) + "\"", "Alerts by kind")
         .increment();
   }
-  if (result.check_wall_us > 0) {
+  if (result.check_cpu_us > 0) {
     reg.histogram("rabit_check_latency_us",
                   "Real microseconds spent in pre-execution engine checks per command")
-        .observe(result.check_wall_us);
+        .observe(result.check_cpu_us);
   }
   if (result.retries > 0) {
     reg.counter("rabit_recovery_retries_total", "", "Recovery-ladder command re-attempts")
@@ -389,7 +389,7 @@ bool Supervisor::maybe_demote(const dev::Command& cmd, SupervisedStep& result,
   // Slow path: the inflated query over-approximates solids by their bounding
   // cuboid, so a trip is only a suspicion; the signed-margin profile settles
   // it and locates the violation for the switching-point derivation.
-  sim::MarginProfile profile = timed_check(result.check_wall_us, [&] {
+  sim::MarginProfile profile = timed_check(result.check_cpu_us, [&] {
     return simulator->trajectory_margin(motion->waypoints, motion->held_clearance,
                                         motion->ignores);
   });
@@ -699,7 +699,7 @@ SupervisedStep Supervisor::step_impl(const dev::Command& cmd) {
   // re-checks identically on fresh data, so re-polling never masks one.
   if (engine_ != nullptr) {
     std::optional<core::Alert> pre_alert =
-        timed_check(result.check_wall_us, [&] { return engine_->check_command(cmd); });
+        timed_check(result.check_cpu_us, [&] { return engine_->check_command(cmd); });
     if (pre_alert && options_.recovery) {
       const recovery::RecoveryPolicy& pol = *options_.recovery;
       for (std::size_t repoll = 1; pre_alert && repoll <= pol.max_status_repolls; ++repoll) {
@@ -717,7 +717,7 @@ SupervisedStep Supervisor::step_impl(const dev::Command& cmd) {
           active_span_->phases.push_back({obs::Phase::Recovery, pol.repoll_interval_s, 0.0});
         }
         pre_alert =
-            timed_check(result.check_wall_us, [&] { return engine_->check_command(cmd); });
+            timed_check(result.check_cpu_us, [&] { return engine_->check_command(cmd); });
       }
       if (!pre_alert) ++recovery_report_.transients_absorbed;
     }
@@ -802,7 +802,7 @@ SupervisedStep Supervisor::step_impl(const dev::Command& cmd) {
 
 void RunReport::record(SupervisedStep step) {
   std::size_t index = steps.size();
-  check_wall_s += step.check_wall_us * 1e-6;
+  check_cpu_s += step.check_cpu_us * 1e-6;
   if (step.alert) {
     ++alerts;
     if (!first_alert_step) first_alert_step = index;

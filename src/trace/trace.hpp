@@ -108,7 +108,7 @@ struct SupervisedStep {
   /// p50/p99/p999. Thread CPU time, not wall clock: a check preempted by
   /// the scheduler mid-flight reports what it computed, not what it waited
   /// (see obs::thread_cpu_now_us).
-  double check_wall_us = 0.0;
+  double check_cpu_us = 0.0;
 };
 
 /// Full-workflow report, with the indices benches need to score detection:
@@ -124,8 +124,8 @@ struct RunReport {
   double modeled_runtime_s = 0.0;   ///< backend execution time
   double modeled_overhead_s = 0.0;  ///< RABIT + simulator check time
   /// Real thread-CPU seconds spent inside engine check calls across the
-  /// whole run (sum of the per-step check_wall_us samples).
-  double check_wall_s = 0.0;
+  /// whole run (sum of the per-step check_cpu_us samples).
+  double check_cpu_s = 0.0;
   /// What the recovery ladder did, when Options::recovery was set.
   std::optional<recovery::RecoveryReport> recovery;
   /// Motion commands checked at V2 level because the V3 simulator was

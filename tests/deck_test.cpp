@@ -2,6 +2,9 @@
 // every experiment, so pin them down.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "core/config.hpp"
 #include "devices/robot_arm.hpp"
 #include "sim/deck.hpp"
@@ -134,6 +137,45 @@ TEST_P(DeckInvariants, GeneratedConfigPassesItsOwnSchema) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Decks, DeckInvariants, ::testing::Values("testbed", "production"));
+
+bool bit_identical(const kin::JointVector& a, const kin::JointVector& b) {
+  return std::memcmp(a.data(), b.data(), sizeof(a)) == 0;
+}
+
+// Deck poses are solved once per process. Once that table is warm, every
+// named pose a new deck sets is bit-identical to a fresh IK solve from the
+// arm's initial joints to the deck's target tip (arm frame).
+TEST(DeckPoses, WarmPoseTableMatchesAFreshSolve) {
+  struct Target {
+    const char* arm;
+    const char* pose;
+    Vec3 tip;
+  };
+  const Target targets[] = {
+      {ids::kUr3e, "home", Vec3(0.20, 0.0, 0.40)},
+      {ids::kUr3e, "sleep", Vec3(0.15, 0.0, 0.15)},
+      {ids::kViperX, "home", Vec3(0.25, 0.0, 0.30)},
+      {ids::kViperX, "sleep", Vec3(0.12, -0.10, 0.12)},
+      {ids::kNed2, "home", Vec3(0.20, 0.0, 0.25)},
+      {ids::kNed2, "sleep", Vec3(0.15, 0.0, 0.12)},
+  };
+  // The first build of each deck fills the table; the second reads it.
+  LabBackend production_warm(production_profile());
+  LabBackend production(production_profile());
+  LabBackend testbed_warm(testbed_profile());
+  LabBackend testbed(testbed_profile());
+  for (LabBackend* b : {&production_warm, &production}) build_hein_production_deck(*b);
+  for (LabBackend* b : {&testbed_warm, &testbed}) build_hein_testbed_deck(*b);
+  for (const Target& t : targets) {
+    SCOPED_TRACE(std::string(t.arm) + " " + t.pose);
+    const LabBackend& backend = std::string(t.arm) == ids::kUr3e ? production : testbed;
+    const auto& arm = dynamic_cast<const dev::RobotArmDevice&>(backend.registry().at(t.arm));
+    dev::RobotArmDevice fresh(arm.id(), arm.model(), arm.policy());
+    kin::IkResult ik = fresh.model().inverse(fresh.to_lab(t.tip), fresh.joints());
+    ASSERT_TRUE(ik.joints.has_value());
+    EXPECT_TRUE(bit_identical(arm.named_pose(t.pose), *ik.joints));
+  }
+}
 
 }  // namespace
 }  // namespace rabit::sim

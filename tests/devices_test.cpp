@@ -59,6 +59,31 @@ TEST(Device, CommandDescribe) {
   EXPECT_NE(d.find("@line 42"), std::string::npos);
 }
 
+TEST(Device, CommandEqualityComparesEveryField) {
+  auto celsius = [](double v) {
+    json::Object o;
+    o["celsius"] = v;
+    return o;
+  };
+  Command a = make_cmd("hotplate", "set_temperature", celsius(120.0));
+  a.source_line = 7;
+  Command b = a;
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(std::vector<Command>{a}, std::vector<Command>{b});
+
+  b.source_line = 8;  // the same call from another script line
+  EXPECT_NE(a, b);
+  b = a;
+  b.args = json::Value(celsius(121.0));
+  EXPECT_NE(a, b);
+  b = a;
+  b.action = "stir";
+  EXPECT_NE(a, b);
+  b = a;
+  b.device = "thermoshaker";
+  EXPECT_NE(a, b);
+}
+
 TEST(Device, FaultPlanOverridesObservedState) {
   DosingDeviceModel d("dd", unit_box());
   FaultPlan fault;

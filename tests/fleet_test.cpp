@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -311,6 +312,48 @@ TEST(FleetInput, MalformedMovePositionIsAG3AlertNotACrash) {
     EXPECT_EQ(alert->command_index, 0u);
     EXPECT_EQ(alert->alert.rule, "G3");
   }
+}
+
+TEST(FleetPlan, ShardsMustPartitionTheStreams) {
+  // Three V2 streams of two commands each on disjoint stations.
+  fleet::CampaignSpec spec;
+  spec.variant = core::Variant::Modified;
+  spec.streams = {{"a",
+                   {cmd("hotplate", "set_temperature", num_args("celsius", 60.0)),
+                    cmd("hotplate", "stop")},
+                   ""},
+                  {"b",
+                   {cmd("thermoshaker", "set_temperature", num_args("celsius", 40.0)),
+                    cmd("thermoshaker", "stop")},
+                   ""},
+                  {"c", {cmd("camera", "start"), cmd("camera", "stop")}, ""}};
+  auto plan_with = [&spec](std::vector<analysis::Shard> shards) {
+    analysis::ShardPlan plan;
+    for (const fleet::CampaignStreamSpec& s : spec.streams) plan.stream_names.push_back(s.name);
+    plan.shards = std::move(shards);
+    return plan;
+  };
+  auto error_of = [&spec](const analysis::ShardPlan& plan) -> std::string {
+    try {
+      (void)fleet::Fleet::run_campaign(spec, plan);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  // Stream c in no shard: it would go unchecked (4 of 6 commands).
+  EXPECT_NE(error_of(plan_with({analysis::Shard{{0, 1}}})).find("stream 'c' is in no shard"),
+            std::string::npos);
+  // Stream c in two shards: checked twice, its alerts duplicated (8 of 6).
+  EXPECT_NE(error_of(plan_with({analysis::Shard{{0, 1, 2}}, analysis::Shard{{2}}}))
+                .find("stream 'c' is in shards 0 and 1"),
+            std::string::npos);
+  // A stream index past the spec's streams.
+  EXPECT_NE(error_of(plan_with({analysis::Shard{{0, 1, 2, 7}}})).find("names stream #7"),
+            std::string::npos);
+  // A partition runs every command once.
+  analysis::ShardPlan partition = plan_with({analysis::Shard{{0, 2}}, analysis::Shard{{1}}});
+  EXPECT_EQ(fleet::Fleet::run_campaign(spec, partition).commands_checked, 6u);
 }
 
 // --- observability: golden determinism and the sharded-sink audit -----------
