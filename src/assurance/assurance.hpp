@@ -38,9 +38,9 @@
 
 namespace rabit::assurance {
 
-/// Tunables of the runtime-assurance decision module.
+/// Tunables of the runtime-assurance decision module. There is no on/off
+/// field: trace::Supervisor::Options::assurance being set is the switch.
 struct AssuranceConfig {
-  bool enabled = true;
   /// Barrier floor in metres: demote when the planned path would pass closer
   /// than this to any non-ignored obstacle. Sized to dominate the paper's
   /// testbed frame-unification error (~3 cm), so a configured world that is

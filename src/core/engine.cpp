@@ -213,8 +213,6 @@ void RabitEngine::export_stats(obs::Registry& registry) const {
   add("rabit_engine_degraded_checks_total",
       "Motion commands checked at V2 level with the V3 simulator detached",
       stats_.degraded_checks);
-  add("rabit_engine_status_repolls_total", "Status re-polls before judging a divergence",
-      stats_.status_repolls);
   add("rabit_engine_resyncs_total", "Line-16 resyncs of tracked state onto observed state",
       stats_.resyncs);
 }

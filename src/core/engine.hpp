@@ -68,14 +68,16 @@ class RabitEngine {
   /// about to execute.
   void apply_expected(const dev::Command& cmd);
 
-  /// Fig. 2 lines 13-16: compares the freshly fetched state against the
-  /// expectation, then resyncs regardless so analysis can continue.
+  /// Fig. 2 lines 13-16 in one call: compares the freshly fetched state
+  /// against the expectation, then resyncs regardless so analysis can
+  /// continue. trace::Supervisor composes the three calls below instead, so
+  /// that its ladder can re-poll and retry between them.
   [[nodiscard]] std::optional<Alert> verify_postconditions(const dev::Command& cmd,
                                                            const dev::LabStateSnapshot& observed);
 
-  /// The line-14 comparison *without* the line-16 resync: what the recovery
-  /// layer uses to re-poll a suspicious status before declaring a
-  /// malfunction (a stale read must not be confused with real damage).
+  /// The line-14 comparison *without* the line-16 resync, so a suspicious
+  /// status can be re-polled before a malfunction is declared (a stale read
+  /// must not be confused with real damage).
   [[nodiscard]] std::vector<std::string> postcondition_mismatches(
       const dev::LabStateSnapshot& observed) const;
 
@@ -86,9 +88,6 @@ class RabitEngine {
   /// survived the recovery ladder.
   [[nodiscard]] Alert declare_malfunction(const dev::Command& cmd,
                                           const std::vector<std::string>& diffs);
-
-  /// Counts one status re-poll taken before judging a divergence.
-  void note_status_repoll() { ++stats_.status_repolls; }
 
   /// Attaches the span the next check_command() annotates with its
   /// canonicalize and precondition phase timings (modeled + wall). Null
@@ -130,8 +129,6 @@ class RabitEngine {
     /// Motion commands checked at V2 level because the V3 simulator was
     /// detached mid-run (degraded mode) — counted, never silently skipped.
     std::size_t degraded_checks = 0;
-    /// Status re-polls taken before declaring a malfunction.
-    std::size_t status_repolls = 0;
     /// Line-16 resyncs of S_current onto a fetched S_actual.
     std::size_t resyncs = 0;
   };

@@ -1,5 +1,7 @@
 #include "recovery/recovery.hpp"
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -17,14 +19,15 @@ double BackoffClock::wait_s(std::size_t attempt) {
 }
 
 double worst_case_ladder_s(const RecoveryPolicy& policy) {
-  double total = 0.0;
-  double wait = policy.backoff_base_s;
-  for (std::size_t attempt = 1; attempt <= policy.max_retries; ++attempt) {
-    total += wait * (1.0 + policy.backoff_jitter);
-    wait *= policy.backoff_factor;
-  }
-  total += static_cast<double>(policy.max_status_repolls) * policy.repoll_interval_s;
-  return total;
+  // The retry waits at maximum jitter are a geometric series, summed in
+  // closed form: validate() runs on every Supervisor construction, and the
+  // retry budget may be as large as std::size_t allows.
+  const double n = static_cast<double>(policy.max_retries);
+  const double first = policy.backoff_base_s * (1.0 + policy.backoff_jitter);
+  const double factor = policy.backoff_factor;
+  const double retries =
+      factor == 1.0 ? first * n : first * (std::pow(factor, n) - 1.0) / (factor - 1.0);
+  return retries + static_cast<double>(policy.max_status_repolls) * policy.repoll_interval_s;
 }
 
 std::vector<PolicyIssue> validate(const RecoveryPolicy& policy) {
@@ -73,12 +76,30 @@ std::vector<PolicyIssue> validate(const RecoveryPolicy& policy) {
   return issues;
 }
 
+namespace {
+
+/// Exact integers in range only: casting anything else is undefined
+/// behaviour (negative, too large) or a silent truncation (fractions).
+template <typename Int>
+Int whole_number(const json::Value& value, const std::string& key) {
+  // 2^digits is exact as a double, unlike the type's maximum for 64 bits.
+  const double limit = std::ldexp(1.0, std::numeric_limits<Int>::digits);
+  double v = value.is_number() ? value.as_double() : -1.0;
+  if (!(v >= 0.0 && v < limit) || v != std::floor(v)) {
+    throw std::runtime_error("recovery policy: '" + key + "' must be an integer in [0, " +
+                             std::to_string(std::numeric_limits<Int>::max()) + "]");
+  }
+  return static_cast<Int>(v);
+}
+
+}  // namespace
+
 RecoveryPolicy policy_from_json(const json::Value& doc) {
   if (!doc.is_object()) throw std::runtime_error("recovery policy must be an object");
   RecoveryPolicy p;
   for (const auto& [key, value] : doc.as_object()) {
     if (key == "max_retries") {
-      p.max_retries = static_cast<std::size_t>(value.as_double());
+      p.max_retries = whole_number<std::size_t>(value, key);
     } else if (key == "backoff_base_s") {
       p.backoff_base_s = value.as_double();
     } else if (key == "backoff_factor") {
@@ -86,9 +107,9 @@ RecoveryPolicy policy_from_json(const json::Value& doc) {
     } else if (key == "backoff_jitter") {
       p.backoff_jitter = value.as_double();
     } else if (key == "jitter_seed") {
-      p.jitter_seed = static_cast<unsigned>(value.as_double());
+      p.jitter_seed = whole_number<unsigned>(value, key);
     } else if (key == "max_status_repolls") {
-      p.max_status_repolls = static_cast<std::size_t>(value.as_double());
+      p.max_status_repolls = whole_number<std::size_t>(value, key);
     } else if (key == "repoll_interval_s") {
       p.repoll_interval_s = value.as_double();
     } else if (key == "watchdog_timeout_s") {

@@ -83,9 +83,10 @@ struct PolicyIssue {
 ///    "backoff_jitter": 0.25, "jitter_seed": 1, "max_status_repolls": 3,
 ///    "repoll_interval_s": 0.5, "watchdog_timeout_s": 60.0,
 ///    "safe_state_on_escalation": true}
-/// Unknown keys throw std::runtime_error naming the key; all fields are
-/// optional and default to RecoveryPolicy{}. Range checking is validate()'s
-/// job, not the parser's.
+/// Unknown keys throw std::runtime_error naming the key, and so does a
+/// max_retries, max_status_repolls or jitter_seed that is not an exact
+/// integer in its type's range. All fields are optional and default to
+/// RecoveryPolicy{}. Checking the other values is validate()'s job.
 [[nodiscard]] RecoveryPolicy policy_from_json(const json::Value& doc);
 [[nodiscard]] json::Value policy_to_json(const RecoveryPolicy& policy);
 

@@ -185,6 +185,25 @@ std::optional<dev::Severity> RunReport::max_damage_severity() const {
 // Supervisor
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// The paper's alert-and-stop is the recovery ladder with no budget: no
+/// retry and no re-poll can fire, so no watchdog check runs either.
+constexpr recovery::RecoveryPolicy kAlertAndStop{.max_retries = 0, .max_status_repolls = 0};
+
+Outcome outcome_of(const sim::ExecResult& exec) {
+  if (!exec.executed) return Outcome::FirmwareError;
+  if (exec.silently_skipped) return Outcome::SilentlySkipped;
+  return Outcome::Executed;
+}
+
+double elapsed_us(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - since)
+      .count();
+}
+
+}  // namespace
+
 Supervisor::Supervisor(core::RabitEngine* engine, sim::LabBackend* backend, Options options)
     : engine_(engine), backend_(backend), options_(std::move(options)) {
   if (backend_ == nullptr) throw std::invalid_argument("Supervisor: null backend");
@@ -203,8 +222,7 @@ Supervisor::Supervisor(core::RabitEngine* engine, sim::LabBackend* backend, Opti
     // Fold the assurance margin into the engine's own V3 sweep: the fast
     // path becomes a flag read instead of a second sweep per motion. Reset
     // explicitly when assurance is off, in case the engine is reused.
-    bool on = options_.assurance && options_.assurance->enabled;
-    engine_->set_assurance_margin(on ? options_.assurance->margin_min_m : 0.0);
+    engine_->set_assurance_margin(options_.assurance ? options_.assurance->margin_min_m : 0.0);
   }
 }
 
@@ -219,6 +237,10 @@ void Supervisor::start() {
   if (engine_ != nullptr) {
     engine_->initialize(backend_->fetch_status().snapshot);
   }
+}
+
+const recovery::RecoveryPolicy& Supervisor::policy() const {
+  return options_.recovery ? *options_.recovery : kAlertAndStop;
 }
 
 double Supervisor::modeled_now() const {
@@ -324,6 +346,33 @@ void Supervisor::append_recovery_record(const dev::Command& cmd, Outcome outcome
   }
 }
 
+void Supervisor::raise_alert(core::Alert alert, Outcome outcome, SupervisedStep& result,
+                             TraceRecord& record) {
+  record.outcome = outcome;
+  record.alert_rule = alert.rule;
+  record.alert_message = alert.message;
+  result.alert = std::move(alert);
+  if (options_.halt_on_alert) {
+    halted_ = true;
+    result.halted = true;
+  }
+}
+
+sim::LabBackend::StatusFetch Supervisor::repoll_status(const dev::Command& cmd,
+                                                       SupervisedStep& result,
+                                                       std::size_t repoll, std::string note) {
+  const double interval = policy().repoll_interval_s;
+  backend_->advance_clock(interval);
+  ++result.repolls;
+  ++recovery_report_.repolls;
+  recovery_report_.recovery_time_s += interval;
+  recovery_report_.events.push_back({recovery::RecoveryEvent::Kind::Repoll, cmd.device,
+                                     cmd.action, repoll, backend_->modeled_clock_s(),
+                                     std::move(note)});
+  append_recovery_record(cmd, Outcome::StatusRepoll, repoll, std::string());
+  return backend_->fetch_status();
+}
+
 void Supervisor::escalate(const dev::Command& cmd, bool quarantine_device) {
   // Re-entrancy guard: a fault raised by one of the safe controller's own
   // commands must not restart the escalation (or re-enter the retry ladder)
@@ -371,7 +420,7 @@ void Supervisor::escalate(const dev::Command& cmd, bool quarantine_device) {
 bool Supervisor::maybe_demote(const dev::Command& cmd, SupervisedStep& result,
                               TraceRecord& record) {
   const assurance::AssuranceConfig& cfg = *options_.assurance;
-  if (!cfg.enabled || engine_ == nullptr) return false;
+  if (engine_ == nullptr) return false;
   sim::ExtendedSimulator* simulator = engine_->simulator();
   if (simulator == nullptr || engine_->config().variant != core::Variant::ModifiedWithSim) {
     return false;
@@ -417,15 +466,9 @@ bool Supervisor::maybe_demote(const dev::Command& cmd, SupervisedStep& result,
                                      cmd.action, 0, backend_->modeled_clock_s(), note});
   recovery_report_.assurance.push_back(event);
 
-  result.alert = core::Alert{core::AlertKind::InvalidTrajectory, "RTA", note, cmd};
+  raise_alert(core::Alert{core::AlertKind::InvalidTrajectory, "RTA", note, cmd},
+              Outcome::Demoted, result, record);
   result.demoted = true;
-  record.outcome = Outcome::Demoted;
-  record.alert_rule = "RTA";
-  record.alert_message = note;
-  if (options_.halt_on_alert) {
-    halted_ = true;
-    result.halted = true;
-  }
   log_.append(std::move(record));
   emit_rung("demote", cmd, 0, note);
 
@@ -480,24 +523,21 @@ bool Supervisor::maybe_demote(const dev::Command& cmd, SupervisedStep& result,
   safe_controller_active_ = false;
 
   if (result.halted) {
-    if (options_.recovery) {
-      // The arm's configured geometry just proved untrustworthy — finish the
-      // ladder: quarantine the device, then safe-state and halt.
-      escalate(cmd, /*quarantine_device=*/true);
-    } else {
-      recovery_report_.halted = true;
-    }
+    // The arm's configured geometry just proved untrustworthy. With a policy
+    // the ladder finishes the job: quarantine the device, then safe state.
+    recovery_report_.halted = true;
+    escalate(cmd, /*quarantine_device=*/true);
   }
   return true;
 }
 
-void Supervisor::execute_with_recovery(const dev::Command& cmd, SupervisedStep& result,
-                                       TraceRecord& record) {
-  const recovery::RecoveryPolicy& pol = *options_.recovery;
+void Supervisor::execute_and_verify(const dev::Command& cmd, SupervisedStep& result,
+                                    TraceRecord& record) {
+  const recovery::RecoveryPolicy& pol = policy();
   const double deadline = backend_->modeled_clock_s() + pol.watchdog_timeout_s;
   std::size_t attempts_used = 0;
+  const std::size_t repolls_before = result.repolls;
   bool watchdog_logged = false;
-  bool used_ladder = false;
   std::vector<sim::DamageEvent> all_damage;
 
   auto watchdog_ok = [&] { return backend_->modeled_clock_s() < deadline; };
@@ -512,11 +552,12 @@ void Supervisor::execute_with_recovery(const dev::Command& cmd, SupervisedStep& 
     emit_rung("watchdog", cmd, attempts_used, "per-command watchdog expired");
   };
 
-  // Phase accounting for the obs span: everything the ladder waits for
-  // (backoff, re-poll intervals) is the recovery phase; the remaining
-  // modeled time (execution, status fetches) is dispatch.
+  // Span phases: Dispatch is the backend executing the command, Postcondition
+  // the status fetches, diffs and resyncs (no modeled time), Recovery what the
+  // ladder waited (backoff, re-poll intervals).
   const double span_modeled_0 = modeled_now();
   const double span_recovery_0 = recovery_report_.recovery_time_s;
+  double dispatch_wall_us = 0.0;
   std::chrono::steady_clock::time_point span_wall_0;
   if (active_span_ != nullptr) span_wall_0 = std::chrono::steady_clock::now();
 
@@ -542,21 +583,26 @@ void Supervisor::execute_with_recovery(const dev::Command& cmd, SupervisedStep& 
     return true;
   };
 
+  auto dispatch = [&] {
+    std::chrono::steady_clock::time_point t0;
+    if (active_span_ != nullptr) t0 = std::chrono::steady_clock::now();
+    sim::ExecResult exec = backend_->execute(cmd);
+    if (active_span_ != nullptr) dispatch_wall_us += elapsed_us(t0);
+    return exec;
+  };
+
   // Line 12 with busy-retry absorption: a firmware-busy rejection is waited
   // out rather than surfaced, until the budget runs dry.
   auto execute_once = [&] {
-    sim::ExecResult exec = backend_->execute(cmd);
-    while (exec.transient_busy) {
-      used_ladder = true;
-      if (!take_retry("firmware busy")) break;
-      exec = backend_->execute(cmd);
-    }
-    for (const sim::DamageEvent& e : exec.damage) all_damage.push_back(e);
+    sim::ExecResult exec = dispatch();
+    while (exec.transient_busy && take_retry("firmware busy")) exec = dispatch();
+    all_damage.insert(all_damage.end(), exec.damage.begin(), exec.damage.end());
     return exec;
   };
 
   sim::ExecResult exec = execute_once();
 
+  // Lines 13-16: fetch S_actual, compare it with S_expected, resync.
   std::optional<core::Alert> malfunction;
   if (engine_ != nullptr) {
     for (;;) {
@@ -566,33 +612,16 @@ void Supervisor::execute_with_recovery(const dev::Command& cmd, SupervisedStep& 
       // Stale-read filter: a divergence may be a status artifact (timeout
       // substituting a cached snapshot, stale firmware report), not damage.
       // Re-poll before judging.
-      std::size_t repoll = 0;
-      while (!diffs.empty() && repoll < pol.max_status_repolls && watchdog_ok()) {
-        used_ladder = true;
-        ++repoll;
-        ++result.repolls;
-        backend_->advance_clock(pol.repoll_interval_s);
-        ++recovery_report_.repolls;
-        recovery_report_.recovery_time_s += pol.repoll_interval_s;
-        engine_->note_status_repoll();
-        recovery_report_.events.push_back({recovery::RecoveryEvent::Kind::Repoll, cmd.device,
-                                           cmd.action, repoll, backend_->modeled_clock_s(),
-                                           "status re-poll"});
-        append_recovery_record(cmd, Outcome::StatusRepoll, repoll, std::string());
-        fetched = backend_->fetch_status();
+      for (std::size_t repoll = 1;
+           !diffs.empty() && repoll <= pol.max_status_repolls && watchdog_ok(); ++repoll) {
+        fetched = repoll_status(cmd, result, repoll, "status re-poll");
         diffs = engine_->postcondition_mismatches(fetched.snapshot);
       }
+      engine_->resync_observed(fetched.snapshot);  // line 16
+      if (diffs.empty()) break;
 
-      if (diffs.empty()) {
-        engine_->resync_observed(fetched.snapshot);  // line 16
-        break;
-      }
-
-      // The divergence survived re-polling: adopt reality (line 16), then
-      // either retry the command with a re-armed expectation or declare the
-      // malfunction the paper's line 14 would have declared immediately.
-      used_ladder = true;
-      engine_->resync_observed(fetched.snapshot);
+      // The divergence survived re-polling: retry the command with a
+      // re-armed expectation, or declare the malfunction of line 14.
       if (!take_retry("postcondition divergence")) {
         malfunction = engine_->declare_malfunction(cmd, diffs);
         break;
@@ -602,40 +631,29 @@ void Supervisor::execute_with_recovery(const dev::Command& cmd, SupervisedStep& 
     }
   }
 
-  result.exec = exec;
-  result.exec->damage = all_damage;
+  record.outcome = outcome_of(exec);
   record.damage_events = all_damage.size();
-  if (!exec.executed) {
-    record.outcome = Outcome::FirmwareError;
-  } else if (exec.silently_skipped) {
-    record.outcome = Outcome::SilentlySkipped;
-  } else {
-    record.outcome = Outcome::Executed;
-  }
+  exec.damage = std::move(all_damage);
+  result.exec = std::move(exec);
 
+  const bool rung_taken =
+      result.retries > 0 || result.repolls > repolls_before || watchdog_logged;
   if (malfunction) {
-    result.alert = malfunction;
-    record.outcome = Outcome::MalfunctionFlagged;
-    record.alert_rule = malfunction->rule;
-    record.alert_message = malfunction->message;
-    if (options_.halt_on_alert) {
-      halted_ = true;
-      result.halted = true;
-    }
-  } else if (used_ladder) {
-    ++recovery_report_.transients_absorbed;
+    raise_alert(std::move(*malfunction), Outcome::MalfunctionFlagged, result, record);
+  } else if (rung_taken && result.exec->executed) {
+    ++recovery_report_.transients_absorbed;  // the ladder saved this command
   }
 
   if (active_span_ != nullptr) {
-    double wall_us = std::chrono::duration<double, std::micro>(
-                         std::chrono::steady_clock::now() - span_wall_0)
-                         .count();
-    double recovery_modeled = recovery_report_.recovery_time_s - span_recovery_0;
-    double dispatch_modeled = modeled_now() - span_modeled_0 - recovery_modeled;
-    active_span_->phases.push_back({obs::Phase::Dispatch, dispatch_modeled, wall_us});
-    if (used_ladder) {
-      active_span_->phases.push_back({obs::Phase::Recovery, recovery_modeled, 0.0});
+    const double wall_us = elapsed_us(span_wall_0);
+    const double recovery_modeled = recovery_report_.recovery_time_s - span_recovery_0;
+    active_span_->phases.push_back(
+        {obs::Phase::Dispatch, modeled_now() - span_modeled_0 - recovery_modeled,
+         dispatch_wall_us});
+    if (engine_ != nullptr) {
+      active_span_->phases.push_back({obs::Phase::Postcondition, 0.0, wall_us - dispatch_wall_us});
     }
+    if (rung_taken) active_span_->phases.push_back({obs::Phase::Recovery, recovery_modeled, 0.0});
   }
 
   log_.append(std::move(record));
@@ -667,8 +685,6 @@ SupervisedStep Supervisor::step(const dev::Command& cmd) {
 
 SupervisedStep Supervisor::step_impl(const dev::Command& cmd) {
   SupervisedStep result;
-  result.command = cmd;
-
   TraceRecord record;
   record.command = cmd;
 
@@ -682,7 +698,7 @@ SupervisedStep Supervisor::step_impl(const dev::Command& cmd) {
     return result;
   }
 
-  if (options_.recovery && quarantined_.contains(cmd.device)) {
+  if (quarantined_.contains(cmd.device)) {
     // A quarantined device is out of service until a human clears it.
     record.outcome = Outcome::Blocked;
     record.alert_rule = "QUARANTINE";
@@ -698,39 +714,22 @@ SupervisedStep Supervisor::step_impl(const dev::Command& cmd) {
   // channel can make a safe script look unsafe. A genuine script bug
   // re-checks identically on fresh data, so re-polling never masks one.
   if (engine_ != nullptr) {
+    const recovery::RecoveryPolicy& pol = policy();
     std::optional<core::Alert> pre_alert =
         timed_check(result.check_cpu_us, [&] { return engine_->check_command(cmd); });
-    if (pre_alert && options_.recovery) {
-      const recovery::RecoveryPolicy& pol = *options_.recovery;
-      for (std::size_t repoll = 1; pre_alert && repoll <= pol.max_status_repolls; ++repoll) {
-        backend_->advance_clock(pol.repoll_interval_s);
-        engine_->resync_observed(backend_->fetch_status().snapshot);
-        engine_->note_status_repoll();
-        ++result.repolls;
-        ++recovery_report_.repolls;
-        recovery_report_.events.push_back({recovery::RecoveryEvent::Kind::Repoll, cmd.device,
-                                           cmd.action, repoll, backend_->modeled_clock_s(),
-                                           "re-polling status before declaring " +
-                                               pre_alert->rule + " violation"});
-        append_recovery_record(cmd, Outcome::StatusRepoll, repoll, "");
-        if (active_span_ != nullptr) {
-          active_span_->phases.push_back({obs::Phase::Recovery, pol.repoll_interval_s, 0.0});
-        }
-        pre_alert =
-            timed_check(result.check_cpu_us, [&] { return engine_->check_command(cmd); });
+    for (std::size_t repoll = 1; pre_alert && repoll <= pol.max_status_repolls; ++repoll) {
+      engine_->resync_observed(
+          repoll_status(cmd, result, repoll,
+                        "re-polling status before declaring " + pre_alert->rule + " violation")
+              .snapshot);
+      if (active_span_ != nullptr) {
+        active_span_->phases.push_back({obs::Phase::Recovery, pol.repoll_interval_s, 0.0});
       }
+      pre_alert = timed_check(result.check_cpu_us, [&] { return engine_->check_command(cmd); });
       if (!pre_alert) ++recovery_report_.transients_absorbed;
     }
     if (pre_alert) {
-      core::Alert alert = *pre_alert;
-      result.alert = alert;
-      record.outcome = Outcome::Blocked;
-      record.alert_rule = alert.rule;
-      record.alert_message = alert.message;
-      if (options_.halt_on_alert) {
-        halted_ = true;
-        result.halted = true;
-      }
+      raise_alert(std::move(*pre_alert), Outcome::Blocked, result, record);
       log_.append(std::move(record));
       if (result.halted) escalate(cmd, /*quarantine_device=*/false);
       return result;
@@ -743,60 +742,7 @@ SupervisedStep Supervisor::step_impl(const dev::Command& cmd) {
     engine_->apply_expected(cmd);  // line 11
   }
 
-  if (options_.recovery) {
-    execute_with_recovery(cmd, result, record);
-    return result;
-  }
-
-  // Line 12: forward to the device.
-  std::chrono::steady_clock::time_point phase_t0;
-  double phase_m0 = 0.0;
-  if (active_span_ != nullptr) {
-    phase_t0 = std::chrono::steady_clock::now();
-    phase_m0 = modeled_now();
-  }
-  sim::ExecResult exec = backend_->execute(cmd);
-  if (active_span_ != nullptr) {
-    auto t1 = std::chrono::steady_clock::now();
-    active_span_->phases.push_back(
-        {obs::Phase::Dispatch, modeled_now() - phase_m0,
-         std::chrono::duration<double, std::micro>(t1 - phase_t0).count()});
-    phase_t0 = t1;
-    phase_m0 = modeled_now();
-  }
-  result.exec = exec;
-  record.damage_events = exec.damage.size();
-  if (!exec.executed) {
-    record.outcome = Outcome::FirmwareError;
-  } else if (exec.silently_skipped) {
-    record.outcome = Outcome::SilentlySkipped;
-  } else {
-    record.outcome = Outcome::Executed;
-  }
-
-  // Lines 13-16: postcondition verification.
-  if (engine_ != nullptr) {
-    auto observed = backend_->fetch_status().snapshot;
-    if (auto alert = engine_->verify_postconditions(cmd, observed)) {
-      result.alert = alert;
-      record.outcome = Outcome::MalfunctionFlagged;
-      record.alert_rule = alert->rule;
-      record.alert_message = alert->message;
-      if (options_.halt_on_alert) {
-        halted_ = true;
-        result.halted = true;
-      }
-    }
-    if (active_span_ != nullptr) {
-      active_span_->phases.push_back(
-          {obs::Phase::Postcondition, modeled_now() - phase_m0,
-           std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() -
-                                                     phase_t0)
-               .count()});
-    }
-  }
-
-  log_.append(std::move(record));
+  execute_and_verify(cmd, result, record);
   return result;
 }
 

@@ -7,13 +7,15 @@
 // (Supervisor), plus trace recording and replay in a JSONL format shared
 // with the RAD dataset tooling.
 //
-// On top of the paper's alert-and-stop policy, the Supervisor can drive the
-// recovery::RecoveryPolicy ladder: transient firmware rejections and
-// postcondition divergences are retried with backoff in modeled time,
-// suspicious status reads are re-polled before a malfunction is declared,
-// and exhausted recovery escalates (quarantine → safe state → halt). Every
-// retry and re-poll is a first-class trace record, so a replayed JSONL
-// shows exactly what the ladder did.
+// Fig. 2 lines 12-16 (execute, FetchState, compare, alertAndStop, resync)
+// run in one place: the recovery::RecoveryPolicy ladder. The paper's
+// alert-and-stop is that ladder with no budget, which is what a Supervisor
+// without Options::recovery runs. With a policy, transient firmware
+// rejections and postcondition divergences are retried with backoff in
+// modeled time, suspicious status reads are re-polled before a malfunction
+// is declared, and exhausted recovery escalates (quarantine → safe state →
+// halt). Every retry and re-poll is a first-class trace record, so a
+// replayed JSONL shows exactly what the ladder did.
 #pragma once
 
 #include <optional>
@@ -93,9 +95,9 @@ class TraceLog {
   std::vector<TraceRecord> records_;
 };
 
-/// Result of supervising one command.
+/// Result of supervising one command. The command itself is the caller's
+/// (and the trace record's); retries and repolls stay 0 without a policy.
 struct SupervisedStep {
-  dev::Command command;
   std::optional<core::Alert> alert;
   std::optional<sim::ExecResult> exec;  ///< absent when blocked pre-execution
   bool halted = false;                  ///< the experiment was stopped
@@ -126,7 +128,8 @@ struct RunReport {
   /// Real thread-CPU seconds spent inside engine check calls across the
   /// whole run (sum of the per-step check_cpu_us samples).
   double check_cpu_s = 0.0;
-  /// What the recovery ladder did, when Options::recovery was set.
+  /// What the recovery ladder did, when Options::recovery or
+  /// Options::assurance was set.
   std::optional<recovery::RecoveryReport> recovery;
   /// Motion commands checked at V2 level because the V3 simulator was
   /// detached (degraded mode).
@@ -147,9 +150,11 @@ class Supervisor {
  public:
   struct Options {
     bool halt_on_alert = true;  ///< the Hein Lab's preemptive-stop policy
-    /// When set, transient faults are absorbed by the recovery ladder
-    /// instead of stopping the run; exhausted recovery escalates to
-    /// quarantine + safe state before halting.
+    /// The recovery ladder's budgets. When set, transient faults are
+    /// absorbed instead of stopping the run, and exhausted recovery
+    /// escalates to quarantine + safe state before halting. When unset, the
+    /// same ladder runs with no retry and no re-poll budget: the paper's
+    /// alert-and-stop, with no escalation.
     std::optional<recovery::RecoveryPolicy> recovery;
     /// When set (and an engine with a V3 simulator is attached), every
     /// motion command is screened by the runtime-assurance decision module
@@ -164,7 +169,9 @@ class Supervisor {
     /// hook). The sink receives one SpanRecord per intercepted command —
     /// phase timeline (canonicalize → precondition → dispatch →
     /// postcondition → recovery) plus verdict — and one RungRecord per
-    /// recovery-ladder rung. The registry accumulates counters and the
+    /// recovery-ladder rung. An executed command's span always carries
+    /// dispatch and (with an engine) postcondition; recovery only when a
+    /// rung was taken. The registry accumulates counters and the
     /// check-latency histogram; run() additionally absorbs the engine's
     /// Stats counters into it.
     obs::Sink* obs_sink = nullptr;
@@ -210,10 +217,21 @@ class Supervisor {
   /// at the last safe switching point. Returns true when the command was
   /// demoted (the caller must not execute it).
   bool maybe_demote(const dev::Command& cmd, SupervisedStep& result, TraceRecord& record);
-  /// Line 12 with the recovery ladder wrapped around it; fills result/record.
-  void execute_with_recovery(const dev::Command& cmd, SupervisedStep& result,
-                             TraceRecord& record);
+  /// Fig. 2 lines 12-16 with the recovery ladder's rungs between them: the
+  /// one place the supervised command executes. Fills result/record.
+  void execute_and_verify(const dev::Command& cmd, SupervisedStep& result, TraceRecord& record);
+  /// Options::recovery, or the zero-budget policy when it is unset.
+  [[nodiscard]] const recovery::RecoveryPolicy& policy() const;
+  /// Raises `alert` on the step: record outcome, rule and message, and the
+  /// halt when halt_on_alert is set.
+  void raise_alert(core::Alert alert, Outcome outcome, SupervisedStep& result,
+                   TraceRecord& record);
+  /// One status re-poll rung: waits the policy's interval in modeled time,
+  /// records the rung, and returns a fresh status fetch.
+  sim::LabBackend::StatusFetch repoll_status(const dev::Command& cmd, SupervisedStep& result,
+                                             std::size_t repoll, std::string note);
   /// Quarantine (optionally) + safe state + halt, recording every action.
+  /// Does nothing without Options::recovery.
   void escalate(const dev::Command& cmd, bool quarantine_device);
   void append_recovery_record(const dev::Command& cmd, Outcome outcome, std::size_t attempt,
                               const std::string& note);

@@ -337,14 +337,17 @@ TEST(AssuranceAccurateWorld, NoDemotionsAndIdenticalVerdictsOnTestbedWorkflow) {
 }
 
 TEST(AssuranceOptions, DisabledConfigIsANoOp) {
+  // Options::assurance unset is the off switch. A Supervisor built without
+  // it resets the margin an earlier, assured Supervisor folded into the
+  // same engine.
   core::Lab lab(core::Variant::ModifiedWithSim);
   trace::Supervisor::Options opts;
-  AssuranceConfig cfg;
-  cfg.enabled = false;
-  opts.assurance = cfg;
-  trace::Supervisor sup(&lab.engine, &lab.backend, opts);
-  ASSERT_NE(sup.engine(), nullptr);
-  EXPECT_DOUBLE_EQ(sup.engine()->assurance_margin(), 0.0);
+  opts.assurance = AssuranceConfig{};
+  trace::Supervisor assured(&lab.engine, &lab.backend, opts);
+  ASSERT_DOUBLE_EQ(lab.engine.assurance_margin(), AssuranceConfig{}.margin_min_m);
+
+  trace::Supervisor plain(&lab.engine, &lab.backend);
+  EXPECT_DOUBLE_EQ(lab.engine.assurance_margin(), 0.0);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -177,6 +178,58 @@ TEST(RecoveryPolicyValidation, Cfg11LintMirrorsValidate) {
   EXPECT_TRUE(analysis::lint_recovery_policy(recovery::RecoveryPolicy{}).diagnostics.empty());
 }
 
+TEST(RecoveryPolicyValidation, LadderSumIsClosedForm) {
+  recovery::RecoveryPolicy p;  // retries wait 0.5, 1, 2, 4 s at 1.25x; 3 re-polls of 0.5 s
+  EXPECT_DOUBLE_EQ(recovery::worst_case_ladder_s(p), (0.5 + 1.0 + 2.0 + 4.0) * 1.25 + 1.5);
+  p.backoff_factor = 1.0;
+  EXPECT_DOUBLE_EQ(recovery::worst_case_ladder_s(p), 4 * 0.5 * 1.25 + 1.5);
+  p.max_retries = 0;
+  EXPECT_DOUBLE_EQ(recovery::worst_case_ladder_s(p), 1.5);
+
+  // The largest budget returns at once. A growing backoff makes the ladder
+  // unbounded, so every finite watchdog is the advisory, never fatal.
+  p.backoff_factor = 2.0;
+  p.max_retries = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(recovery::worst_case_ladder_s(p), std::numeric_limits<double>::infinity());
+  std::vector<recovery::PolicyIssue> issues = recovery::validate(p);
+  ASSERT_EQ(issues.size(), 1u);
+  EXPECT_FALSE(issues[0].fatal);
+}
+
+TEST(RecoveryPolicyParsing, CountsMustBeExactIntegersInRange) {
+  // A negative count would wrap to 2^64 - 1 on the cast, 1e300 is undefined
+  // behaviour, and 2.5 would truncate: each is an error naming its key.
+  for (const char* key : {"max_retries", "max_status_repolls", "jitter_seed"}) {
+    for (const char* value : {"-1", "1e300", "2.5", "18446744073709551616", "\"3\"", "true",
+                              "null"}) {
+      std::string text = std::string("{\"") + key + "\": " + value + "}";
+      SCOPED_TRACE(text);
+      try {
+        (void)recovery::policy_from_json(json::parse(text));
+        ADD_FAILURE() << "accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+      }
+    }
+  }
+  EXPECT_THROW((void)recovery::policy_from_json(json::parse(R"({"jitter_seed": 4294967296})")),
+               std::runtime_error);
+
+  // Exact integers anywhere in range parse, written as JSON doubles too.
+  recovery::RecoveryPolicy p = recovery::policy_from_json(json::parse(
+      R"({"max_retries": 0, "max_status_repolls": 7.0, "jitter_seed": 4294967295})"));
+  EXPECT_EQ(p.max_retries, 0u);
+  EXPECT_EQ(p.max_status_repolls, 7u);
+  EXPECT_EQ(p.jitter_seed, 4294967295u);
+
+  // What policy_to_json writes parses back.
+  recovery::RecoveryPolicy round =
+      recovery::policy_from_json(recovery::policy_to_json(recovery::RecoveryPolicy{}));
+  EXPECT_EQ(round.max_retries, recovery::RecoveryPolicy{}.max_retries);
+  EXPECT_EQ(round.max_status_repolls, recovery::RecoveryPolicy{}.max_status_repolls);
+  EXPECT_EQ(round.jitter_seed, recovery::RecoveryPolicy{}.jitter_seed);
+}
+
 // --- transient absorption ----------------------------------------------------
 
 TEST_F(RecoveryTest, FirmwareBusyAbsorbedByRetries) {
@@ -246,7 +299,51 @@ TEST_F(RecoveryTest, DeadActionRetriedToCompletion) {
   const auto& hp = backend.registry().at(ids::kDosingDevice);
   EXPECT_EQ(hp.observed_state().at("doorStatus").as_string(), "open");
   EXPECT_EQ(engine->stats().malfunction_alerts, 0u);
-  EXPECT_GT(engine->stats().status_repolls, 0u);
+}
+
+TEST_F(RecoveryTest, CommandTheLadderDidNotSaveIsNotAbsorbed) {
+  // A busy fault that never clears outlasts a one-retry budget. The ladder
+  // ran, but the command never executed, so no transient was absorbed.
+  FaultSchedule schedule;
+  schedule.add(busy_fault(ids::kViperX, "open_gripper", 0));
+  backend.set_fault_schedule(std::move(schedule));
+
+  recovery::RecoveryPolicy policy;
+  policy.max_retries = 1;
+  Supervisor::Options opts;
+  opts.recovery = policy;
+
+  make_engine();
+  Supervisor sup(engine.get(), &backend, opts);
+  sup.start();
+  SupervisedStep step = sup.step(make_cmd(ids::kViperX, "open_gripper"));
+
+  ASSERT_TRUE(step.exec.has_value());
+  EXPECT_FALSE(step.exec->executed);
+  EXPECT_EQ(step.retries, 1u);
+  EXPECT_EQ(sup.log().records().back().outcome, Outcome::FirmwareError);
+  EXPECT_EQ(sup.recovery_report().transients_absorbed, 0u);
+}
+
+TEST_F(RecoveryTest, PreconditionRepollWaitsAreRecoveryTime) {
+  // A move_to without a position is a G3 alert that re-checks identically,
+  // so every precondition re-poll is taken, and each one waits.
+  make_engine();
+  Supervisor::Options opts = with_recovery();
+  opts.halt_on_alert = false;  // no safe-state sequence to advance the clock
+  Supervisor sup(engine.get(), &backend, opts);
+  sup.start();
+  const double clock_before = backend.modeled_clock_s();
+  SupervisedStep step = sup.step(make_cmd(ids::kViperX, "move_to"));
+
+  ASSERT_TRUE(step.alert.has_value());
+  EXPECT_EQ(step.alert->rule, "G3");
+  const recovery::RecoveryPolicy& policy = *opts.recovery;
+  EXPECT_EQ(step.repolls, policy.max_status_repolls);
+  const double waited = backend.modeled_clock_s() - clock_before;
+  EXPECT_DOUBLE_EQ(waited, static_cast<double>(policy.max_status_repolls) *
+                               policy.repoll_interval_s);
+  EXPECT_DOUBLE_EQ(sup.recovery_report().recovery_time_s, waited);
 }
 
 TEST_F(RecoveryTest, StaleStatusClearedByRepollAlone) {
