@@ -171,17 +171,19 @@ void RabitEngine::apply_expected(const dev::Command& cmd) {
 std::optional<Alert> RabitEngine::verify_postconditions(const dev::Command& cmd,
                                                         const dev::LabStateSnapshot& observed) {
   std::vector<std::string> diffs = tracker_.mismatches(observed);
-  resync_observed(observed);  // line 16, unconditionally
+  invalidate_motion_cache();
+  tracker_.resync(observed);  // line 16, unconditionally
+  ++stats_.resyncs;
   if (diffs.empty()) return std::nullopt;
   return declare_malfunction(cmd, diffs);
 }
 
 std::vector<std::string> RabitEngine::postcondition_mismatches(
-    const dev::LabStateSnapshot& observed) const {
+    const dev::ObservedLab& observed) const {
   return tracker_.mismatches(observed);
 }
 
-void RabitEngine::resync_observed(const dev::LabStateSnapshot& observed) {
+void RabitEngine::resync_observed(const dev::ObservedLab& observed) {
   invalidate_motion_cache();
   tracker_.resync(observed);
   ++stats_.resyncs;

@@ -68,21 +68,24 @@ class RabitEngine {
   /// about to execute.
   void apply_expected(const dev::Command& cmd);
 
-  /// Fig. 2 lines 13-16 in one call: compares the freshly fetched state
-  /// against the expectation, then resyncs regardless so analysis can
-  /// continue. trace::Supervisor composes the three calls below instead, so
-  /// that its ladder can re-poll and retry between them.
+  /// Fig. 2 lines 13-16 in one call, on a whole snapshot: compares the
+  /// freshly fetched state against the expectation, then resyncs regardless
+  /// so analysis can continue. The reference form of the two calls below,
+  /// which trace::Supervisor composes instead, so that its ladder can
+  /// re-poll and retry between them.
   [[nodiscard]] std::optional<Alert> verify_postconditions(const dev::Command& cmd,
                                                            const dev::LabStateSnapshot& observed);
 
   /// The line-14 comparison *without* the line-16 resync, so a suspicious
   /// status can be re-polled before a malfunction is declared (a stale read
-  /// must not be confused with real damage).
+  /// must not be confused with real damage). Visits only the devices that
+  /// can differ (StateTracker::mismatches(ObservedLab)).
   [[nodiscard]] std::vector<std::string> postcondition_mismatches(
-      const dev::LabStateSnapshot& observed) const;
+      const dev::ObservedLab& observed) const;
 
-  /// Fig. 2 line 16 alone: adopts the observed state as S_current.
-  void resync_observed(const dev::LabStateSnapshot& observed);
+  /// Fig. 2 line 16 alone: adopts the observed state as S_current, device
+  /// by device as postcondition_mismatches() visits them.
+  void resync_observed(const dev::ObservedLab& observed);
 
   /// Builds (and counts) the DeviceMalfunction alert for diffs that
   /// survived the recovery ladder.

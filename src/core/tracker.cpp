@@ -94,6 +94,9 @@ void StateTracker::set_var(std::string_view device, std::string_view name, json:
     ++pose_revisions_[std::string(device)];
   }
   slot = std::move(value);
+  if (std::find(touched_.begin(), touched_.end(), device) == touched_.end()) {
+    touched_.emplace_back(device);
+  }
 }
 
 std::string StateTracker::arm_holding(std::string_view arm) const {
@@ -341,34 +344,81 @@ void StateTracker::apply_station_postconditions(const DeviceMeta& meta, const Co
 // Comparison and resync
 // ---------------------------------------------------------------------------
 
+void StateTracker::diff_device(const std::string& device, const dev::StateMap& actual,
+                               std::vector<std::string>& out) const {
+  auto tracked = state_.find(device);
+  if (tracked == state_.end()) return;  // not modeled; cannot judge
+  const DeviceMeta* meta = config_->find_device(device);
+  for (const auto& [name, value] : actual) {
+    if (meta != nullptr && std::find(meta->unchecked_vars.begin(), meta->unchecked_vars.end(),
+                                     name) != meta->unchecked_vars.end()) {
+      continue;
+    }
+    auto expected = tracked->second.find(name);
+    if (expected == tracked->second.end()) continue;  // not modeled; cannot judge
+    if (!values_match(expected->second, value)) out.push_back(device + "." + name);
+  }
+}
+
+void StateTracker::resync_device(const std::string& device, const dev::StateMap& actual) {
+  if (actual.empty()) return;
+  dev::StateMap& tracked = state_[device];
+  for (const auto& [name, value] : actual) {
+    json::Value& slot = tracked[name];
+    if (name == "pose" && !(slot == value)) {
+      ++pose_revision_;
+      ++pose_revisions_[device];
+    }
+    slot = value;
+  }
+}
+
 std::vector<std::string> StateTracker::mismatches(const dev::LabStateSnapshot& observed) const {
   std::vector<std::string> out;
-  for (const auto& [device, vars] : observed) {
-    const DeviceMeta* meta = config_->find_device(device);
-    for (const auto& [name, actual] : vars) {
-      if (meta != nullptr && std::find(meta->unchecked_vars.begin(), meta->unchecked_vars.end(),
-                                       name) != meta->unchecked_vars.end()) {
-        continue;
-      }
-      const json::Value* expected = find_var(device, name);
-      if (expected == nullptr) continue;  // not modeled; cannot judge
-      if (!values_match(*expected, actual)) out.push_back(device + "." + name);
-    }
-  }
+  for (const auto& [device, vars] : observed) diff_device(device, vars, out);
   return out;
 }
 
 void StateTracker::resync(const dev::LabStateSnapshot& observed) {
-  for (const auto& [device, vars] : observed) {
-    for (const auto& [name, value] : vars) {
-      json::Value& slot = state_[device][name];
-      if (name == "pose" && !(slot == value)) {
-        ++pose_revision_;
-        ++pose_revisions_[device];
-      }
-      slot = value;
+  for (const auto& [device, vars] : observed) resync_device(device, vars);
+  synced_revisions_.clear();
+  touched_.clear();
+}
+
+bool StateTracker::synced(const dev::ObservedLab& observed, std::size_t index) const {
+  const dev::ObservedLab::Entry& entry = observed.entries[index];
+  return index < synced_revisions_.size() && synced_revisions_[index] == entry.revision &&
+         std::find(touched_.begin(), touched_.end(), *entry.device) == touched_.end();
+}
+
+std::vector<std::string> StateTracker::mismatches(const dev::ObservedLab& observed) const {
+  std::vector<const dev::ObservedLab::Entry*> unsynced;
+  for (std::size_t i = 0; i < observed.entries.size(); ++i) {
+    if (!synced(observed, i)) unsynced.push_back(&observed.entries[i]);
+  }
+  devices_diffed_ += unsynced.size();
+  // Snapshot key order, as the full form walks it.
+  std::sort(unsynced.begin(), unsynced.end(),
+            [](const auto* a, const auto* b) { return *a->device < *b->device; });
+  std::vector<std::string> out;
+  for (const dev::ObservedLab::Entry* entry : unsynced) {
+    diff_device(*entry->device, *entry->state, out);
+  }
+  return out;
+}
+
+void StateTracker::resync(const dev::ObservedLab& observed) {
+  for (std::size_t i = 0; i < observed.entries.size(); ++i) {
+    if (synced(observed, i)) continue;
+    const dev::ObservedLab::Entry& entry = observed.entries[i];
+    resync_device(*entry.device, *entry.state);
+    if (i < synced_revisions_.size()) {
+      synced_revisions_[i] = entry.revision;
+    } else {
+      synced_revisions_.push_back(entry.revision);  // every later entry is unsynced: i == size()
     }
   }
+  touched_.clear();
 }
 
 }  // namespace rabit::core

@@ -71,9 +71,35 @@ class StateTracker {
       const dev::LabStateSnapshot& observed) const;
 
   /// Line 16: S_current <- SetState(S_actual) for every observed variable.
+  /// Forgets the incremental bookkeeping below, as initialize() does.
   void resync(const dev::LabStateSnapshot& observed);
 
+  /// Lines 13-15 on a backend's S_actual: the list mismatches(observed
+  /// .snapshot) returns, from only the devices that can differ — those
+  /// whose entry revision moved since the resync(ObservedLab) that last
+  /// synced them, and those set_var() wrote since (line 11). Every other
+  /// device is equal by construction: that resync copied its entry, and
+  /// neither side has moved since.
+  [[nodiscard]] std::vector<std::string> mismatches(const dev::ObservedLab& observed) const;
+
+  /// Line 16 on the same devices; afterwards every entry of `observed` is
+  /// synced. `observed` must come from the backend the tracker was last
+  /// initialized or fully resynced from.
+  void resync(const dev::ObservedLab& observed);
+
+  /// Devices mismatches(ObservedLab) has compared since construction: the
+  /// work count of Fig. 2 line 14.
+  [[nodiscard]] std::size_t devices_diffed() const { return devices_diffed_; }
+
  private:
+  /// Is entry `index` of `observed` equal to the tracked state by
+  /// construction (see mismatches(ObservedLab))?
+  [[nodiscard]] bool synced(const dev::ObservedLab& observed, std::size_t index) const;
+  /// The per-device bodies the full and incremental forms share.
+  void diff_device(const std::string& device, const dev::StateMap& actual,
+                   std::vector<std::string>& out) const;
+  void resync_device(const std::string& device, const dev::StateMap& actual);
+
   void apply_arm_postconditions(const DeviceMeta& meta, const dev::Command& cmd);
   void apply_station_postconditions(const DeviceMeta& meta, const dev::Command& cmd);
   void track_release(const DeviceMeta& arm_meta);
@@ -88,6 +114,12 @@ class StateTracker {
   std::map<std::string, std::string, std::less<>> site_occupancy_;
   std::uint64_t pose_revision_ = 0;
   std::map<std::string, std::uint64_t, std::less<>> pose_revisions_;
+  /// Per ObservedLab entry: the revision resync(ObservedLab) last adopted.
+  /// Entries past the end have never been synced incrementally.
+  std::vector<std::uint64_t> synced_revisions_;
+  /// Devices set_var() wrote since the last resync.
+  std::vector<std::string> touched_;
+  mutable std::size_t devices_diffed_ = 0;
 };
 
 }  // namespace rabit::core

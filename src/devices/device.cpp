@@ -155,6 +155,7 @@ void Device::register_action(std::string name, Handler handler) {
 json::Value& Device::var(std::string_view name) {
   auto it = state_.find(name);
   if (it == state_.end()) throw std::logic_error(id_ + ": unknown state variable");
+  ++revision_;
   return it->second;
 }
 
@@ -166,6 +167,7 @@ const json::Value& Device::var(std::string_view name) const {
 
 void Device::set_var(std::string_view name, json::Value value) {
   state_[std::string(name)] = std::move(value);
+  ++revision_;
 }
 
 double Device::require_number(const json::Value& args, std::string_view key) {

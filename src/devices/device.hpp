@@ -12,6 +12,7 @@
 // shared by the tracer, the backends, and the RABIT engine.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -65,6 +66,27 @@ using LabStateSnapshot = std::map<std::string, StateMap, std::less<>>;
 
 /// Variables differing between two snapshots, as "device.var" strings.
 [[nodiscard]] std::vector<std::string> diff(const LabStateSnapshot& a, const LabStateSnapshot& b);
+
+/// S_actual as a backend keeps it across status polls (Fig. 2 line 13):
+/// one snapshot, updated in place, plus per device (registry order) the
+/// Device::revision() its entry was read at. A poll re-reads a device only
+/// when its revision moved, so an entry whose revision did not change holds
+/// what a fresh read would return. Not copyable: entries point into
+/// `snapshot` (copy the snapshot itself to keep S_actual).
+struct ObservedLab {
+  struct Entry {
+    const std::string* device = nullptr;  ///< key in `snapshot`
+    const StateMap* state = nullptr;      ///< value in `snapshot`
+    std::uint64_t revision = 0;           ///< device revision `state` was read at
+  };
+
+  ObservedLab() = default;
+  ObservedLab(const ObservedLab&) = delete;
+  ObservedLab& operator=(const ObservedLab&) = delete;
+
+  LabStateSnapshot snapshot;
+  std::vector<Entry> entries;
+};
 
 /// Raised when a device's own firmware refuses a command (paper §I: e.g. the
 /// hotplate's built-in safe temperature limit). These checks exist *below*
@@ -135,6 +157,11 @@ class Device {
   /// this to omit them.
   [[nodiscard]] virtual StateMap observed_state() const;
 
+  /// Bumped by every write to state() or fault_plan(): while it stays put,
+  /// so do state() and observed_state(). Status polls re-read a device
+  /// only when it moved.
+  [[nodiscard]] std::uint64_t revision() const { return revision_; }
+
   /// Executes an action, updating state. Throws DeviceError on firmware
   /// rejection or unknown actions. Dead actions (fault plan) return silently.
   void execute(const Command& cmd);
@@ -151,8 +178,14 @@ class Device {
   /// equal footprint(). Defaults to "the cuboid is exact".
   [[nodiscard]] virtual std::optional<geom::Solid> shape() const { return std::nullopt; }
 
-  void set_fault_plan(FaultPlan plan) { fault_ = std::move(plan); }
-  void clear_fault_plan() { fault_ = FaultPlan{}; }
+  void set_fault_plan(FaultPlan plan) {
+    fault_ = std::move(plan);
+    ++revision_;
+  }
+  void clear_fault_plan() {
+    fault_ = FaultPlan{};
+    ++revision_;
+  }
   [[nodiscard]] const FaultPlan& fault_plan() const { return fault_; }
 
   /// Returns and clears hazards accumulated since the last call. Backends
@@ -171,7 +204,8 @@ class Device {
   void note_hazard(std::string description, Severity severity = Severity::Low);
 
  protected:
-  /// Direct state access for derived classes.
+  /// Direct state access for derived classes. The mutable var() counts as
+  /// a write (it bumps revision()), whatever the caller does with it.
   [[nodiscard]] json::Value& var(std::string_view name);
   [[nodiscard]] const json::Value& var(std::string_view name) const;
   void set_var(std::string_view name, json::Value value);
@@ -187,6 +221,7 @@ class Device {
   std::map<std::string, Handler, std::less<>> handlers_;
   FaultPlan fault_;
   std::vector<Hazard> hazards_;
+  std::uint64_t revision_ = 0;
 };
 
 /// Owns all devices of a lab; the single source a backend and RABIT query.
@@ -204,6 +239,10 @@ class DeviceRegistry {
   [[nodiscard]] const Device& at(std::string_view id) const;
 
   [[nodiscard]] std::size_t size() const { return devices_.size(); }
+
+  /// The device at insertion index `index` (< size()): iteration in
+  /// insertion order without the vector all() builds.
+  [[nodiscard]] const Device& device(std::size_t index) const { return *devices_[index]; }
 
   /// Stable iteration in insertion order.
   [[nodiscard]] std::vector<Device*> all();

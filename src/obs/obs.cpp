@@ -246,6 +246,8 @@ std::string_view to_string(Phase p) {
   switch (p) {
     case Phase::Canonicalize: return "canonicalize";
     case Phase::Precondition: return "precondition";
+    case Phase::Assurance: return "assurance";
+    case Phase::Expectation: return "expectation";
     case Phase::Dispatch: return "dispatch";
     case Phase::Postcondition: return "postcondition";
     case Phase::Recovery: return "recovery";

@@ -9,8 +9,9 @@
 //                 bucket latency histograms with *exact* nearest-rank
 //                 percentile extraction) with a Prometheus-style text dump;
 //   * SpanRecord — one span per intercepted command, carrying the phase
-//                 timeline (canonicalize → precondition → dispatch →
-//                 postcondition → recovery) and the verdict;
+//                 timeline (canonicalize → precondition → assurance →
+//                 expectation → dispatch → postcondition → recovery) and
+//                 the verdict;
 //   * RungRecord — one event per recovery-ladder rung (retry, re-poll,
 //                 watchdog, quarantine, safe-state, halt);
 //   * Sink / Collector — where spans and rungs go. Components take a
@@ -180,9 +181,19 @@ class Registry {
 // Spans and rungs
 // ---------------------------------------------------------------------------
 
-/// The five phases of one intercepted command, in pipeline order.
-enum class Phase { Canonicalize, Precondition, Dispatch, Postcondition, Recovery };
-inline constexpr std::size_t kPhaseCount = 5;
+/// The phases of one intercepted command, in pipeline order: the check
+/// (lines 6-10), the assurance decision's slow path, line 11, execution,
+/// lines 13-16, and the recovery ladder's waits.
+enum class Phase {
+  Canonicalize,
+  Precondition,
+  Assurance,
+  Expectation,
+  Dispatch,
+  Postcondition,
+  Recovery,
+};
+inline constexpr std::size_t kPhaseCount = 7;
 
 [[nodiscard]] std::string_view to_string(Phase p);
 

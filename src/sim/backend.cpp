@@ -177,21 +177,30 @@ void LabBackend::set_fault_schedule(dev::FaultSchedule schedule) {
 
 LabBackend::StatusFetch LabBackend::fetch_status() {
   StatusFetch fetch;
+  fetch.observed = &observed_;
   if (fault_schedule_) fault_schedule_->arm_permanent_plans(registry_, modeled_clock_s_);
-  for (const dev::Device* d : registry_.all()) {
-    const std::string& id = d->id();
+  const std::size_t known = observed_.entries.size();
+  for (std::size_t i = 0; i < registry_.size(); ++i) {
+    const dev::Device& d = registry_.device(i);
+    const std::string& id = d.id();
     std::optional<dev::TransientKind> fault;
     if (fault_schedule_) fault = fault_schedule_->on_status_read(id, modeled_clock_s_);
-    if (auto cached = last_status_.find(id); fault && cached != last_status_.end()) {
-      (*fault == dev::TransientKind::StatusTimeout ? fetch.timed_out : fetch.stale).push_back(id);
-      fetch.snapshot[id] = cached->second;
-      continue;
+    if (i < known) {
+      dev::ObservedLab::Entry& entry = observed_.entries[i];
+      if (fault) {
+        (*fault == dev::TransientKind::StatusTimeout ? fetch.timed_out : fetch.stale).push_back(id);
+        continue;
+      }
+      if (entry.revision == d.revision()) continue;  // a fresh read would match
+      observed_.snapshot.find(id)->second = d.observed_state();
+      entry.revision = d.revision();
+    } else {
+      // First poll of a device (also under a fault: there is no earlier
+      // snapshot a stale read could replay).
+      auto slot = observed_.snapshot.emplace(id, d.observed_state()).first;
+      observed_.entries.push_back({&slot->first, &slot->second, d.revision()});
     }
-    // Fresh read (also taken on a fault's very first poll of a device: there
-    // is no earlier snapshot a stale read could replay).
-    dev::StateMap observed = d->observed_state();
-    last_status_[id] = observed;
-    fetch.snapshot[id] = std::move(observed);
+    ++status_reads_;
   }
   return fetch;
 }

@@ -125,13 +125,23 @@ class LabBackend {
   /// data is substituted and the device listed in `timed_out`); a
   /// StaleStatus device silently reports its previous snapshot (`stale`
   /// is ground-truth annotation for benches — a real caller cannot see it).
+  /// The schedule is consulted for every device, in registry order; a
+  /// device that answers is re-read only when its revision() moved since
+  /// its last read.
   struct StatusFetch {
-    dev::LabStateSnapshot snapshot;
+    /// S_actual: a view of the backend's own snapshot, valid until the next
+    /// fetch_status(), which updates it in place.
+    const dev::ObservedLab* observed = nullptr;
     std::vector<std::string> timed_out;
     std::vector<std::string> stale;
+    [[nodiscard]] const dev::LabStateSnapshot& snapshot() const { return observed->snapshot; }
     [[nodiscard]] bool complete() const { return timed_out.empty(); }
   };
   [[nodiscard]] StatusFetch fetch_status();
+
+  /// Device status re-reads (observed_state() calls) fetch_status() made so
+  /// far: the work count of Fig. 2 line 13.
+  [[nodiscard]] std::size_t status_reads() const { return status_reads_; }
 
   /// Positioning-error magnitudes sampled per arm move (Table I precision).
   [[nodiscard]] const std::vector<double>& position_error_samples() const {
@@ -185,8 +195,10 @@ class LabBackend {
   double modeled_clock_s_ = 0.0;
   std::mt19937 rng_;
   std::optional<dev::FaultSchedule> fault_schedule_;
-  /// Last successfully read status per device (what a stale read replays).
-  std::map<std::string, dev::StateMap, std::less<>> last_status_;
+  /// Each device's last successful read (what a stale read replays), with
+  /// the revision it was read at; entries follow registry order.
+  dev::ObservedLab observed_;
+  std::size_t status_reads_ = 0;
 };
 
 /// Severity for a physical collision, from what was hit (paper Table V).

@@ -202,6 +202,19 @@ double elapsed_us(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
+/// Runs `fn` as one span phase of RABIT's own compute (0 modeled seconds:
+/// the lab clock does not move). Without an open span it only runs `fn`.
+template <typename Fn>
+void timed_phase(obs::SpanRecord* span, obs::Phase phase, Fn&& fn) {
+  if (span == nullptr) {
+    fn();
+    return;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  span->phases.push_back({phase, 0.0, elapsed_us(t0)});
+}
+
 }  // namespace
 
 Supervisor::Supervisor(core::RabitEngine* engine, sim::LabBackend* backend, Options options)
@@ -235,7 +248,7 @@ void Supervisor::start() {
   span_seq_ = 0;
   if (backoff_) backoff_->reset();
   if (engine_ != nullptr) {
-    engine_->initialize(backend_->fetch_status().snapshot);
+    engine_->initialize(backend_->fetch_status().snapshot());
   }
 }
 
@@ -438,11 +451,15 @@ bool Supervisor::maybe_demote(const dev::Command& cmd, SupervisedStep& result,
   // Slow path: the inflated query over-approximates solids by their bounding
   // cuboid, so a trip is only a suspicion; the signed-margin profile settles
   // it and locates the violation for the switching-point derivation.
-  sim::MarginProfile profile = timed_check(result.check_cpu_us, [&] {
-    return simulator->trajectory_margin(motion->waypoints, motion->held_clearance,
-                                        motion->ignores);
+  sim::MarginProfile profile;
+  assurance::Decision decision;
+  timed_phase(active_span_, obs::Phase::Assurance, [&] {
+    profile = timed_check(result.check_cpu_us, [&] {
+      return simulator->trajectory_margin(motion->waypoints, motion->held_clearance,
+                                          motion->ignores);
+    });
+    decision = assurance::decide(profile, cfg);
   });
-  assurance::Decision decision = assurance::decide(profile, cfg);
   if (!decision.demote) return false;
 
   // Demote: the advanced command is never forwarded. The verified-safe
@@ -519,7 +536,7 @@ bool Supervisor::maybe_demote(const dev::Command& cmd, SupervisedStep& result,
 
   // Adopt reality: the arm is wherever the safe controller left it, not where
   // the demoted command's postconditions would have put it.
-  engine_->resync_observed(backend_->fetch_status().snapshot);
+  engine_->resync_observed(*backend_->fetch_status().observed);
   safe_controller_active_ = false;
 
   if (result.halted) {
@@ -607,7 +624,7 @@ void Supervisor::execute_and_verify(const dev::Command& cmd, SupervisedStep& res
   if (engine_ != nullptr) {
     for (;;) {
       sim::LabBackend::StatusFetch fetched = backend_->fetch_status();
-      std::vector<std::string> diffs = engine_->postcondition_mismatches(fetched.snapshot);
+      std::vector<std::string> diffs = engine_->postcondition_mismatches(*fetched.observed);
 
       // Stale-read filter: a divergence may be a status artifact (timeout
       // substituting a cached snapshot, stale firmware report), not damage.
@@ -615,9 +632,9 @@ void Supervisor::execute_and_verify(const dev::Command& cmd, SupervisedStep& res
       for (std::size_t repoll = 1;
            !diffs.empty() && repoll <= pol.max_status_repolls && watchdog_ok(); ++repoll) {
         fetched = repoll_status(cmd, result, repoll, "status re-poll");
-        diffs = engine_->postcondition_mismatches(fetched.snapshot);
+        diffs = engine_->postcondition_mismatches(*fetched.observed);
       }
-      engine_->resync_observed(fetched.snapshot);  // line 16
+      engine_->resync_observed(*fetched.observed);  // line 16
       if (diffs.empty()) break;
 
       // The divergence survived re-polling: retry the command with a
@@ -640,8 +657,10 @@ void Supervisor::execute_and_verify(const dev::Command& cmd, SupervisedStep& res
       result.retries > 0 || result.repolls > repolls_before || watchdog_logged;
   if (malfunction) {
     raise_alert(std::move(*malfunction), Outcome::MalfunctionFlagged, result, record);
-  } else if (rung_taken && result.exec->executed) {
-    ++recovery_report_.transients_absorbed;  // the ladder saved this command
+  } else if ((rung_taken || repolls_before > 0) && result.exec->executed) {
+    // The ladder saved this command: a rung anywhere in its step, the
+    // precondition re-polls before this routine included, and it executed.
+    ++recovery_report_.transients_absorbed;
   }
 
   if (active_span_ != nullptr) {
@@ -719,14 +738,13 @@ SupervisedStep Supervisor::step_impl(const dev::Command& cmd) {
         timed_check(result.check_cpu_us, [&] { return engine_->check_command(cmd); });
     for (std::size_t repoll = 1; pre_alert && repoll <= pol.max_status_repolls; ++repoll) {
       engine_->resync_observed(
-          repoll_status(cmd, result, repoll,
-                        "re-polling status before declaring " + pre_alert->rule + " violation")
-              .snapshot);
+          *repoll_status(cmd, result, repoll,
+                         "re-polling status before declaring " + pre_alert->rule + " violation")
+               .observed);
       if (active_span_ != nullptr) {
         active_span_->phases.push_back({obs::Phase::Recovery, pol.repoll_interval_s, 0.0});
       }
       pre_alert = timed_check(result.check_cpu_us, [&] { return engine_->check_command(cmd); });
-      if (!pre_alert) ++recovery_report_.transients_absorbed;
     }
     if (pre_alert) {
       raise_alert(std::move(*pre_alert), Outcome::Blocked, result, record);
@@ -739,7 +757,8 @@ SupervisedStep Supervisor::step_impl(const dev::Command& cmd) {
     // before line 11, so the tracker never adopts expectations the advanced
     // command will not realize.
     if (options_.assurance && maybe_demote(cmd, result, record)) return result;
-    engine_->apply_expected(cmd);  // line 11
+    timed_phase(active_span_, obs::Phase::Expectation,
+                [&] { engine_->apply_expected(cmd); });  // line 11
   }
 
   execute_and_verify(cmd, result, record);

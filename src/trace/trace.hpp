@@ -167,10 +167,12 @@ class Supervisor {
     std::optional<assurance::AssuranceConfig> assurance;
     /// Observability (all non-owning; null = disabled, a single branch per
     /// hook). The sink receives one SpanRecord per intercepted command —
-    /// phase timeline (canonicalize → precondition → dispatch →
-    /// postcondition → recovery) plus verdict — and one RungRecord per
-    /// recovery-ladder rung. An executed command's span always carries
-    /// dispatch and (with an engine) postcondition; recovery only when a
+    /// phase timeline (canonicalize → precondition → assurance →
+    /// expectation → dispatch → postcondition → recovery) plus verdict —
+    /// and one RungRecord per recovery-ladder rung. A command that reaches
+    /// line 11 carries expectation; an executed command always carries
+    /// dispatch and (with an engine) postcondition; assurance only when the
+    /// decision's slow path (the margin profile) ran; recovery only when a
     /// rung was taken. The registry accumulates counters and the
     /// check-latency histogram; run() additionally absorbs the engine's
     /// Stats counters into it.

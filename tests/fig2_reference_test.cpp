@@ -43,7 +43,7 @@ Observed reference_run(core::Lab& lab, const std::vector<dev::Command>& workflow
                   bool halt_on_alert) {
   TraceLog log;
   Observed run;
-  lab.engine.initialize(lab.backend.fetch_status().snapshot);  // line 3
+  lab.engine.initialize(lab.backend.fetch_status().snapshot());  // line 3
   for (const dev::Command& cmd : workflow) {
     TraceRecord record;
     record.command = cmd;
@@ -54,7 +54,7 @@ Observed reference_run(core::Lab& lab, const std::vector<dev::Command>& workflow
     } else {
       lab.engine.apply_expected(cmd);                                      // line 11
       sim::ExecResult exec = lab.backend.execute(cmd);                     // line 12
-      dev::LabStateSnapshot actual = lab.backend.fetch_status().snapshot;  // line 13
+      dev::LabStateSnapshot actual = lab.backend.fetch_status().snapshot();  // line 13
       alert = lab.engine.verify_postconditions(cmd, actual);              // lines 14-16
       facts.executed = exec.executed;
       record.damage_events = exec.damage.size();

@@ -325,6 +325,52 @@ TEST_F(RecoveryTest, CommandTheLadderDidNotSaveIsNotAbsorbed) {
   EXPECT_EQ(sup.recovery_report().transients_absorbed, 0u);
 }
 
+/// A dosing run whose step takes a rung before and after its check: the
+/// door is closed behind RABIT's back, so G9 fires on the stale tracked
+/// door and clears on the first re-poll; then run_action meets a
+/// FirmwareBusy fault that clears after `busy_attempts` (0: never).
+SupervisedStep repolled_then_busy_run_action(core::Lab& lab, Supervisor& sup,
+                                             std::size_t busy_attempts) {
+  sup.start();
+  EXPECT_FALSE(sup.step(make_cmd(ids::kDosingDevice, "set_door", door("open"))).alert);
+  (void)lab.backend.execute(make_cmd(ids::kDosingDevice, "set_door", door("closed")));
+  FaultSchedule schedule;
+  schedule.add(busy_fault(ids::kDosingDevice, "run_action", busy_attempts));
+  lab.backend.set_fault_schedule(std::move(schedule));
+  json::Object quantity;
+  quantity["quantity"] = 5;
+  return sup.step(make_cmd(ids::kDosingDevice, "run_action", std::move(quantity)));
+}
+
+TEST(RecoveryAbsorption, PreconditionRepollAndRetryCountOneCommandOnce) {
+  core::Lab lab{core::Variant::Modified};
+  Supervisor::Options opts = with_recovery();
+  opts.halt_on_alert = false;
+  Supervisor sup(&lab.engine, &lab.backend, opts);
+  SupervisedStep step = repolled_then_busy_run_action(lab, sup, 1);
+
+  EXPECT_FALSE(step.alert.has_value());
+  EXPECT_EQ(step.repolls, 1u);
+  EXPECT_EQ(step.retries, 1u);
+  ASSERT_TRUE(step.exec.has_value());
+  EXPECT_TRUE(step.exec->executed);
+  EXPECT_EQ(sup.recovery_report().transients_absorbed, 1u);
+}
+
+TEST(RecoveryAbsorption, PreconditionRepollOnACommandThatNeverExecutesIsNotAbsorbed) {
+  core::Lab lab{core::Variant::Modified};
+  Supervisor::Options opts = with_recovery();
+  opts.halt_on_alert = false;
+  Supervisor sup(&lab.engine, &lab.backend, opts);
+  SupervisedStep step = repolled_then_busy_run_action(lab, sup, 0);
+
+  ASSERT_TRUE(step.alert.has_value());
+  EXPECT_EQ(step.alert->rule, "POST");
+  ASSERT_TRUE(step.exec.has_value());
+  EXPECT_FALSE(step.exec->executed);
+  EXPECT_EQ(sup.recovery_report().transients_absorbed, 0u);
+}
+
 TEST_F(RecoveryTest, PreconditionRepollWaitsAreRecoveryTime) {
   // A move_to without a position is a G3 alert that re-checks identically,
   // so every precondition re-poll is taken, and each one waits.
@@ -381,7 +427,7 @@ TEST_F(RecoveryTest, StatusTimeoutSubstitutesCachedSnapshot) {
   ASSERT_EQ(fetch.timed_out.size(), 1u);
   EXPECT_EQ(fetch.timed_out[0], ids::kHotplate);
   EXPECT_FALSE(fetch.complete());
-  EXPECT_TRUE(fetch.snapshot.contains(ids::kHotplate));  // cache substituted
+  EXPECT_TRUE(fetch.snapshot().contains(ids::kHotplate));  // cache substituted
 
   sim::LabBackend::StatusFetch after = backend.fetch_status();
   EXPECT_TRUE(after.complete());  // fault cleared by attempts
