@@ -243,6 +243,7 @@ class DeviceRegistry {
   /// The device at insertion index `index` (< size()): iteration in
   /// insertion order without the vector all() builds.
   [[nodiscard]] const Device& device(std::size_t index) const { return *devices_[index]; }
+  [[nodiscard]] Device& device(std::size_t index) { return *devices_[index]; }
 
   /// Stable iteration in insertion order.
   [[nodiscard]] std::vector<Device*> all();

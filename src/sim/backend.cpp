@@ -33,6 +33,15 @@ double severity_cost(Severity s) {
 /// Doored stations share no base class beyond DoorMixin; resolve it.
 dev::DoorMixin* as_door(dev::Device& d) { return dynamic_cast<dev::DoorMixin*>(&d); }
 
+/// One N(0, sigma) draw that is also defined for sigma = 0, where
+/// std::normal_distribution is not: a standard draw times sigma plus the
+/// mean, libstdc++'s own formula, so the values and the engine calls are
+/// those of std::normal_distribution(0, sigma).
+double zero_mean_normal(std::normal_distribution<double>& standard, std::mt19937& rng,
+                        double sigma) {
+  return standard(rng) * sigma + 0.0;
+}
+
 }  // namespace
 
 StageProfile simulator_profile() {
@@ -124,7 +133,8 @@ dev::Vial& LabBackend::vial(std::string_view id) {
 WorldModel LabBackend::ground_truth_world(std::string_view moving_arm) const {
   WorldModel world;
   world.boxes = static_;
-  for (const dev::Device* d : registry_.all()) {
+  for (std::size_t i = 0; i < registry_.size(); ++i) {
+    const dev::Device* d = &registry_.device(i);
     if (d->id() == moving_arm) continue;
     if (auto fp = d->footprint()) {
       ObstacleKind kind = dynamic_cast<const dev::VialGrid*>(d) != nullptr
@@ -157,8 +167,10 @@ double LabBackend::true_solubility(const dev::Vial& v) {
 }
 
 double LabBackend::measure_solubility(const dev::Vial& v) {
-  std::normal_distribution<double> noise(0.0, profile_.measurement_noise_sigma);
-  return std::clamp(true_solubility(v) + noise(rng_), 0.0, 1.0);
+  std::normal_distribution<double> standard;
+  return std::clamp(
+      true_solubility(v) + zero_mean_normal(standard, rng_, profile_.measurement_noise_sigma),
+      0.0, 1.0);
 }
 
 double LabBackend::total_damage_cost() const {
@@ -357,8 +369,10 @@ void LabBackend::perform_motion(dev::RobotArmDevice& a, const dev::MotionPlan& p
   a.commit_move(plan, pose_name);
   update_inside_flag(a);
 
-  std::normal_distribution<double> noise(0.0, profile_.position_noise_sigma_m);
-  Vec3 err(noise(rng_), noise(rng_), noise(rng_));
+  std::normal_distribution<double> standard;
+  const double sigma = profile_.position_noise_sigma_m;
+  Vec3 err(zero_mean_normal(standard, rng_, sigma), zero_mean_normal(standard, rng_, sigma),
+           zero_mean_normal(standard, rng_, sigma));
   position_errors_.push_back(err.norm());
 }
 
@@ -385,7 +399,8 @@ void LabBackend::record_collision(dev::RobotArmDevice& a, const CollisionReport&
 void LabBackend::update_inside_flag(dev::RobotArmDevice& a) {
   Vec3 tip = a.position_lab();
   std::string inside;
-  for (dev::Device* d : registry_.all()) {
+  for (std::size_t i = 0; i < registry_.size(); ++i) {
+    dev::Device* d = &registry_.device(i);
     if (as_door(*d) == nullptr && dynamic_cast<dev::MultiDoorStation*>(d) == nullptr) continue;
     if (auto fp = d->footprint(); fp && fp->inflated(0.01).contains(tip)) {
       inside = d->id();
@@ -421,8 +436,9 @@ dev::Vial* LabBackend::vial_at_site(const SiteBinding& site) {
     }
   } else {
     // Bare waypoint: a vial may simply be standing there.
-    for (dev::Device* d : registry_.all()) {
-      if (auto* v = dynamic_cast<dev::Vial*>(d); v != nullptr && v->location() == site.name) {
+    for (std::size_t i = 0; i < registry_.size(); ++i) {
+      auto* v = dynamic_cast<dev::Vial*>(&registry_.device(i));
+      if (v != nullptr && v->location() == site.name) {
         return v;
       }
     }
@@ -596,8 +612,8 @@ void LabBackend::handle_set_door(dev::Device& d, const Command& cmd, ExecResult&
   if (closing) {
     // A door swinging shut onto an arm that is still inside smashes the door
     // (footnote 1 of the paper: the broken glass door incident).
-    for (dev::Device* other : registry_.all()) {
-      auto* a = dynamic_cast<dev::RobotArmDevice*>(other);
+    for (std::size_t i = 0; i < registry_.size(); ++i) {
+      auto* a = dynamic_cast<dev::RobotArmDevice*>(&registry_.device(i));
       if (a != nullptr && a->inside_device() == d.id()) {
         if (auto* multi = dynamic_cast<dev::MultiDoorStation*>(&d)) {
           const json::Value* door_arg = cmd.args.find("door");
@@ -670,8 +686,8 @@ void LabBackend::after_station_action(dev::Device& d, const Command& cmd, ExecRe
 }
 
 void LabBackend::drain_hazards(ExecResult& r) {
-  for (dev::Device* d : registry_.all()) {
-    for (dev::Hazard& h : d->take_hazards()) {
+  for (std::size_t i = 0; i < registry_.size(); ++i) {
+    for (dev::Hazard& h : registry_.device(i).take_hazards()) {
       DamageEvent event{h.severity, h.description, h.device, commands_executed_};
       r.damage.push_back(event);
       damage_log_.push_back(event);

@@ -146,7 +146,9 @@ MarginProfile ExtendedSimulator::trajectory_margin(const std::vector<geom::Vec3>
   PathCheckOptions opts;
   opts.step = options_.polling_step_m;
   opts.ignore = ignore;
-  return margin_profile(world_, waypoints, held_clearance, opts);
+  MarginProfile profile = margin_profile(world_, waypoints, held_clearance, opts);
+  margin_boxes_tested_ += profile.boxes_tested;
+  return profile;
 }
 
 }  // namespace rabit::sim

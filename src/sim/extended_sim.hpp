@@ -92,15 +92,19 @@ class ExtendedSimulator {
                                   const std::vector<std::string>& ignore, double inflate = 0.0);
 
   /// RTA slow path: full signed-clearance barrier profile h(s) over a
-  /// multi-leg tip path (no broad phase, no cache — taken only after the
-  /// inflated sweep trips). Charges no modeled latency: the margin comes
-  /// from the polling sweep the simulator already ran.
+  /// multi-leg tip path (sim::margin_profile, exactly culled per leg; no
+  /// cache — taken only after the inflated sweep trips). Charges no modeled
+  /// latency: the margin comes from the polling sweep the simulator already
+  /// ran.
   [[nodiscard]] MarginProfile trajectory_margin(const std::vector<geom::Vec3>& waypoints,
                                                 double held_clearance,
                                                 const std::vector<std::string>& ignore);
 
   /// How many margin-profile slow-path scans ran (bench instrumentation).
   [[nodiscard]] std::size_t margin_scans() const { return margin_scans_; }
+  /// Box-clearance evaluations summed over those scans
+  /// (MarginProfile::boxes_tested).
+  [[nodiscard]] std::size_t margin_boxes_tested() const { return margin_boxes_tested_; }
 
   /// Modeled simulator invocations (one per charged sweep leg).
   [[nodiscard]] std::size_t checks_performed() const { return checks_; }
@@ -147,6 +151,7 @@ class ExtendedSimulator {
   std::size_t cache_hits_ = 0;
   std::size_t narrow_runs_ = 0;
   std::size_t margin_scans_ = 0;
+  std::size_t margin_boxes_tested_ = 0;
   double modeled_latency_s_ = 0.0;
 
   BroadPhaseGrid grid_;

@@ -343,6 +343,46 @@ double box_clearance(const NamedBox& b, const geom::Vec3& tip,
   return h;
 }
 
+/// max() that keeps a NaN from either argument (std::max drops a NaN second
+/// argument), so that a NaN bound keeps its box.
+double max_keeping_nan(double a, double b) { return std::isnan(b) || b > a ? b : a; }
+
+/// Bounds on a cuboid's box_clearance() at every tip whose sample volume
+/// lies inside `w`. `gap`, the largest per-axis separation of the box from
+/// w, is a lower bound; `far`, the distance between their farthest corners,
+/// an upper bound (a penetrating sample has h <= 0). Each is built from the
+/// same differences, squares and sums as h itself, so with rounding
+/// monotone they bound the computed h, not only the exact one.
+struct ClearanceBounds {
+  double gap;
+  double far;
+};
+
+ClearanceBounds clearance_bounds(const geom::Aabb& box, const geom::Aabb& w) {
+  const double gx = max_keeping_nan(box.min.x - w.max.x, w.min.x - box.max.x);
+  const double gy = max_keeping_nan(box.min.y - w.max.y, w.min.y - box.max.y);
+  const double gz = max_keeping_nan(box.min.z - w.max.z, w.min.z - box.max.z);
+  const geom::Vec3 far(max_keeping_nan(box.max.x - w.min.x, w.max.x - box.min.x),
+                       max_keeping_nan(box.max.y - w.min.y, w.max.y - box.min.y),
+                       max_keeping_nan(box.max.z - w.min.z, w.max.z - box.min.z));
+  return {max_keeping_nan(max_keeping_nan(gx, gy), gz), far.norm()};
+}
+
+/// The axis-aligned hull of every sample volume on the leg a -> b: both end
+/// volumes, padded by an absolute and a magnitude-relative epsilon. The pad
+/// covers lerp()'s rounding past an end (a few ulps of the largest
+/// coordinate) and keeps a positive gap clear of underflow.
+geom::Aabb leg_hull(const geom::Vec3& a, const geom::Vec3& b, double held_clearance,
+                    const PathCheckOptions& options) {
+  const geom::Aabb hull = sample_volume(a, held_clearance, options)
+                              .united(sample_volume(b, held_clearance, options));
+  double magnitude = 0.0;
+  for (double v : {hull.min.x, hull.min.y, hull.min.z, hull.max.x, hull.max.y, hull.max.z}) {
+    magnitude = std::max(magnitude, std::abs(v));
+  }
+  return hull.inflated(geom::kEpsilon * (1.0 + magnitude));
+}
+
 }  // namespace
 
 MarginProfile margin_profile(const WorldModel& world, const std::vector<geom::Vec3>& waypoints,
@@ -351,6 +391,23 @@ MarginProfile margin_profile(const WorldModel& world, const std::vector<geom::Ve
   MarginProfile profile;
   profile.min_margin_m = std::numeric_limits<double>::infinity();
   if (waypoints.size() < 2) return profile;
+
+  // The boxes that may bind h at all, once per scan.
+  std::vector<const NamedBox*> obstacles;
+  for (const NamedBox& b : world.boxes) {
+    if (b.kind == ObstacleKind::Ground) continue;  // see PathCheckOptions::inflate
+    if (b.kind == ObstacleKind::SoftWall && !options.include_soft_walls) continue;
+    if (is_ignored(options, b.name)) continue;
+    obstacles.push_back(&b);
+  }
+  std::vector<const ArmSegmentObstacle*> segments;
+  for (const ArmSegmentObstacle& seg : world.arm_segments) {
+    if (!is_ignored(options, seg.arm_id)) segments.push_back(&seg);
+  }
+  // Per leg, the obstacles that may give some sample's minimum, in world
+  // order (see the cull below).
+  std::vector<const NamedBox*> near;
+  std::vector<double> gaps(obstacles.size());
 
   auto record = [&profile](MarginSample sample) {
     if (sample.h < profile.min_margin_m) {
@@ -367,27 +424,24 @@ MarginProfile margin_profile(const WorldModel& world, const std::vector<geom::Ve
     MarginSample sample;
     sample.s = s;
     sample.h = std::numeric_limits<double>::infinity();
-    for (const NamedBox& b : world.boxes) {
-      if (b.kind == ObstacleKind::Ground) continue;  // see PathCheckOptions::inflate
-      if (b.kind == ObstacleKind::SoftWall && !options.include_soft_walls) continue;
-      if (is_ignored(options, b.name)) continue;
-      double h = box_clearance(b, tip, held_box);
+    for (const NamedBox* b : near) {
+      double h = box_clearance(*b, tip, held_box);
       if (h < sample.h) {
         sample.h = h;
-        sample.obstacle = b.name;
+        sample.obstacle = b->name;
       }
     }
-    for (const ArmSegmentObstacle& seg : world.arm_segments) {
-      if (is_ignored(options, seg.arm_id)) continue;
-      double clearance_needed = seg.radius + options.moving_arm_radius;
-      double h = geom::distance(seg.segment, tip) - clearance_needed;
+    profile.boxes_tested += near.size();
+    for (const ArmSegmentObstacle* seg : segments) {
+      double clearance_needed = seg->radius + options.moving_arm_radius;
+      double h = geom::distance(seg->segment, tip) - clearance_needed;
       if (held_box) {
         geom::Vec3 held_bottom = tip - geom::Vec3(0, 0, held_clearance);
-        h = std::min(h, geom::distance(seg.segment, held_bottom) - clearance_needed);
+        h = std::min(h, geom::distance(seg->segment, held_bottom) - clearance_needed);
       }
       if (h < sample.h) {
         sample.h = h;
-        sample.obstacle = seg.arm_id;
+        sample.obstacle = seg->arm_id;
       }
     }
     if (!std::isfinite(sample.h)) {
@@ -406,6 +460,25 @@ MarginProfile margin_profile(const WorldModel& world, const std::vector<geom::Ve
     if (!samples) {
       record(MarginSample{s_base, 0.0, {}});  // too long to poll: no clearance
       break;
+    }
+    // The cull. Every sample volume of this leg lies inside `hull`, so a
+    // cuboid's gap is at most its h at every sample, and `bound`, the least
+    // far, is at least every sample's box minimum. A cuboid with gap > bound
+    // has h > that minimum at every sample: it can neither win nor tie, so
+    // dropping it leaves each sample's h, s and obstacle bit-identical to
+    // testing every box, in the same order. Solids are always kept and set
+    // no bound: their distance formulas round differently from a cuboid's.
+    const geom::Aabb hull = leg_hull(a, b, held_clearance, options);
+    double bound = std::numeric_limits<double>::infinity();
+    for (std::size_t k = 0; k < obstacles.size(); ++k) {
+      if (obstacles[k]->solid) continue;
+      const ClearanceBounds cb = clearance_bounds(obstacles[k]->box, hull);
+      gaps[k] = cb.gap;
+      if (cb.far < bound) bound = cb.far;
+    }
+    near.clear();
+    for (std::size_t k = 0; k < obstacles.size(); ++k) {
+      if (obstacles[k]->solid || !(gaps[k] > bound)) near.push_back(obstacles[k]);
     }
     for (std::size_t i = 0; i <= *samples; ++i) {
       double t = static_cast<double>(i) / static_cast<double>(*samples);

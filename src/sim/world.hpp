@@ -216,15 +216,24 @@ struct MarginProfile {
   double min_s_m = 0.0;         ///< arc length where min_margin_m occurs
   std::string min_obstacle;
   std::vector<MarginSample> samples;  ///< in ascending s order
+  /// Box-clearance evaluations the scan made (one per sample per box tested).
+  std::size_t boxes_tested = 0;
 };
 
-/// Sweeps the full profile (no broad phase — this is the RTA slow path, taken
-/// only after the inflated fast check trips). Mirrors check_path semantics:
-/// the departure sample s=0 is skipped (the arm may leave a spot that brushes
-/// a boundary), soft walls count per `options`, `options.ignore` filters, and
-/// the held volume hangs `held_clearance` below the tip. A leg too long to
-/// poll (see kMaxLegSamples) ends the profile with a zero-clearance sample
-/// at its start.
+/// Sweeps the full profile: the RTA slow path, taken only after the inflated
+/// fast check trips. Mirrors check_path semantics: the departure sample s=0
+/// is skipped (the arm may leave a spot that brushes a boundary), soft walls
+/// count per `options`, `options.ignore` filters, and the held volume hangs
+/// `held_clearance` below the tip. A leg too long to poll (see
+/// kMaxLegSamples) ends the profile with a zero-clearance sample at its
+/// start.
+///
+/// Each leg tests only the boxes that can give some sample's minimum: a
+/// cuboid whose separation from the leg's padded hull exceeds the least
+/// farthest-corner distance of any cuboid is dropped for that leg. The cull
+/// is exact: every sample's h, s and obstacle are bit-identical to testing
+/// every box, ties included (tests/margin_scan_test.cpp holds that against a
+/// linear reference).
 [[nodiscard]] MarginProfile margin_profile(const WorldModel& world,
                                            const std::vector<geom::Vec3>& waypoints,
                                            double held_clearance,

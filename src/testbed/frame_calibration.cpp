@@ -13,14 +13,17 @@ namespace {
 /// rotates with the horizontal approach direction (vendor gripper mismatch).
 Vec3 measure_touch(const dev::RobotArmDevice& arm, const Vec3& physical_lab,
                    double noise_sigma, double gripper_offset, std::mt19937& rng) {
-  std::normal_distribution<double> noise(0.0, noise_sigma);
+  // N(0, noise_sigma) as libstdc++ computes it (z * sigma + mean), which is
+  // also defined for noise_sigma = 0, where std::normal_distribution is not.
+  std::normal_distribution<double> standard;
+  auto noise = [&] { return standard(rng) * noise_sigma + 0.0; };
   Vec3 local = arm.to_local(physical_lab);
   // The gripper contacts the point from the side facing the arm's base: the
   // offset direction depends on where the point lies, so a single rigid
   // transform cannot absorb it.
   Vec3 planar(local.x, local.y, 0.0);
   Vec3 approach = planar.norm() > 1e-9 ? planar.normalized() : Vec3(1, 0, 0);
-  return local + approach * gripper_offset + Vec3(noise(rng), noise(rng), noise(rng));
+  return local + approach * gripper_offset + Vec3(noise(), noise(), noise());
 }
 
 }  // namespace
