@@ -170,12 +170,15 @@ class Device {
   [[nodiscard]] std::vector<std::string> actions() const;
 
   /// The device's physical footprint as a cuboid in lab coordinates, when it
-  /// occupies space on the deck (containers riding in a grid do not).
+  /// occupies space on the deck (containers riding in a grid do not). Fixed
+  /// at construction: it must never change afterwards, as LabBackend keeps
+  /// the ground-truth world built from it between arm moves.
   [[nodiscard]] virtual std::optional<geom::Aabb> footprint() const { return std::nullopt; }
 
   /// A refined (non-cuboid) shape, when the cuboid is a poor fit (§V-C:
   /// hemispherical centrifuge, bumped thermoshaker). Its bounding box must
-  /// equal footprint(). Defaults to "the cuboid is exact".
+  /// equal footprint(). Defaults to "the cuboid is exact". Fixed at
+  /// construction, like footprint().
   [[nodiscard]] virtual std::optional<geom::Solid> shape() const { return std::nullopt; }
 
   void set_fault_plan(FaultPlan plan) {

@@ -259,6 +259,14 @@ Transform Transform::translation(const Vec3& t) {
 
 Transform Transform::rotation_z(double angle) { return from_euler(0.0, 0.0, angle, Vec3()); }
 
+Transform Transform::from_rows(const std::array<std::array<double, 3>, 3>& rotation,
+                               const Vec3& translation) {
+  Transform out;
+  out.r_ = rotation;
+  out.t_ = translation;
+  return out;
+}
+
 Vec3 Transform::rotate(const Vec3& v) const {
   return Vec3(r_[0][0] * v.x + r_[0][1] * v.y + r_[0][2] * v.z,
               r_[1][0] * v.x + r_[1][1] * v.y + r_[1][2] * v.z,

@@ -182,6 +182,10 @@ class Transform {
 
   static Transform translation(const Vec3& t);
   static Transform rotation_z(double angle);
+  /// From a row-major rotation matrix, taken as given (not re-orthonormalized),
+  /// followed by `translation`.
+  static Transform from_rows(const std::array<std::array<double, 3>, 3>& rotation,
+                             const Vec3& translation);
 
   [[nodiscard]] Vec3 apply(const Vec3& p) const;
   [[nodiscard]] Vec3 rotate(const Vec3& v) const;  // rotation only, no translation

@@ -17,31 +17,6 @@ std::string_view to_string(IkError e) {
   return "unknown";
 }
 
-namespace {
-
-/// Standard DH link transform: Rz(theta) Tz(d) Tx(a) Rx(alpha).
-Transform dh_transform(const DhParam& p, double theta) {
-  double ct = std::cos(theta + p.theta_offset);
-  double st = std::sin(theta + p.theta_offset);
-  double ca = std::cos(p.alpha);
-  double sa = std::sin(p.alpha);
-  // Composed closed form (row-major):
-  //   [ ct  -st*ca   st*sa   a*ct ]
-  //   [ st   ct*ca  -ct*sa   a*st ]
-  //   [ 0    sa      ca      d    ]
-  Transform rz = Transform::rotation_z(theta + p.theta_offset);
-  Transform tz = Transform::translation(Vec3(0, 0, p.d));
-  Transform tx = Transform::translation(Vec3(p.a, 0, 0));
-  Transform rx = Transform::from_euler(p.alpha, 0, 0, Vec3());
-  (void)ct;
-  (void)st;
-  (void)ca;
-  (void)sa;
-  return rz * tz * tx * rx;
-}
-
-}  // namespace
-
 ArmModel::ArmModel(std::string name, std::array<DhParam, kNumJoints> dh,
                    std::array<JointLimit, kNumJoints> limits, Transform base, double link_radius_m)
     : name_(std::move(name)), dh_(dh), limits_(limits), base_(base), link_radius_(link_radius_m) {
@@ -49,6 +24,34 @@ ArmModel::ArmModel(std::string name, std::array<DhParam, kNumJoints> dh,
   for (const JointLimit& l : limits_) {
     if (l.min_rad > l.max_rad) throw std::invalid_argument("ArmModel: inverted joint limit");
   }
+  for (std::size_t i = 0; i < kNumJoints; ++i) {
+    const DhParam& p = dh_[i];
+    if (!std::isfinite(p.a) || !std::isfinite(p.alpha) || !std::isfinite(p.d) ||
+        !std::isfinite(p.theta_offset)) {
+      throw std::invalid_argument("ArmModel: DH parameters must be finite");
+    }
+    cos_alpha_[i] = std::cos(p.alpha);
+    sin_alpha_[i] = std::sin(p.alpha);
+  }
+}
+
+/// Standard DH link transform Rz(theta) Tz(d) Tx(a) Rx(alpha), in closed
+/// form (row-major):
+///   [ c  -s*ca   s*sa   a*c ]
+///   [ s   c*ca  -c*sa   a*s ]
+///   [ 0   sa     ca     d   ]
+/// c and s are the cosine and sine of theta + theta_offset; ca and sa those
+/// of alpha, computed at construction. Every entry equals the four-factor
+/// product's up to the sign of a zero, and no zero sign reaches a position
+/// (DESIGN.md, "Exact kinematics and the kept ground truth").
+Transform ArmModel::link(std::size_t i, double theta) const {
+  const DhParam& p = dh_[i];
+  const double c = std::cos(theta + p.theta_offset);
+  const double s = std::sin(theta + p.theta_offset);
+  const double ca = cos_alpha_[i];
+  const double sa = sin_alpha_[i];
+  return Transform::from_rows({{{c, -s * ca, s * sa}, {s, c * ca, -c * sa}, {0.0, sa, ca}}},
+                              Vec3(p.a * c, p.a * s, p.d));
 }
 
 double ArmModel::max_reach() const {
@@ -59,7 +62,7 @@ double ArmModel::max_reach() const {
 
 Vec3 ArmModel::forward(const JointVector& joints) const {
   Transform t = base_;
-  for (std::size_t i = 0; i < kNumJoints; ++i) t = t * dh_transform(dh_[i], joints[i]);
+  for (std::size_t i = 0; i < kNumJoints; ++i) t = t * link(i, joints[i]);
   return t.apply(Vec3());
 }
 
@@ -69,7 +72,7 @@ std::vector<Vec3> ArmModel::link_points(const JointVector& joints) const {
   Transform t = base_;
   points.push_back(t.apply(Vec3()));
   for (std::size_t i = 0; i < kNumJoints; ++i) {
-    t = t * dh_transform(dh_[i], joints[i]);
+    t = t * link(i, joints[i]);
     points.push_back(t.apply(Vec3()));
   }
   return points;
@@ -95,7 +98,7 @@ bool ArmModel::within_limits(const JointVector& joints) const {
 bool ArmModel::reachable(const geom::Vec3& target) const {
   // Workspace envelope: a sphere of radius max_reach around the shoulder.
   Vec3 shoulder = base_.apply(Vec3(0, 0, dh_[0].d));
-  return shoulder.distance_to(target) <= max_reach() - dh_[0].d * 0.0;
+  return shoulder.distance_to(target) <= max_reach();
 }
 
 IkResult ArmModel::inverse(const Vec3& target, const JointVector& seed) const {
@@ -136,7 +139,16 @@ IkResult ArmModel::solve_from(const Vec3& target, const JointVector& seed) const
 
   JointVector q = seed;
   for (int iter = 0; iter < kMaxIterations; ++iter) {
-    Vec3 current = forward(q);
+    // The chain at q, multiplied left to right as forward() does:
+    // prefix[k] = base * L0 * ... * L(k-1), so prefix[6] is forward(q)'s.
+    std::array<Transform, kNumJoints> links;
+    std::array<Transform, kNumJoints + 1> prefix;
+    prefix[0] = base_;
+    for (std::size_t k = 0; k < kNumJoints; ++k) {
+      links[k] = link(k, q[k]);
+      prefix[k + 1] = prefix[k] * links[k];
+    }
+    Vec3 current = prefix[kNumJoints].apply(Vec3());
     Vec3 err = target - current;
     result.iterations = iter;
     result.residual = err.norm();
@@ -154,12 +166,14 @@ IkResult ArmModel::solve_from(const Vec3& target, const JointVector& seed) const
       return result;
     }
 
-    // Numeric position Jacobian, 3 x 6.
+    // Numeric position Jacobian, 3 x 6. Column j is forward() at q with
+    // q[j] + h: prefix[j] * L_j(q[j] + h) * L_(j+1) * ... * L5, the same
+    // products in the same order, so bit for bit the same point.
     std::array<std::array<double, kNumJoints>, 3> jac{};
     for (std::size_t j = 0; j < kNumJoints; ++j) {
-      JointVector dq = q;
-      dq[j] += kFiniteDiff;
-      Vec3 moved = forward(dq);
+      Transform t = prefix[j] * link(j, q[j] + kFiniteDiff);
+      for (std::size_t k = j + 1; k < kNumJoints; ++k) t = t * links[k];
+      Vec3 moved = t.apply(Vec3());
       jac[0][j] = (moved.x - current.x) / kFiniteDiff;
       jac[1][j] = (moved.y - current.y) / kFiniteDiff;
       jac[2][j] = (moved.z - current.z) / kFiniteDiff;

@@ -23,7 +23,8 @@ using JointVector = std::array<double, kNumJoints>;
 
 /// One Denavit-Hartenberg row (standard convention): the transform from
 /// link i-1 to link i is Rz(theta) Tz(d) Tx(a) Rx(alpha), with theta the
-/// joint variable offset by `theta_offset`.
+/// joint variable offset by `theta_offset`. ArmModel builds it in closed
+/// form: two trig calls per link, alpha's cosine and sine kept per arm.
 struct DhParam {
   double a = 0.0;             ///< link length (m)
   double alpha = 0.0;         ///< link twist (rad)
@@ -54,11 +55,14 @@ struct IkResult {
 /// mounting pose in the lab frame.
 class ArmModel {
  public:
+  /// Throws std::invalid_argument on a non-positive link radius, an
+  /// inverted joint limit or a non-finite DH parameter.
   ArmModel(std::string name, std::array<DhParam, kNumJoints> dh,
            std::array<JointLimit, kNumJoints> limits, geom::Transform base,
            double link_radius_m);
 
   [[nodiscard]] const std::string& name() const { return name_; }
+  [[nodiscard]] const std::array<DhParam, kNumJoints>& dh() const { return dh_; }
   [[nodiscard]] const geom::Transform& base() const { return base_; }
   [[nodiscard]] double link_radius() const { return link_radius_; }
   [[nodiscard]] const std::array<JointLimit, kNumJoints>& joint_limits() const { return limits_; }
@@ -80,7 +84,9 @@ class ArmModel {
 
   /// Damped-least-squares IK for the end-effector position (orientation
   /// free). `seed` is the preferred starting configuration; a few canonical
-  /// restarts are tried when it stalls.
+  /// restarts are tried when it stalls. Each iteration builds the chain at
+  /// the current joints once; the finite-difference Jacobian's columns
+  /// reuse its prefixes and are bit for bit forward() at the nudged joints.
   [[nodiscard]] IkResult inverse(const geom::Vec3& target, const JointVector& seed) const;
 
   /// Quick reachability test against the workspace envelope.
@@ -88,9 +94,13 @@ class ArmModel {
 
  private:
   [[nodiscard]] IkResult solve_from(const geom::Vec3& target, const JointVector& seed) const;
+  /// Link i's DH transform at joint angle `theta`.
+  [[nodiscard]] geom::Transform link(std::size_t i, double theta) const;
 
   std::string name_;
   std::array<DhParam, kNumJoints> dh_;
+  std::array<double, kNumJoints> cos_alpha_{};  ///< cos(dh_[i].alpha)
+  std::array<double, kNumJoints> sin_alpha_{};  ///< sin(dh_[i].alpha)
   std::array<JointLimit, kNumJoints> limits_;
   geom::Transform base_;
   double link_radius_;

@@ -148,14 +148,35 @@ WorldModel LabBackend::ground_truth_world(std::string_view moving_arm) const {
         world.add_box(d->id(), *fp, kind);
       }
     }
-    if (const auto* other = dynamic_cast<const dev::RobotArmDevice*>(d)) {
-      for (const geom::Segment& seg : other->model().link_segments(other->joints())) {
-        world.arm_segments.push_back(
-            ArmSegmentObstacle{other->id(), seg, other->model().link_radius()});
-      }
+  }
+  add_arm_segments(world, moving_arm);
+  return world;
+}
+
+void LabBackend::add_arm_segments(WorldModel& world, std::string_view moving_arm) const {
+  for (std::size_t i = 0; i < registry_.size(); ++i) {
+    const auto* other = dynamic_cast<const dev::RobotArmDevice*>(&registry_.device(i));
+    if (other == nullptr || other->id() == moving_arm) continue;
+    for (const geom::Segment& seg : other->model().link_segments(other->joints())) {
+      world.arm_segments.push_back(
+          ArmSegmentObstacle{other->id(), seg, other->model().link_radius()});
     }
   }
-  return world;
+}
+
+const WorldModel& LabBackend::ground_truth_for(const dev::RobotArmDevice& moving) {
+  if (kept_.devices != registry_.size() || kept_.statics != static_.size()) {
+    kept_.world = ground_truth_world(moving.id());
+    kept_.grid.rebuild(kept_.world);
+    kept_.devices = registry_.size();
+    kept_.statics = static_.size();
+    ++kept_.builds;
+  } else {
+    kept_.world.arm_segments.clear();
+    add_arm_segments(kept_.world, moving.id());
+    kept_.world.bump_epoch();
+  }
+  return kept_.world;
 }
 
 double LabBackend::true_solubility(const dev::Vial& v) {
@@ -320,7 +341,7 @@ void LabBackend::perform_motion(dev::RobotArmDevice& a, const dev::MotionPlan& p
   Vec3 start = a.position_lab();
   Vec3 goal = plan.target_lab;
 
-  WorldModel world = ground_truth_world(a.id());
+  const WorldModel& world = ground_truth_for(a);
   PathCheckOptions options;
   options.include_soft_walls = false;  // soft walls are virtual, never physical
   options.moving_arm_radius = a.model().link_radius();
@@ -351,7 +372,7 @@ void LabBackend::perform_motion(dev::RobotArmDevice& a, const dev::MotionPlan& p
   maybe_ignore(site_near(goal, kSiteTolerance));
 
   std::optional<CollisionReport> hit =
-      check_path(world, start, goal, a.held_clearance(), options);
+      check_path(world, start, goal, a.held_clearance(), options, &kept_.grid);
   if (hit) {
     record_collision(a, *hit, r);
     if (hit->via_held_object && !a.holding().empty()) {

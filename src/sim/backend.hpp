@@ -94,10 +94,22 @@ class LabBackend {
   [[nodiscard]] dev::RobotArmDevice& arm(std::string_view id);
   [[nodiscard]] dev::Vial& vial(std::string_view id);
 
-  /// The complete physical world as seen when `moving_arm` moves: every
-  /// device footprint, all static obstacles, and the other arms' current
-  /// link segments. SoftWalls are never part of ground truth.
+  /// Builds the complete physical world as seen when `moving_arm` moves:
+  /// every device footprint, all static obstacles, and the other arms'
+  /// current link segments. SoftWalls are never part of ground truth.
   [[nodiscard]] WorldModel ground_truth_world(std::string_view moving_arm) const;
+
+  /// The ground truth the last arm move was checked against, and its broad
+  /// phase (both empty before the first move). Arm moves keep it rather
+  /// than build it: it is rebuilt with ground_truth_world() only when the
+  /// registry or the static obstacles grew, since footprints and shapes are
+  /// fixed at construction and neither list shrinks; each move refreshes
+  /// only the other arms' link segments. Robot arms have no footprint, so
+  /// the boxes are the same whichever arm moves.
+  [[nodiscard]] const WorldModel& kept_ground_truth() const { return kept_.world; }
+  [[nodiscard]] const BroadPhaseGrid& kept_ground_truth_grid() const { return kept_.grid; }
+  /// Ground-truth worlds built for arm moves so far.
+  [[nodiscard]] std::size_t ground_truth_builds() const { return kept_.builds; }
 
   /// Executes one command with full physics. Never throws for in-experiment
   /// failures (firmware rejections land in ExecResult); throws only on
@@ -173,6 +185,11 @@ class LabBackend {
   void perform_motion(dev::RobotArmDevice& a, const dev::MotionPlan& plan, ExecResult& r,
                       std::string_view pose_name = "custom");
 
+  /// The kept ground truth, brought up to date for a move of `moving`.
+  const WorldModel& ground_truth_for(const dev::RobotArmDevice& moving);
+  /// Appends every arm's current links but `moving_arm`'s to `world`.
+  void add_arm_segments(WorldModel& world, std::string_view moving_arm) const;
+
   void record_collision(dev::RobotArmDevice& a, const CollisionReport& hit, ExecResult& r);
   void drain_hazards(ExecResult& r);
   void update_inside_flag(dev::RobotArmDevice& a);
@@ -199,6 +216,15 @@ class LabBackend {
   /// the revision it was read at; entries follow registry order.
   dev::ObservedLab observed_;
   std::size_t status_reads_ = 0;
+
+  struct KeptGroundTruth {
+    WorldModel world;
+    BroadPhaseGrid grid;
+    std::size_t devices = 0;  ///< registry_.size() at the last build
+    std::size_t statics = 0;  ///< static_.size() at the last build
+    std::size_t builds = 0;
+  };
+  KeptGroundTruth kept_;
 };
 
 /// Severity for a physical collision, from what was hit (paper Table V).

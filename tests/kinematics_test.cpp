@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 
 namespace rabit::kin {
@@ -19,6 +20,17 @@ TEST(ArmModel, ConstructionValidation) {
   EXPECT_THROW(ArmModel("bad", dh, limits, Transform(), 0.0), std::invalid_argument);
   limits[2] = JointLimit{1, -1};
   EXPECT_THROW(ArmModel("bad", dh, limits, Transform(), 0.05), std::invalid_argument);
+  limits[2] = JointLimit{-1, 1};
+  EXPECT_NO_THROW(ArmModel("ok", dh, limits, Transform(), 0.05));
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    for (double DhParam::*field : {&DhParam::a, &DhParam::alpha, &DhParam::d,
+                                   &DhParam::theta_offset}) {
+      std::array<DhParam, kNumJoints> broken = dh;
+      broken[3].*field = bad;
+      EXPECT_THROW(ArmModel("bad", broken, limits, Transform(), 0.05), std::invalid_argument);
+    }
+  }
 }
 
 TEST(ArmModel, ForwardAtZeroIsDeterministic) {
