@@ -30,11 +30,8 @@ struct ShapeSweep {
 
 ShapeSweep run_sweep(unsigned seed) {
   auto backend = make_testbed();
-  sim::DeckModelOptions cuboid_opts;
-  sim::WorldModel cuboid = sim::deck_world_model(*backend, cuboid_opts);
-  sim::DeckModelOptions refined_opts;
-  refined_opts.refined_shapes = true;
-  sim::WorldModel refined = sim::deck_world_model(*backend, refined_opts);
+  sim::WorldModel cuboid = sim::deck_world_model(*backend);
+  sim::WorldModel refined = sim::deck_world_model(*backend, /*refined_shapes=*/true);
   // The deck's physical devices *are* the refined geometry (the backend's
   // ground truth uses it), so the refined model doubles as physical truth
   // for these static sweeps.
@@ -103,9 +100,7 @@ BENCHMARK(BM_CuboidPointCheck);
 
 void BM_RefinedPointCheck(benchmark::State& state) {
   auto backend = make_testbed();
-  sim::DeckModelOptions opts;
-  opts.refined_shapes = true;
-  sim::WorldModel world = sim::deck_world_model(*backend, opts);
+  sim::WorldModel world = sim::deck_world_model(*backend, /*refined_shapes=*/true);
   Vec3 p(-0.40, 0.04, 0.15);
   for (auto _ : state) {
     benchmark::DoNotOptimize(sim::check_point(world, p, 0.0));

@@ -22,6 +22,13 @@ std::string_view to_string(Variant v) {
   return "unknown";
 }
 
+std::optional<Variant> parse_variant(std::string_view name) {
+  for (Variant v : {Variant::Initial, Variant::Modified, Variant::ModifiedWithSim}) {
+    if (to_string(v) == name) return v;
+  }
+  return std::nullopt;
+}
+
 bool DeviceMeta::is_active_action(std::string_view action) const {
   return std::find(active_actions.begin(), active_actions.end(), action) != active_actions.end();
 }
@@ -44,18 +51,7 @@ const DeviceMeta::DoorMeta& DeviceMeta::door_facing(const geom::Vec3& from_lab) 
   if (multi_doors.empty() || !box) {
     throw std::logic_error("DeviceMeta::door_facing: not a multi-door device");
   }
-  Vec3 center = box->center();
-  Vec3 offset(from_lab.x - center.x, from_lab.y - center.y, 0.0);
-  const DoorMeta* best = &multi_doors.front();
-  double best_dot = -1e300;
-  for (const DoorMeta& d : multi_doors) {
-    double dot = offset.dot(d.direction);
-    if (dot > best_dot) {
-      best_dot = dot;
-      best = &d;
-    }
-  }
-  return *best;
+  return dev::door_facing(multi_doors, box->center(), from_lab);
 }
 
 const DeviceMeta* EngineConfig::find_device(std::string_view id) const {
@@ -105,6 +101,13 @@ DeviceMeta meta_for_device(const dev::Device& d) {
   m.box = d.footprint();
   m.refined_shape = d.shape();
   m.initial_state = d.state();
+  for (const dev::Door& door : d.doors()) {
+    if (door.name.empty()) {
+      m.has_door = true;
+    } else {
+      m.multi_doors.push_back(DeviceMeta::DoorMeta{door.name, door.direction});
+    }
+  }
 
   if (const auto* arm = dynamic_cast<const dev::RobotArmDevice*>(&d)) {
     m.is_arm = true;
@@ -122,14 +125,12 @@ DeviceMeta meta_for_device(const dev::Device& d) {
     m.capacity_mg = vial->state().at("capacityMg").as_double();
     m.capacity_ml = vial->state().at("capacityMl").as_double();
   } else if (dynamic_cast<const dev::DosingDeviceModel*>(&d) != nullptr) {
-    m.has_door = true;
     m.active_actions = {"run_action"};
     m.unchecked_vars = {"pendingDoseMg"};
   } else if (dynamic_cast<const dev::HotplateModel*>(&d) != nullptr) {
     m.active_actions = {"stir"};
     m.thresholds = {{"set_temperature", "celsius", 150.0}, {"stir", "rpm", 1200.0}};
   } else if (dynamic_cast<const dev::CentrifugeModel*>(&d) != nullptr) {
-    m.has_door = true;
     m.active_actions = {"start_spin"};
     m.thresholds = {{"start_spin", "rpm", 4000.0}};
   } else if (dynamic_cast<const dev::ThermoshakerModel*>(&d) != nullptr) {
@@ -137,11 +138,8 @@ DeviceMeta meta_for_device(const dev::Device& d) {
     m.thresholds = {{"shake", "rpm", 1500.0}, {"set_temperature", "celsius", 90.0}};
   } else if (dynamic_cast<const dev::SyringePumpModel*>(&d) != nullptr) {
     m.unchecked_vars = {"pendingDispenseMl", "pendingTarget"};
-  } else if (const auto* multi = dynamic_cast<const dev::MultiDoorStation*>(&d)) {
+  } else if (dynamic_cast<const dev::MultiDoorStation*>(&d) != nullptr) {
     m.active_actions = {"start"};
-    for (const dev::MultiDoorStation::DoorSpec& spec : multi->doors()) {
-      m.multi_doors.push_back(DeviceMeta::DoorMeta{spec.name, spec.approach_direction});
-    }
   } else if (const auto* sensor = dynamic_cast<const dev::ProximitySensor*>(&d)) {
     m.is_sensor = true;
     m.sensor_zone = sensor->zone();
@@ -151,7 +149,6 @@ DeviceMeta meta_for_device(const dev::Device& d) {
     // tracker still follows it via the per-command resync.
     m.unchecked_vars = {"occupied"};
   } else if (const auto* gen = dynamic_cast<const dev::GenericActionDevice*>(&d)) {
-    m.has_door = gen->has_door();
     m.active_actions = {"start"};
     for (const dev::GenericActionDevice::ValueActionSpec& spec : gen->value_actions()) {
       m.value_bindings.push_back(ValueBinding{spec.action, spec.variable, spec.argument});
@@ -212,30 +209,20 @@ Aabb box_from_json(const json::Value& v) {
                            vec3_from_json(v.as_object().at("size")));
 }
 
-json::Value solid_to_json(const geom::Solid& s);
-
-json::Value vec3_list(const Vec3& v) {
-  json::Object o;
-  o["x"] = v.x;
-  o["y"] = v.y;
-  o["z"] = v.z;
-  return json::Value(std::move(o));
-}
-
 json::Value solid_to_json(const geom::Solid& s) {
   json::Object o;
   switch (s.kind()) {
     case geom::Solid::Kind::Box: {
       o["kind"] = std::string("box");
       const Aabb& b = s.as_box();
-      o["center"] = vec3_list(b.center());
-      o["size"] = vec3_list(b.size());
+      o["center"] = vec3_to_json(b.center());
+      o["size"] = vec3_to_json(b.size());
       break;
     }
     case geom::Solid::Kind::Cylinder: {
       o["kind"] = std::string("cylinder");
       const geom::Solid::CylinderData& c = s.as_cylinder();
-      o["base_center"] = vec3_list(c.base_center);
+      o["base_center"] = vec3_to_json(c.base_center);
       o["radius"] = c.radius;
       o["height"] = c.height;
       break;
@@ -243,7 +230,7 @@ json::Value solid_to_json(const geom::Solid& s) {
     case geom::Solid::Kind::Hemisphere: {
       o["kind"] = std::string("hemisphere");
       const geom::Solid::HemisphereData& h = s.as_hemisphere();
-      o["dome_base_center"] = vec3_list(h.dome_base_center);
+      o["dome_base_center"] = vec3_to_json(h.dome_base_center);
       o["radius"] = h.radius;
       break;
     }
@@ -422,29 +409,6 @@ json::Value config_to_json(const EngineConfig& config) {
   return json::Value(std::move(root));
 }
 
-namespace {
-
-Variant variant_from_name(const std::string& name) {
-  if (name == "initial") return Variant::Initial;
-  if (name == "modified") return Variant::Modified;
-  if (name == "modified+sim") return Variant::ModifiedWithSim;
-  throw std::runtime_error("EngineConfig: unknown variant '" + name + "'");
-}
-
-sim::ObstacleKind obstacle_kind_from_name(const std::string& name) {
-  using sim::ObstacleKind;
-  if (name == "ground") return ObstacleKind::Ground;
-  if (name == "wall") return ObstacleKind::Wall;
-  if (name == "grid") return ObstacleKind::Grid;
-  if (name == "equipment") return ObstacleKind::Equipment;
-  if (name == "vial") return ObstacleKind::Vial;
-  if (name == "soft_wall") return ObstacleKind::SoftWall;
-  if (name == "parked_arm") return ObstacleKind::ParkedArm;
-  throw std::runtime_error("EngineConfig: unknown obstacle kind '" + name + "'");
-}
-
-}  // namespace
-
 EngineConfig config_from_json(const json::Value& doc) {
   // Validate first so researcher mistakes surface as located issues rather
   // than exceptions from deep inside the parser.
@@ -459,7 +423,12 @@ EngineConfig config_from_json(const json::Value& doc) {
 
   EngineConfig cfg;
   const json::Object& root = doc.as_object();
-  cfg.variant = variant_from_name(root.at("variant").as_string());
+  const std::string& variant = root.at("variant").as_string();
+  if (auto parsed = parse_variant(variant)) {
+    cfg.variant = *parsed;
+  } else {
+    throw std::runtime_error("EngineConfig: unknown variant '" + variant + "'");
+  }
   cfg.time_multiplex = doc.get_or("time_multiplex", false);
   cfg.hein_custom_rules = doc.get_or("hein_custom_rules", true);
   cfg.use_refined_shapes = doc.get_or("use_refined_shapes", false);
@@ -544,11 +513,12 @@ EngineConfig config_from_json(const json::Value& doc) {
 
   if (const json::Value* statics = doc.find("static_obstacles")) {
     for (const json::Value& b : statics->as_array()) {
-      cfg.static_obstacles.push_back(
-          sim::NamedBox{b.as_object().at("name").as_string(),
-                        box_from_json(b.as_object().at("box")),
-                        obstacle_kind_from_name(b.as_object().at("kind").as_string()),
-                        std::nullopt});
+      const std::string& kind = b.as_object().at("kind").as_string();
+      std::optional<sim::ObstacleKind> parsed = sim::parse_obstacle_kind(kind);
+      if (!parsed) throw std::runtime_error("EngineConfig: unknown obstacle kind '" + kind + "'");
+      cfg.static_obstacles.push_back(sim::NamedBox{b.as_object().at("name").as_string(),
+                                                   box_from_json(b.as_object().at("box")),
+                                                   *parsed, std::nullopt});
     }
   }
 

@@ -33,6 +33,8 @@ enum class Variant {
 };
 
 [[nodiscard]] std::string_view to_string(Variant v);
+/// The variant named `name` in to_string's spelling ("modified+sim" for V3).
+[[nodiscard]] std::optional<Variant> parse_variant(std::string_view name);
 
 namespace detail {
 

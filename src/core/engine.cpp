@@ -29,15 +29,9 @@ void RabitEngine::attach_simulator(sim::ExtendedSimulator* simulator) {
 }
 
 void RabitEngine::initialize(const dev::LabStateSnapshot& observed) {
-  invalidate_motion_cache();
   tracker_.initialize(observed);
   stats_ = Stats{};
   base_overhead_s_ = 0.0;
-}
-
-void RabitEngine::invalidate_motion_cache() {
-  last_motion_cmd_.reset();
-  last_motion_.reset();
 }
 
 namespace {
@@ -127,8 +121,6 @@ std::optional<Alert> RabitEngine::check_command(const dev::Command& raw) {
         return Alert{AlertKind::InvalidTrajectory, "SIM",
                      motion->arm_id + " trajectory unsafe: " + swept.hit->describe(), cmd};
       }
-      last_motion_cmd_ = raw;
-      last_motion_ = std::move(*motion);
     }
   } else if (simulator_ == nullptr && config_.variant == Variant::ModifiedWithSim &&
              is_motion_command(cmd)) {
@@ -143,13 +135,6 @@ std::optional<Alert> RabitEngine::check_command(const dev::Command& raw) {
 }
 
 std::optional<MotionAnalysis> RabitEngine::motion_analysis(const dev::Command& raw) const {
-  // Served from check_command's replay when asked about the command it just
-  // checked (invalidated on every tracked-state mutation, so a hit can never
-  // be stale). The assurance fast path lands here once per motion.
-  if (last_motion_ && last_motion_cmd_ && last_motion_cmd_->device == raw.device &&
-      last_motion_cmd_->action == raw.action && last_motion_cmd_->args == raw.args) {
-    return last_motion_;
-  }
   std::optional<dev::Command> aliased = canonicalize_aliased(config_, raw);
   const dev::Command& cmd = aliased ? *aliased : raw;
   if (!is_motion_command(cmd)) return std::nullopt;
@@ -163,7 +148,6 @@ std::optional<MotionAnalysis> RabitEngine::motion_analysis(const dev::Command& r
 }
 
 void RabitEngine::apply_expected(const dev::Command& cmd) {
-  invalidate_motion_cache();
   std::optional<dev::Command> aliased = canonicalize_aliased(config_, cmd);
   tracker_.apply_postconditions(aliased ? *aliased : cmd);
 }
@@ -171,7 +155,6 @@ void RabitEngine::apply_expected(const dev::Command& cmd) {
 std::optional<Alert> RabitEngine::verify_postconditions(const dev::Command& cmd,
                                                         const dev::LabStateSnapshot& observed) {
   std::vector<std::string> diffs = tracker_.mismatches(observed);
-  invalidate_motion_cache();
   tracker_.resync(observed);  // line 16, unconditionally
   ++stats_.resyncs;
   if (diffs.empty()) return std::nullopt;
@@ -184,7 +167,6 @@ std::vector<std::string> RabitEngine::postcondition_mismatches(
 }
 
 void RabitEngine::resync_observed(const dev::ObservedLab& observed) {
-  invalidate_motion_cache();
   tracker_.resync(observed);
   ++stats_.resyncs;
 }

@@ -166,16 +166,8 @@ class RabitEngine {
   RuleWorldCache rule_world_cache_;
   obs::SpanRecord* span_ = nullptr;
   std::function<void(const MotionAnalysis&)> motion_observer_;
-  void invalidate_motion_cache();
   double assurance_margin_ = 0.0;
   bool last_margin_tripped_ = false;
-  /// The last V3 trajectory replay's analysis (polled front waypoint already
-  /// applied), keyed by the raw command that produced it. motion_analysis()
-  /// serves from here when asked about the command check_command() just
-  /// replayed, so the assurance fast path never re-plans the same motion.
-  /// Cleared on any check that does not replay a trajectory.
-  std::optional<dev::Command> last_motion_cmd_;
-  std::optional<MotionAnalysis> last_motion_;
 };
 
 }  // namespace rabit::core

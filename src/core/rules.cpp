@@ -88,9 +88,8 @@ std::optional<MotionAnalysis> analyze_motion(const EngineConfig& config,
   }
 
   if (cmd.action == "pick_object" || cmd.action == "place_object") {
-    double safe_z = m.target_lab.z + kCompositeSafeLift;
-    m.waypoints = {m.start_lab, geom::Vec3(m.start_lab.x, m.start_lab.y, safe_z),
-                   geom::Vec3(m.target_lab.x, m.target_lab.y, safe_z), m.target_lab};
+    const std::array<Vec3, 3> legs = sim::composite_legs(m.start_lab, m.target_lab);
+    m.waypoints = {m.start_lab, legs[0], legs[1], legs[2]};
   } else {
     m.waypoints = {m.start_lab, m.target_lab};
   }

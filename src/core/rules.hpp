@@ -37,13 +37,10 @@ struct MotionAnalysis {
   /// open-door station being entered): their boxes are not obstacles.
   std::vector<std::string> ignores;
   /// The tip path, including the start. Primitive moves go straight; the
-  /// composite pick/place commands lift, traverse at a safe height, then
-  /// descend (the same legs the backend physically executes).
+  /// composite pick/place commands follow sim::composite_legs (the same legs
+  /// the backend physically executes).
   std::vector<geom::Vec3> waypoints;
 };
-
-/// Height composites lift to above a site before traversing.
-inline constexpr double kCompositeSafeLift = 0.22;
 
 /// Tolerance for comparing tracked volumes and masses (mg/mL) against
 /// capacities and doses. Tracked quantities accumulate through repeated

@@ -98,7 +98,74 @@ Device::Device(std::string id, DeviceCategory category)
 StateMap Device::observed_state() const {
   StateMap out = state_;
   for (const auto& [var, value] : fault_.reported_overrides) out[var] = value;
+  if (!receptacle_.empty()) out.erase(receptacle_);
   return out;
+}
+
+const Door& Device::named_door(std::string_view name) const {
+  for (const Door& d : doors_) {
+    if (d.name == name) return d;
+  }
+  throw DeviceError(DeviceError::Code::BadArgument,
+                    id_ + ": unknown door '" + std::string(name) + "'");
+}
+
+const std::string& Device::door_status(std::string_view door) const {
+  static const std::string kNone = "none";
+  if (doors_.empty()) return kNone;
+  return var(named_door(door).variable).as_string();
+}
+
+void Device::break_door(std::string_view door) {
+  if (doors_.empty()) return;
+  const Door& d = named_door(door);
+  var(d.variable) = "broken";
+  note_hazard(d.hazard, Severity::High);
+}
+
+const Door& Device::door_facing(const geom::Vec3& from_lab) const {
+  if (doors_.empty()) throw std::logic_error(id_ + ": door_facing on a doorless device");
+  std::optional<geom::Aabb> fp = footprint();
+  return dev::door_facing(doors_, fp ? fp->center() : from_lab, from_lab);
+}
+
+void Device::add_door(std::string name, const geom::Vec3& direction, std::string hazard) {
+  if (!doors_.empty() && (name.empty() || doors_.front().name.empty())) {
+    throw std::logic_error(id_ + ": an unnamed door must be the station's only door");
+  }
+  std::string variable = name.empty() ? std::string("doorStatus") : "door_" + name;
+  set_var(variable, "closed");
+  doors_.push_back(Door{std::move(name), std::move(variable), direction, std::move(hazard)});
+  if (doors_.size() > 1) return;
+  register_action("set_door", [this](const json::Value& args) {
+    const bool named = !doors_.front().name.empty();
+    std::string door = named ? require_string(args, "door") : std::string();
+    std::string state = require_string(args, "state");
+    if (state != "open" && state != "closed") {
+      throw DeviceError(DeviceError::Code::BadArgument,
+                        "set_door: state must be 'open' or 'closed', got '" + state + "'");
+    }
+    if (door_status(door) == "broken") {
+      throw DeviceError(DeviceError::Code::InvalidState,
+                        id_ + (named ? ": door '" + door + "' actuator is broken"
+                                     : std::string(": door actuator is broken")));
+    }
+    var(named_door(door).variable) = state;
+  });
+}
+
+void Device::add_receptacle(std::string variable) {
+  set_var(variable, "");
+  receptacle_ = std::move(variable);
+}
+
+const std::string& Device::container_inside() const {
+  static const std::string kEmpty;
+  return receptacle_.empty() ? kEmpty : var(receptacle_).as_string();
+}
+
+void Device::set_container_inside(std::string vial_id) {
+  if (!receptacle_.empty()) var(receptacle_) = std::move(vial_id);
 }
 
 void Device::execute(const Command& cmd) {

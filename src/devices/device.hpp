@@ -135,6 +135,40 @@ struct Hazard {
   Severity severity = Severity::Low;
 };
 
+/// A software-controlled station door (paper §II-C: door presence is a
+/// device property). A station has either one unnamed door, held in
+/// `doorStatus`, or several named doors (§V-C: "Devices might have multiple
+/// doors"), each held in `door_<name>` and guarding the approach side its
+/// direction points to. A door is "open", "closed" or "broken".
+struct Door {
+  std::string name;      ///< "" for a station's only door, e.g. "north" otherwise
+  std::string variable;  ///< state variable holding the door's status
+  geom::Vec3 direction;  ///< horizontal unit vector, station center -> guarded side
+  std::string hazard;    ///< ground-truth hazard noted when the door is smashed
+};
+
+/// The largest-dot-product door rule: of `doors` (non-empty, each with a
+/// horizontal `direction`), the door guarding an approach from `from_lab`
+/// to a station centred at `center` is the one whose direction has the
+/// largest dot product with the horizontal offset; the first wins ties.
+/// Ground truth (Device::door_facing) and RABIT's configured knowledge
+/// (core::DeviceMeta::door_facing) both decide by it.
+template <class DoorLike>
+[[nodiscard]] const DoorLike& door_facing(const std::vector<DoorLike>& doors,
+                                          const geom::Vec3& center, const geom::Vec3& from_lab) {
+  geom::Vec3 offset(from_lab.x - center.x, from_lab.y - center.y, 0.0);
+  const DoorLike* best = &doors.front();
+  double best_dot = -1e300;
+  for (const DoorLike& d : doors) {
+    double dot = offset.dot(d.direction);
+    if (dot > best_dot) {
+      best_dot = dot;
+      best = &d;
+    }
+  }
+  return *best;
+}
+
 /// Base class for every simulated device.
 class Device {
  public:
@@ -152,9 +186,9 @@ class Device {
   [[nodiscard]] const StateMap& state() const { return state_; }
 
   /// What the device's status command reports — the paper's FetchState()
-  /// input. Diverges from state() under an active fault plan; devices with
-  /// unsensed variables (e.g. a gripper without a pressure sensor) override
-  /// this to omit them.
+  /// input. Diverges from state() under an active fault plan; omits the
+  /// receptacle variable, and devices with other unsensed variables (e.g. a
+  /// gripper without a pressure sensor) override this to omit them too.
   [[nodiscard]] virtual StateMap observed_state() const;
 
   /// Bumped by every write to state() or fault_plan(): while it stays put,
@@ -181,6 +215,29 @@ class Device {
   /// construction, like footprint().
   [[nodiscard]] virtual std::optional<geom::Solid> shape() const { return std::nullopt; }
 
+  /// The station's doors in declaration order; empty for a doorless device.
+  [[nodiscard]] const std::vector<Door>& doors() const { return doors_; }
+  /// Status of the door named `door` ("" names a single-door station's
+  /// door); "none" on a doorless device. Throws DeviceError (BadArgument)
+  /// for a name the station has no door for.
+  [[nodiscard]] const std::string& door_status(std::string_view door = {}) const;
+  /// Smashes the door named `door` (ground truth: an arm crashed through it
+  /// or it closed onto one) and notes its hazard. No-op on a doorless
+  /// device; throws like door_status() for an unknown name.
+  void break_door(std::string_view door = {});
+  /// The door guarding an approach from `from_lab`: dev::door_facing about
+  /// the footprint's center (a station without a footprint has no sides, so
+  /// its first door guards every approach). Throws std::logic_error on a
+  /// doorless device.
+  [[nodiscard]] const Door& door_facing(const geom::Vec3& from_lab) const;
+
+  /// The vial in the station's receptacle (on it, for the hotplate): "" when
+  /// it is empty or the device has no receptacle.
+  [[nodiscard]] const std::string& container_inside() const;
+  /// Seats `vial_id` in the receptacle ("" empties it); a device without a
+  /// receptacle holds nothing and ignores this.
+  void set_container_inside(std::string vial_id);
+
   void set_fault_plan(FaultPlan plan) {
     fault_ = std::move(plan);
     ++revision_;
@@ -200,6 +257,16 @@ class Device {
 
   /// Registers an action handler; called from derived-class constructors.
   void register_action(std::string name, Handler handler);
+
+  /// Declares a door, initially closed: its variable is `doorStatus` when
+  /// `name` is empty (the station's only door) and `door_<name>` otherwise.
+  /// The first door registers the station's set_door action, which takes
+  /// `state` ("open"/"closed") and, on a station with named doors, `door`.
+  void add_door(std::string name, const geom::Vec3& direction, std::string hazard);
+
+  /// Declares the receptacle: `variable` names the vial it holds ("" when
+  /// empty). No sensor sees the vial, so observed_state() omits it.
+  void add_receptacle(std::string variable);
 
   /// Records a ground-truth hazard (also callable by backends for
   /// cross-device physics like arm/door collisions).
@@ -225,6 +292,11 @@ class Device {
   FaultPlan fault_;
   std::vector<Hazard> hazards_;
   std::uint64_t revision_ = 0;
+  std::vector<Door> doors_;
+  std::string receptacle_;  ///< the receptacle's state variable; "" when none
+
+  /// The door named `name`; throws DeviceError (BadArgument) when absent.
+  [[nodiscard]] const Door& named_door(std::string_view name) const;
 };
 
 /// Owns all devices of a lab; the single source a backend and RABIT query.

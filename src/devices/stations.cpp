@@ -4,37 +4,17 @@
 
 namespace rabit::dev {
 
-namespace {
-
-void check_door_arg(const std::string& state) {
-  if (state != "open" && state != "closed") {
-    throw DeviceError(DeviceError::Code::BadArgument,
-                      "set_door: state must be 'open' or 'closed', got '" + state + "'");
-  }
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // DosingDeviceModel
 // ---------------------------------------------------------------------------
 
 DosingDeviceModel::DosingDeviceModel(std::string id, const geom::Aabb& footprint)
     : Device(std::move(id), DeviceCategory::DosingSystem), footprint_(footprint) {
-  set_var("doorStatus", "closed");
+  add_door("", geom::Vec3(), "glass door broken");
+  add_receptacle("containerInside");
   set_var("running", 0);
-  set_var("containerInside", "");
   set_var("pendingDoseMg", 0.0);
 
-  register_action("set_door", [this](const json::Value& args) {
-    std::string state = require_string(args, "state");
-    check_door_arg(state);
-    if (door_status() == "broken") {
-      throw DeviceError(DeviceError::Code::InvalidState,
-                        this->id() + ": door actuator is broken");
-    }
-    var("doorStatus") = state;
-  });
   register_action("run_action", [this](const json::Value& args) {
     double quantity = require_number(args, "quantity");
     if (quantity < 0) {
@@ -44,15 +24,6 @@ DosingDeviceModel::DosingDeviceModel(std::string id, const geom::Aabb& footprint
     var("pendingDoseMg") = quantity;
   });
   register_action("stop_action", [this](const json::Value&) { var("running") = 0; });
-}
-
-void DosingDeviceModel::break_door() {
-  var("doorStatus") = "broken";
-  note_hazard("glass door broken", Severity::High);
-}
-
-void DosingDeviceModel::set_container_inside(std::string vial_id) {
-  var("containerInside") = std::move(vial_id);
 }
 
 double DosingDeviceModel::take_pending_dose_mg() {
@@ -128,7 +99,7 @@ HotplateModel::HotplateModel(std::string id, double firmware_limit_c, double haz
   set_var("targetC", 25.0);
   set_var("stirRpm", 0.0);
   set_var("active", 0);
-  set_var("containerOn", "");
+  add_receptacle("containerOn");
 
   register_action("set_temperature", [this](const json::Value& args) {
     double celsius = require_number(args, "celsius");
@@ -157,30 +128,17 @@ HotplateModel::HotplateModel(std::string id, double firmware_limit_c, double haz
   });
 }
 
-void HotplateModel::set_container_on(std::string vial_id) {
-  var("containerOn") = std::move(vial_id);
-}
-
 // ---------------------------------------------------------------------------
 // CentrifugeModel
 // ---------------------------------------------------------------------------
 
 CentrifugeModel::CentrifugeModel(std::string id, const geom::Aabb& footprint)
     : Device(std::move(id), DeviceCategory::ActionDevice), footprint_(footprint) {
-  set_var("doorStatus", "closed");
+  add_door("", geom::Vec3(), "door broken");
+  add_receptacle("containerInside");
   set_var("spinning", 0);
   set_var("redDot", "N");
-  set_var("containerInside", "");
 
-  register_action("set_door", [this](const json::Value& args) {
-    std::string state = require_string(args, "state");
-    check_door_arg(state);
-    if (door_status() == "broken") {
-      throw DeviceError(DeviceError::Code::InvalidState,
-                        this->id() + ": door actuator is broken");
-    }
-    var("doorStatus") = state;
-  });
   register_action("rotate_platter", [this](const json::Value& args) {
     std::string orientation = require_string(args, "orientation");
     if (orientation != "N" && orientation != "E" && orientation != "S" && orientation != "W") {
@@ -217,15 +175,6 @@ std::optional<geom::Solid> CentrifugeModel::shape() const {
   return geom::Solid::compound(std::move(parts));
 }
 
-void CentrifugeModel::break_door() {
-  var("doorStatus") = "broken";
-  note_hazard("door broken", Severity::High);
-}
-
-void CentrifugeModel::set_container_inside(std::string vial_id) {
-  var("containerInside") = std::move(vial_id);
-}
-
 // ---------------------------------------------------------------------------
 // ThermoshakerModel
 // ---------------------------------------------------------------------------
@@ -238,7 +187,7 @@ ThermoshakerModel::ThermoshakerModel(std::string id, double firmware_limit_c,
   set_var("targetC", 25.0);
   set_var("shakeRpm", 0.0);
   set_var("active", 0);
-  set_var("containerInside", "");
+  add_receptacle("containerInside");
 
   register_action("set_temperature", [this](const json::Value& args) {
     double celsius = require_number(args, "celsius");
@@ -274,10 +223,6 @@ std::optional<geom::Solid> ThermoshakerModel::shape() const {
   return geom::Solid::compound({geom::Solid::box(body), geom::Solid::box(bump)});
 }
 
-void ThermoshakerModel::set_container_inside(std::string vial_id) {
-  var("containerInside") = std::move(vial_id);
-}
-
 // ---------------------------------------------------------------------------
 // GenericActionDevice
 // ---------------------------------------------------------------------------
@@ -286,26 +231,14 @@ GenericActionDevice::GenericActionDevice(std::string id,
                                          std::vector<ValueActionSpec> value_actions,
                                          bool has_door, std::optional<geom::Aabb> footprint)
     : Device(std::move(id), DeviceCategory::ActionDevice),
-      has_door_(has_door),
       footprint_(footprint),
       value_actions_(std::move(value_actions)) {
   set_var("active", 0);
-  set_var("containerInside", "");
-  if (has_door_) set_var("doorStatus", "closed");
+  add_receptacle("containerInside");
+  if (has_door) add_door("", geom::Vec3(), "door broken");
 
   register_action("start", [this](const json::Value&) { var("active") = 1; });
   register_action("stop", [this](const json::Value&) { var("active") = 0; });
-  if (has_door_) {
-    register_action("set_door", [this](const json::Value& args) {
-      std::string state = require_string(args, "state");
-      check_door_arg(state);
-      if (door_status() == "broken") {
-        throw DeviceError(DeviceError::Code::InvalidState,
-                          this->id() + ": door actuator is broken");
-      }
-      var("doorStatus") = state;
-    });
-  }
 
   for (const ValueActionSpec& spec : value_actions_) {
     set_var(spec.variable, 0.0);
@@ -321,83 +254,24 @@ GenericActionDevice::GenericActionDevice(std::string id,
   }
 }
 
-std::string GenericActionDevice::door_status() const {
-  if (!has_door_) return "none";
-  return var("doorStatus").as_string();
-}
-
-void GenericActionDevice::break_door() {
-  if (!has_door_) return;
-  var("doorStatus") = "broken";
-  note_hazard("door broken", Severity::High);
-}
-
-void GenericActionDevice::set_container_inside(std::string vial_id) {
-  var("containerInside") = std::move(vial_id);
-}
-
 // ---------------------------------------------------------------------------
 // MultiDoorStation
 // ---------------------------------------------------------------------------
 
-MultiDoorStation::MultiDoorStation(std::string id, std::vector<DoorSpec> doors,
+MultiDoorStation::MultiDoorStation(std::string id, const std::vector<DoorSpec>& doors,
                                    const geom::Aabb& footprint)
-    : Device(std::move(id), DeviceCategory::ActionDevice),
-      doors_(std::move(doors)),
-      footprint_(footprint) {
-  if (doors_.size() < 2) {
+    : Device(std::move(id), DeviceCategory::ActionDevice), footprint_(footprint) {
+  if (doors.size() < 2) {
     throw std::invalid_argument("MultiDoorStation: needs at least two doors");
   }
   set_var("active", 0);
-  set_var("containerInside", "");
-  for (const DoorSpec& d : doors_) set_var(door_var(d.name), "closed");
+  add_receptacle("containerInside");
+  for (const DoorSpec& d : doors) {
+    add_door(d.name, d.approach_direction, "door '" + d.name + "' broken");
+  }
 
-  register_action("set_door", [this](const json::Value& args) {
-    std::string door = require_string(args, "door");
-    std::string state = require_string(args, "state");
-    check_door_arg(state);
-    if (door_status(door) == "broken") {
-      throw DeviceError(DeviceError::Code::InvalidState,
-                        this->id() + ": door '" + door + "' actuator is broken");
-    }
-    var(door_var(door)) = state;
-  });
   register_action("start", [this](const json::Value&) { var("active") = 1; });
   register_action("stop", [this](const json::Value&) { var("active") = 0; });
-}
-
-std::string MultiDoorStation::door_status(std::string_view door) const {
-  for (const DoorSpec& d : doors_) {
-    if (d.name == door) return var(door_var(door)).as_string();
-  }
-  throw DeviceError(DeviceError::Code::BadArgument,
-                    id() + ": unknown door '" + std::string(door) + "'");
-}
-
-void MultiDoorStation::break_door(std::string_view door) {
-  static_cast<void>(door_status(door));  // validates the name
-  var(door_var(door)) = "broken";
-  note_hazard("door '" + std::string(door) + "' broken", Severity::High);
-}
-
-const MultiDoorStation::DoorSpec& MultiDoorStation::door_facing(
-    const geom::Vec3& from_lab) const {
-  geom::Vec3 center = footprint_.center();
-  geom::Vec3 offset(from_lab.x - center.x, from_lab.y - center.y, 0.0);
-  const DoorSpec* best = &doors_.front();
-  double best_dot = -1e300;
-  for (const DoorSpec& d : doors_) {
-    double dot = offset.dot(d.approach_direction);
-    if (dot > best_dot) {
-      best_dot = dot;
-      best = &d;
-    }
-  }
-  return *best;
-}
-
-void MultiDoorStation::set_container_inside(std::string vial_id) {
-  var("containerInside") = std::move(vial_id);
 }
 
 // ---------------------------------------------------------------------------

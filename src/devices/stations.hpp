@@ -5,22 +5,15 @@
 //
 // Stations expose their own firmware-level checks (which exist below RABIT
 // and stay enabled during evaluation, §IV) and record ground-truth hazards.
-// Cross-device physics — substance transfer into a vial, a door hitting an
-// arm — is the backend's job; stations only manage their local state.
+// Their doors and receptacle are data on dev::Device (add_door,
+// add_receptacle), not C++ types. Cross-device physics — substance transfer
+// into a vial, a door hitting an arm — is the backend's job; stations only
+// manage their local state.
 #pragma once
 
 #include "devices/device.hpp"
 
 namespace rabit::dev {
-
-/// Common door handling for stations with a software-controlled door.
-/// Door status is "open", "closed", or "broken" (after a collision).
-class DoorMixin {
- public:
-  virtual ~DoorMixin() = default;
-  [[nodiscard]] virtual std::string door_status() const = 0;
-  virtual void break_door() = 0;
-};
 
 /// Solid dosing device (paper Fig. 1): doses powder into a vial placed
 /// inside; has a fragile software-controlled glass door.
@@ -28,31 +21,20 @@ class DoorMixin {
 /// State: doorStatus, running (0/1), containerInside (vial id or ""),
 /// pendingDoseMg (requested by the last run_action, consumed by the backend
 /// when it performs the physical transfer).
-class DosingDeviceModel : public Device, public DoorMixin {
+class DosingDeviceModel : public Device {
  public:
   DosingDeviceModel(std::string id, const geom::Aabb& footprint);
 
   [[nodiscard]] std::optional<geom::Aabb> footprint() const override { return footprint_; }
 
-  [[nodiscard]] std::string door_status() const override {
-    return var("doorStatus").as_string();
-  }
-  void break_door() override;
-
   [[nodiscard]] bool running() const { return var("running").as_int() == 1; }
-  [[nodiscard]] const std::string& container_inside() const {
-    return var("containerInside").as_string();
-  }
-  void set_container_inside(std::string vial_id);
 
   /// Dose requested by the most recent run_action; reading resets it to 0.
   [[nodiscard]] double take_pending_dose_mg();
 
-  /// No sensor detects a vial in the chamber, and the pending dose is an
-  /// internal bookkeeping variable, so neither is reported by status.
+  /// The pending dose is internal bookkeeping, not reported by status.
   [[nodiscard]] StateMap observed_state() const override {
     StateMap out = Device::observed_state();
-    out.erase("containerInside");
     out.erase("pendingDoseMg");
     return out;
   }
@@ -111,16 +93,7 @@ class HotplateModel : public Device {
 
   [[nodiscard]] double target_c() const { return var("targetC").as_double(); }
   [[nodiscard]] bool active() const { return var("active").as_int() == 1; }
-  [[nodiscard]] const std::string& container_on() const { return var("containerOn").as_string(); }
-  void set_container_on(std::string vial_id);
   [[nodiscard]] double firmware_limit_c() const { return firmware_limit_c_; }
-
-  /// The plate cannot sense whether a vial stands on it.
-  [[nodiscard]] StateMap observed_state() const override {
-    StateMap out = Device::observed_state();
-    out.erase("containerOn");
-    return out;
-  }
 
  private:
   double firmware_limit_c_;
@@ -133,7 +106,7 @@ class HotplateModel : public Device {
 /// Hein Lab's custom rule 3, Table IV).
 ///
 /// State: doorStatus, spinning, redDot ("N"/"E"/"S"/"W"), containerInside.
-class CentrifugeModel : public Device, public DoorMixin {
+class CentrifugeModel : public Device {
  public:
   CentrifugeModel(std::string id, const geom::Aabb& footprint);
 
@@ -143,24 +116,8 @@ class CentrifugeModel : public Device, public DoorMixin {
   /// cylindrical base topped by a dome, fitted inside the cuboid footprint.
   [[nodiscard]] std::optional<geom::Solid> shape() const override;
 
-  [[nodiscard]] std::string door_status() const override {
-    return var("doorStatus").as_string();
-  }
-  void break_door() override;
-
   [[nodiscard]] bool spinning() const { return var("spinning").as_int() == 1; }
   [[nodiscard]] const std::string& red_dot() const { return var("redDot").as_string(); }
-  [[nodiscard]] const std::string& container_inside() const {
-    return var("containerInside").as_string();
-  }
-  void set_container_inside(std::string vial_id);
-
-  /// No sensor detects the container.
-  [[nodiscard]] StateMap observed_state() const override {
-    StateMap out = Device::observed_state();
-    out.erase("containerInside");
-    return out;
-  }
 
  private:
   geom::Aabb footprint_;
@@ -181,17 +138,6 @@ class ThermoshakerModel : public Device {
 
   [[nodiscard]] bool active() const { return var("active").as_int() == 1; }
   [[nodiscard]] double shake_rpm() const { return var("shakeRpm").as_double(); }
-  [[nodiscard]] const std::string& container_inside() const {
-    return var("containerInside").as_string();
-  }
-  void set_container_inside(std::string vial_id);
-
-  /// No sensor detects the container.
-  [[nodiscard]] StateMap observed_state() const override {
-    StateMap out = Device::observed_state();
-    out.erase("containerInside");
-    return out;
-  }
 
  private:
   double firmware_limit_c_;
@@ -202,7 +148,7 @@ class ThermoshakerModel : public Device {
 /// actions with optional firmware thresholds, optional door, start/stop.
 /// Covers the Berlinguette decapper, spin coater, spray nozzles, and XRF
 /// stations without writing a new C++ class per device.
-class GenericActionDevice : public Device, public DoorMixin {
+class GenericActionDevice : public Device {
  public:
   struct ValueActionSpec {
     std::string action;                     ///< e.g. "set_spin_speed"
@@ -221,25 +167,9 @@ class GenericActionDevice : public Device, public DoorMixin {
 
   [[nodiscard]] std::optional<geom::Aabb> footprint() const override { return footprint_; }
 
-  [[nodiscard]] bool has_door() const { return has_door_; }
-  [[nodiscard]] std::string door_status() const override;
-  void break_door() override;
-
   [[nodiscard]] bool active() const { return var("active").as_int() == 1; }
-  [[nodiscard]] const std::string& container_inside() const {
-    return var("containerInside").as_string();
-  }
-  void set_container_inside(std::string vial_id);
-
-  /// No sensor detects the container.
-  [[nodiscard]] StateMap observed_state() const override {
-    StateMap out = Device::observed_state();
-    out.erase("containerInside");
-    return out;
-  }
 
  private:
-  bool has_door_;
   std::optional<geom::Aabb> footprint_;
   std::vector<ValueActionSpec> value_actions_;
 };
@@ -260,37 +190,15 @@ class MultiDoorStation : public Device {
     geom::Vec3 approach_direction;   ///< horizontal unit vector, center -> side
   };
 
-  MultiDoorStation(std::string id, std::vector<DoorSpec> doors, const geom::Aabb& footprint);
+  /// Throws std::invalid_argument for fewer than two doors.
+  MultiDoorStation(std::string id, const std::vector<DoorSpec>& doors,
+                   const geom::Aabb& footprint);
 
   [[nodiscard]] std::optional<geom::Aabb> footprint() const override { return footprint_; }
 
-  [[nodiscard]] const std::vector<DoorSpec>& doors() const { return doors_; }
-  [[nodiscard]] std::string door_status(std::string_view door) const;
-  void break_door(std::string_view door);
-
-  /// The door guarding an approach from `from_lab` (largest dot product of
-  /// the horizontal offset with the doors' directions).
-  [[nodiscard]] const DoorSpec& door_facing(const geom::Vec3& from_lab) const;
-
   [[nodiscard]] bool active() const { return var("active").as_int() == 1; }
-  [[nodiscard]] const std::string& container_inside() const {
-    return var("containerInside").as_string();
-  }
-  void set_container_inside(std::string vial_id);
-
-  /// No sensor detects the container.
-  [[nodiscard]] StateMap observed_state() const override {
-    StateMap out = Device::observed_state();
-    out.erase("containerInside");
-    return out;
-  }
 
  private:
-  [[nodiscard]] static std::string door_var(std::string_view door) {
-    return "door_" + std::string(door);
-  }
-
-  std::vector<DoorSpec> doors_;
   geom::Aabb footprint_;
 };
 

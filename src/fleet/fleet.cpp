@@ -662,15 +662,9 @@ CampaignSpec load_campaign(const json::Value& doc) {
   if (const json::Value* variant = doc.find("variant")) {
     if (!variant->is_string()) throw std::runtime_error("campaign: 'variant' must be a string");
     const std::string& v = variant->as_string();
-    if (v == "initial") {
-      spec.variant = core::Variant::Initial;
-    } else if (v == "modified") {
-      spec.variant = core::Variant::Modified;
-    } else if (v == "modified+sim") {
-      spec.variant = core::Variant::ModifiedWithSim;
-    } else {
-      throw std::runtime_error("campaign: unknown variant '" + v + "'");
-    }
+    std::optional<core::Variant> parsed = core::parse_variant(v);
+    if (!parsed) throw std::runtime_error("campaign: unknown variant '" + v + "'");
+    spec.variant = *parsed;
   }
   if (const json::Value* halt = doc.find("halt_on_alert")) {
     if (!halt->is_bool()) throw std::runtime_error("campaign: 'halt_on_alert' must be a bool");

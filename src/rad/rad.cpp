@@ -5,7 +5,6 @@
 #include <set>
 
 #include "devices/robot_arm.hpp"
-#include "devices/stations.hpp"
 #include "sim/deck.hpp"
 
 namespace rabit::rad {
@@ -35,7 +34,7 @@ std::vector<Event> abstract_events(const std::vector<Command>& commands,
       if (arm != nullptr && pos) {
         Vec3 lab = arm->to_lab(*pos);
         for (const dev::Device* d : deck.registry().all()) {
-          if (dynamic_cast<const dev::DoorMixin*>(d) == nullptr) continue;
+          if (d->doors().empty()) continue;
           if (auto fp = d->footprint(); fp && fp->inflated(0.01).contains(lab)) {
             e = "enter:" + d->id();
             break;

@@ -233,18 +233,11 @@ std::vector<dev::Command> safe_state_sequence(const sim::LabBackend& backend,
   //    broken actuator would only reject the command).
   for (const dev::Device* d : registry.all()) {
     if (skip(*d)) continue;
-    if (const auto* multi = dynamic_cast<const dev::MultiDoorStation*>(d)) {
-      for (const dev::MultiDoorStation::DoorSpec& door : multi->doors()) {
-        if (multi->door_status(door.name) != "open") continue;
-        json::Object args;
-        args["state"] = "closed";
-        args["door"] = door.name;
-        out.push_back(make_cmd(d->id(), "set_door", std::move(args)));
-      }
-    } else if (const auto* door = dynamic_cast<const dev::DoorMixin*>(d)) {
-      if (door->door_status() != "open") continue;
+    for (const dev::Door& door : d->doors()) {
+      if (d->door_status(door.name) != "open") continue;
       json::Object args;
       args["state"] = "closed";
+      if (!door.name.empty()) args["door"] = door.name;  // multi-door stations
       out.push_back(make_cmd(d->id(), "set_door", std::move(args)));
     }
   }

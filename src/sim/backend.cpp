@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/deck.hpp"
+
 namespace rabit::sim {
 
 using dev::Command;
@@ -29,9 +31,6 @@ double severity_cost(Severity s) {
   }
   return 0.0;
 }
-
-/// Doored stations share no base class beyond DoorMixin; resolve it.
-dev::DoorMixin* as_door(dev::Device& d) { return dynamic_cast<dev::DoorMixin*>(&d); }
 
 /// One N(0, sigma) draw that is also defined for sigma = 0, where
 /// std::normal_distribution is not: a standard draw times sigma plus the
@@ -131,24 +130,9 @@ dev::Vial& LabBackend::vial(std::string_view id) {
 }
 
 WorldModel LabBackend::ground_truth_world(std::string_view moving_arm) const {
-  WorldModel world;
-  world.boxes = static_;
-  for (std::size_t i = 0; i < registry_.size(); ++i) {
-    const dev::Device* d = &registry_.device(i);
-    if (d->id() == moving_arm) continue;
-    if (auto fp = d->footprint()) {
-      ObstacleKind kind = dynamic_cast<const dev::VialGrid*>(d) != nullptr
-                              ? ObstacleKind::Grid
-                              : ObstacleKind::Equipment;
-      // Ground truth uses the device's *real* shape; the cuboid is only the
-      // configured approximation RABIT checks against.
-      if (auto solid = d->shape()) {
-        world.add_solid(d->id(), std::move(*solid), kind);
-      } else {
-        world.add_box(d->id(), *fp, kind);
-      }
-    }
-  }
+  // Ground truth uses each device's *real* shape; the cuboid is only the
+  // configured approximation RABIT checks against.
+  WorldModel world = deck_world_model(*this, /*refined_shapes=*/true);
   add_arm_segments(world, moving_arm);
   return world;
 }
@@ -285,8 +269,7 @@ ExecResult LabBackend::execute(const Command& cmd) {
         d->execute(cmd);
       }
       r.executed = r.firmware_error.empty();
-    } else if (cmd.action == "set_door" &&
-               (as_door(*d) != nullptr || dynamic_cast<dev::MultiDoorStation*>(d) != nullptr)) {
+    } else if (cmd.action == "set_door" && !d->doors().empty()) {
       handle_set_door(*d, cmd, r);
       r.executed = r.firmware_error.empty();
     } else if (cmd.action == "measure_solubility") {
@@ -349,21 +332,15 @@ void LabBackend::perform_motion(dev::RobotArmDevice& a, const dev::MotionPlan& p
   // Deliberate station interactions: when the start or the goal is a bound
   // site, the arm is *supposed* to reach over/into that station, so its box
   // is not an accidental obstacle. Doored receptacles additionally require
-  // an open door — a closed door is smashed, not ignored.
+  // the door on the side the arm approaches from to be open — a closed door
+  // is smashed, not ignored.
   auto maybe_ignore = [&](const SiteBinding* site) {
     if (site == nullptr) return;
     if (site->is_grid_slot()) options.ignore.push_back(site->grid_device);
     if (site->is_receptacle()) {
-      dev::Device& station = registry_.at(site->receptacle_device);
-      if (auto* multi = dynamic_cast<dev::MultiDoorStation*>(&station)) {
-        // Entry through the side the arm approaches from.
-        if (multi->door_status(multi->door_facing(start).name) == "open") {
-          options.ignore.push_back(site->receptacle_device);
-        }
-        return;
-      }
-      dev::DoorMixin* door = as_door(station);
-      if (door == nullptr || door->door_status() == "open") {
+      const dev::Device& station = registry_.at(site->receptacle_device);
+      if (station.doors().empty() ||
+          station.door_status(station.door_facing(start).name) == "open") {
         options.ignore.push_back(site->receptacle_device);
       }
     }
@@ -404,15 +381,12 @@ void LabBackend::record_collision(dev::RobotArmDevice& a, const CollisionReport&
   r.damage.push_back(event);
   damage_log_.push_back(event);
 
-  // Crashing into a doored station also smashes its glass door.
+  // Crashing into a doored station also smashes the door on that side.
   if (!hit.arm_vs_arm && !hit.via_held_object) {
-    if (dev::Device* station = registry_.find(hit.obstacle)) {
-      if (dev::DoorMixin* door = as_door(*station)) {
-        if (door->door_status() != "open") door->break_door();
-      } else if (auto* multi = dynamic_cast<dev::MultiDoorStation*>(station)) {
-        const auto& facing = multi->door_facing(hit.position);
-        if (multi->door_status(facing.name) != "open") multi->break_door(facing.name);
-      }
+    dev::Device* station = registry_.find(hit.obstacle);
+    if (station != nullptr && !station->doors().empty()) {
+      const std::string& door = station->door_facing(hit.position).name;
+      if (station->door_status(door) != "open") station->break_door(door);
     }
   }
 }
@@ -421,8 +395,8 @@ void LabBackend::update_inside_flag(dev::RobotArmDevice& a) {
   Vec3 tip = a.position_lab();
   std::string inside;
   for (std::size_t i = 0; i < registry_.size(); ++i) {
-    dev::Device* d = &registry_.device(i);
-    if (as_door(*d) == nullptr && dynamic_cast<dev::MultiDoorStation*>(d) == nullptr) continue;
+    const dev::Device* d = &registry_.device(i);
+    if (d->doors().empty()) continue;
     if (auto fp = d->footprint(); fp && fp->inflated(0.01).contains(tip)) {
       inside = d->id();
       break;
@@ -441,20 +415,7 @@ dev::Vial* LabBackend::vial_at_site(const SiteBinding& site) {
     auto& grid = dynamic_cast<dev::VialGrid&>(registry_.at(site.grid_device));
     vial_id = grid.occupant(site.grid_slot);
   } else if (site.is_receptacle()) {
-    dev::Device& station = registry_.at(site.receptacle_device);
-    if (auto* dosing = dynamic_cast<dev::DosingDeviceModel*>(&station)) {
-      vial_id = dosing->container_inside();
-    } else if (auto* cf = dynamic_cast<dev::CentrifugeModel*>(&station)) {
-      vial_id = cf->container_inside();
-    } else if (auto* ts = dynamic_cast<dev::ThermoshakerModel*>(&station)) {
-      vial_id = ts->container_inside();
-    } else if (auto* hp = dynamic_cast<dev::HotplateModel*>(&station)) {
-      vial_id = hp->container_on();
-    } else if (auto* gen = dynamic_cast<dev::GenericActionDevice*>(&station)) {
-      vial_id = gen->container_inside();
-    } else if (auto* multi = dynamic_cast<dev::MultiDoorStation*>(&station)) {
-      vial_id = multi->container_inside();
-    }
+    vial_id = registry_.at(site.receptacle_device).container_inside();
   } else {
     // Bare waypoint: a vial may simply be standing there.
     for (std::size_t i = 0; i < registry_.size(); ++i) {
@@ -474,20 +435,7 @@ void LabBackend::detach_vial_from_site(const SiteBinding& site) {
     auto& grid = dynamic_cast<dev::VialGrid&>(registry_.at(site.grid_device));
     grid.remove(site.grid_slot);
   } else if (site.is_receptacle()) {
-    dev::Device& station = registry_.at(site.receptacle_device);
-    if (auto* dosing = dynamic_cast<dev::DosingDeviceModel*>(&station)) {
-      dosing->set_container_inside("");
-    } else if (auto* cf = dynamic_cast<dev::CentrifugeModel*>(&station)) {
-      cf->set_container_inside("");
-    } else if (auto* ts = dynamic_cast<dev::ThermoshakerModel*>(&station)) {
-      ts->set_container_inside("");
-    } else if (auto* hp = dynamic_cast<dev::HotplateModel*>(&station)) {
-      hp->set_container_on("");
-    } else if (auto* gen = dynamic_cast<dev::GenericActionDevice*>(&station)) {
-      gen->set_container_inside("");
-    } else if (auto* multi = dynamic_cast<dev::MultiDoorStation*>(&station)) {
-      multi->set_container_inside("");
-    }
+    registry_.at(site.receptacle_device).set_container_inside("");
   }
 }
 
@@ -517,20 +465,7 @@ void LabBackend::seat_vial(dev::Vial& v, const SiteBinding& site, ExecResult& r)
     auto& grid = dynamic_cast<dev::VialGrid&>(registry_.at(site.grid_device));
     grid.place(site.grid_slot, v.id());
   } else if (site.is_receptacle()) {
-    dev::Device& station = registry_.at(site.receptacle_device);
-    if (auto* dosing = dynamic_cast<dev::DosingDeviceModel*>(&station)) {
-      dosing->set_container_inside(v.id());
-    } else if (auto* cf = dynamic_cast<dev::CentrifugeModel*>(&station)) {
-      cf->set_container_inside(v.id());
-    } else if (auto* ts = dynamic_cast<dev::ThermoshakerModel*>(&station)) {
-      ts->set_container_inside(v.id());
-    } else if (auto* hp = dynamic_cast<dev::HotplateModel*>(&station)) {
-      hp->set_container_on(v.id());
-    } else if (auto* gen = dynamic_cast<dev::GenericActionDevice*>(&station)) {
-      gen->set_container_inside(v.id());
-    } else if (auto* multi = dynamic_cast<dev::MultiDoorStation*>(&station)) {
-      multi->set_container_inside(v.id());
-    }
+    registry_.at(site.receptacle_device).set_container_inside(v.id());
   }
   v.set_location(site.name);
   (void)r;
@@ -575,11 +510,11 @@ void LabBackend::handle_gripper(dev::RobotArmDevice& a, bool open, ExecResult& r
 // Composite pick/place (the production deck's robot.pick_up_vial() style)
 // ---------------------------------------------------------------------------
 
-namespace {
-/// Composites lift, traverse at a safe height, then descend — the motion
-/// sequence real pick-and-place wrappers use.
-constexpr double kCompositeSafeLift = 0.22;
-}  // namespace
+std::array<Vec3, 3> composite_legs(const Vec3& start, const Vec3& site) {
+  constexpr double kCompositeSafeLift = 0.22;
+  const double safe_z = site.z + kCompositeSafeLift;
+  return {Vec3(start.x, start.y, safe_z), Vec3(site.x, site.y, safe_z), site};
+}
 
 void LabBackend::handle_composite(dev::RobotArmDevice& a, const Command& cmd, bool pick,
                                   ExecResult& r) {
@@ -595,14 +530,7 @@ void LabBackend::handle_composite(dev::RobotArmDevice& a, const Command& cmd, bo
                            std::string(what) + ": unknown site '" + site_arg->as_string() + "'");
   }
 
-  Vec3 start_lab = a.position_lab();
-  double safe_z = site->lab_position.z + kCompositeSafeLift;
-  const Vec3 legs[] = {
-      Vec3(start_lab.x, start_lab.y, safe_z),
-      Vec3(site->lab_position.x, site->lab_position.y, safe_z),
-      site->lab_position,
-  };
-  for (const Vec3& waypoint : legs) {
+  for (const Vec3& waypoint : composite_legs(a.position_lab(), site->lab_position)) {
     dev::MotionPlan plan = a.plan_move(a.to_local(waypoint));
     if (plan.skipped) {
       r.silently_skipped = true;
@@ -636,15 +564,13 @@ void LabBackend::handle_set_door(dev::Device& d, const Command& cmd, ExecResult&
     for (std::size_t i = 0; i < registry_.size(); ++i) {
       auto* a = dynamic_cast<dev::RobotArmDevice*>(&registry_.device(i));
       if (a != nullptr && a->inside_device() == d.id()) {
-        if (auto* multi = dynamic_cast<dev::MultiDoorStation*>(&d)) {
-          const json::Value* door_arg = cmd.args.find("door");
-          std::string door = door_arg != nullptr && door_arg->is_string()
-                                 ? door_arg->as_string()
-                                 : multi->doors().front().name;
-          multi->break_door(door);
-        } else {
-          as_door(d)->break_door();
-        }
+        // A multi-door command's named door (its first door when it names
+        // none); a single-door station's only door.
+        const std::string& first = d.doors().front().name;
+        const json::Value* door_arg = cmd.args.find("door");
+        d.break_door(!first.empty() && door_arg != nullptr && door_arg->is_string()
+                         ? door_arg->as_string()
+                         : first);
         DamageEvent event{Severity::High,
                           d.id() + ": door closed onto " + a->id() + ", glass door broken",
                           d.id(), commands_executed_};

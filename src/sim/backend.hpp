@@ -12,6 +12,7 @@
 // dollar cost of damage — not in the physics code paths.
 #pragma once
 
+#include <array>
 #include <random>
 
 #include "devices/containers.hpp"
@@ -95,8 +96,8 @@ class LabBackend {
   [[nodiscard]] dev::Vial& vial(std::string_view id);
 
   /// Builds the complete physical world as seen when `moving_arm` moves:
-  /// every device footprint, all static obstacles, and the other arms'
-  /// current link segments. SoftWalls are never part of ground truth.
+  /// deck_world_model with every device's refined shape, plus the other
+  /// arms' current link segments. SoftWalls are never part of ground truth.
   [[nodiscard]] WorldModel ground_truth_world(std::string_view moving_arm) const;
 
   /// The ground truth the last arm move was checked against, and its broad
@@ -226,6 +227,14 @@ class LabBackend {
   };
   KeptGroundTruth kept_;
 };
+
+/// The tip waypoints of a composite pick/place from `start` to `site`, start
+/// excluded: lift to 0.22 m above the site's height, traverse at that height,
+/// then descend onto the site — the motion sequence real pick-and-place
+/// wrappers use. The backend executes these legs and RABIT's motion analysis
+/// replays the same ones.
+[[nodiscard]] std::array<geom::Vec3, 3> composite_legs(const geom::Vec3& start,
+                                                       const geom::Vec3& site);
 
 /// Severity for a physical collision, from what was hit (paper Table V).
 [[nodiscard]] dev::Severity collision_severity(const CollisionReport& hit);

@@ -164,32 +164,28 @@ void add_shelf_rack(WorldModel& world, std::size_t count) {
   }
 }
 
-WorldModel deck_world_model(const LabBackend& backend, const DeckModelOptions& options) {
+WorldModel deck_world_model(const LabBackend& backend, bool refined_shapes) {
   WorldModel world;
-  if (options.include_ground_and_walls) {
-    for (const NamedBox& box : backend.static_obstacles()) world.boxes.push_back(box);
-  }
-  if (options.include_devices) {
-    for (const dev::Device* d : backend.registry().all()) {
-      auto fp = d->footprint();
-      if (!fp) continue;
-      bool is_grid = dynamic_cast<const dev::VialGrid*>(d) != nullptr;
-      if (is_grid && !options.include_grid) continue;
-      ObstacleKind kind = is_grid ? ObstacleKind::Grid : ObstacleKind::Equipment;
-      if (options.refined_shapes) {
-        if (auto solid = d->shape()) {
-          world.add_solid(d->id(), std::move(*solid), kind);
-          continue;
-        }
-      }
-      world.add_box(d->id(), *fp, kind);
+  world.boxes = backend.static_obstacles();
+  const dev::DeviceRegistry& registry = backend.registry();
+  for (std::size_t i = 0; i < registry.size(); ++i) {
+    const dev::Device& d = registry.device(i);
+    auto fp = d.footprint();
+    if (!fp) continue;
+    ObstacleKind kind = dynamic_cast<const dev::VialGrid*>(&d) != nullptr ? ObstacleKind::Grid
+                                                                          : ObstacleKind::Equipment;
+    std::optional<geom::Solid> solid = refined_shapes ? d.shape() : std::nullopt;
+    if (solid) {
+      world.add_solid(d.id(), std::move(*solid), kind);
+    } else {
+      world.add_box(d.id(), *fp, kind);
     }
   }
   return world;
 }
 
-json::Value deck_world_json(const LabBackend& backend, const DeckModelOptions& options) {
-  WorldModel world = deck_world_model(backend, options);
+json::Value deck_world_json(const LabBackend& backend) {
+  WorldModel world = deck_world_model(backend);
   json::Array objects;
   for (const NamedBox& b : world.boxes) {
     json::Object obj;

@@ -48,23 +48,16 @@ void build_hein_testbed_deck(LabBackend& backend);
 /// static_obstacles).
 void add_shelf_rack(WorldModel& world, std::size_t count);
 
-/// A world model mirroring the deck for the Extended Simulator / RABIT's
-/// target checks. Flags control fidelity — RABIT's detection gaps in §IV
-/// came precisely from what the configured model left out.
-struct DeckModelOptions {
-  bool include_devices = true;
-  bool include_ground_and_walls = true;  ///< V1 lacked these (platform/walls)
-  bool include_grid = true;
-  /// Use refined device shapes instead of cuboids (the §V-C extension).
-  bool refined_shapes = false;
-};
-[[nodiscard]] WorldModel deck_world_model(const LabBackend& backend,
-                                          const DeckModelOptions& options = {});
+/// A world model mirroring the deck: the static obstacles, then every
+/// device footprint in registry order (vial grids as Grid, the rest as
+/// Equipment). With `refined_shapes` a device with a refined shape enters
+/// as that shape (the §V-C extension; the ground truth of arm moves), else
+/// as its cuboid (what the Extended Simulator and RABIT check against).
+[[nodiscard]] WorldModel deck_world_model(const LabBackend& backend, bool refined_shapes = false);
 
-/// JSON describing the same world (what a researcher would hand-write for
+/// JSON describing the cuboid world (what a researcher would hand-write for
 /// the Extended Simulator; round-trips through
 /// ExtendedSimulator::world_from_json).
-[[nodiscard]] json::Value deck_world_json(const LabBackend& backend,
-                                          const DeckModelOptions& options = {});
+[[nodiscard]] json::Value deck_world_json(const LabBackend& backend);
 
 }  // namespace rabit::sim

@@ -6,17 +6,6 @@ namespace rabit::sim {
 
 namespace {
 
-ObstacleKind kind_from_name(const std::string& name) {
-  if (name == "ground") return ObstacleKind::Ground;
-  if (name == "wall") return ObstacleKind::Wall;
-  if (name == "grid") return ObstacleKind::Grid;
-  if (name == "equipment") return ObstacleKind::Equipment;
-  if (name == "vial") return ObstacleKind::Vial;
-  if (name == "soft_wall") return ObstacleKind::SoftWall;
-  if (name == "parked_arm") return ObstacleKind::ParkedArm;
-  throw std::runtime_error("ExtendedSimulator: unknown obstacle kind '" + name + "'");
-}
-
 geom::Vec3 vec3_from_json(const json::Value& v, const char* what) {
   if (!v.is_array() || v.as_array().size() != 3) {
     throw std::runtime_error(std::string("ExtendedSimulator: ") + what +
@@ -48,13 +37,6 @@ std::size_t ExtendedSimulator::VerdictKeyHash::operator()(const VerdictKey& k) c
   return seed;
 }
 
-ExtendedSimulator::ExtendedSimulator(WorldModel world, Options options)
-    : world_(std::move(world)), options_(options) {
-  if (options_.polling_step_m <= 0) {
-    throw std::invalid_argument("ExtendedSimulator: polling step must be positive");
-  }
-}
-
 WorldModel ExtendedSimulator::world_from_json(const json::Value& config) {
   WorldModel world;
   const json::Value* objects = config.find("objects");
@@ -69,11 +51,15 @@ WorldModel ExtendedSimulator::world_from_json(const json::Value& config) {
     if (name == nullptr || !name->is_string() || center == nullptr || size == nullptr) {
       throw std::runtime_error("ExtendedSimulator: object needs name/center/size");
     }
-    ObstacleKind kind = kind_from_name(obj.get_or("kind", std::string("equipment")));
+    std::string kind_name = obj.get_or("kind", std::string("equipment"));
+    std::optional<ObstacleKind> kind = parse_obstacle_kind(kind_name);
+    if (!kind) {
+      throw std::runtime_error("ExtendedSimulator: unknown obstacle kind '" + kind_name + "'");
+    }
     world.add_box(name->as_string(),
                   geom::Aabb::from_center(vec3_from_json(*center, "center"),
                                           vec3_from_json(*size, "size")),
-                  kind);
+                  *kind);
   }
   return world;
 }
@@ -89,7 +75,7 @@ std::optional<CollisionReport> ExtendedSimulator::check_leg(
     const geom::Vec3& start, const geom::Vec3& goal, double held_clearance,
     const std::vector<std::string>& ignore, double inflate) {
   PathCheckOptions opts;
-  opts.step = options_.polling_step_m;
+  opts.step = kPollingStep_m;
   opts.ignore = ignore;
   opts.inflate = inflate;
 
@@ -108,7 +94,7 @@ std::optional<CollisionReport> ExtendedSimulator::check_leg(
   ++narrow_runs_;
   std::optional<CollisionReport> verdict =
       check_path(world_, start, goal, held_clearance, opts, &grid_);
-  if (verdicts_.size() >= options_.verdict_cache_capacity) verdicts_.clear();
+  if (verdicts_.size() >= kVerdictCacheCapacity) verdicts_.clear();
   verdicts_.emplace(std::move(key), verdict);
   return verdict;
 }
@@ -121,8 +107,7 @@ ExtendedSimulator::SweepResult ExtendedSimulator::sweep(const std::vector<geom::
   SweepResult result;
   for (std::size_t leg = 1; leg < waypoints.size(); ++leg) {
     ++checks_;
-    modeled_latency_s_ += options_.gui_enabled ? options_.gui_latency_s
-                                               : options_.headless_latency_s;
+    modeled_latency_s_ += options_.gui_enabled ? kGuiLatency_s : kHeadlessLatency_s;
     result.hit = check_leg(waypoints[leg - 1], waypoints[leg], held_clearance, ignore, inflate);
     if (!result.hit) continue;
     if (inflate > 0.0) {
@@ -144,7 +129,7 @@ MarginProfile ExtendedSimulator::trajectory_margin(const std::vector<geom::Vec3>
                                                    const std::vector<std::string>& ignore) {
   ++margin_scans_;
   PathCheckOptions opts;
-  opts.step = options_.polling_step_m;
+  opts.step = kPollingStep_m;
   opts.ignore = ignore;
   MarginProfile profile = margin_profile(world_, waypoints, held_clearance, opts);
   margin_boxes_tested_ += profile.boxes_tested;

@@ -37,15 +37,20 @@ class ExtendedSimulator {
   /// reached the skipped waypoint, but the simulator sees where it really is.
   using ArmStateProvider = std::function<std::optional<geom::Vec3>(std::string_view arm_id)>;
   struct Options {
-    double polling_step_m = 0.01;  ///< trajectory polling resolution
-    bool gui_enabled = true;       ///< GUI round trip per check (the 2 s mode)
-    double gui_latency_s = 2.0;    ///< modeled cost of one GUI invocation
-    double headless_latency_s = 0.02;  ///< modeled cost with the GUI bypassed
-    std::size_t verdict_cache_capacity = 1024;  ///< entries before a flush
+    bool gui_enabled = true;  ///< GUI round trip per check (the 2 s mode)
   };
 
+  /// Trajectory polling resolution.
+  static constexpr double kPollingStep_m = 0.01;
+  /// Modeled cost of one GUI invocation, and of one with the GUI bypassed.
+  static constexpr double kGuiLatency_s = 2.0;
+  static constexpr double kHeadlessLatency_s = 0.02;
+  /// Verdict-cache entries before a flush.
+  static constexpr std::size_t kVerdictCacheCapacity = 1024;
+
   explicit ExtendedSimulator(WorldModel world) : ExtendedSimulator(std::move(world), Options{}) {}
-  ExtendedSimulator(WorldModel world, Options options);
+  ExtendedSimulator(WorldModel world, Options options)
+      : world_(std::move(world)), options_(options) {}
 
   /// Builds the world from a JSON document of the form:
   ///   {"objects": [{"name": "...", "kind": "equipment", "center": [x,y,z],

@@ -21,6 +21,15 @@ std::string_view to_string(ObstacleKind k) {
   return "unknown";
 }
 
+std::optional<ObstacleKind> parse_obstacle_kind(std::string_view name) {
+  for (ObstacleKind k : {ObstacleKind::Ground, ObstacleKind::Wall, ObstacleKind::Grid,
+                         ObstacleKind::Equipment, ObstacleKind::Vial, ObstacleKind::SoftWall,
+                         ObstacleKind::ParkedArm}) {
+    if (to_string(k) == name) return k;
+  }
+  return std::nullopt;
+}
+
 void WorldModel::add_box(std::string name, const geom::Aabb& box, ObstacleKind kind) {
   boxes.push_back(NamedBox{std::move(name), box, kind, std::nullopt});
   bump_epoch();

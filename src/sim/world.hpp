@@ -33,6 +33,7 @@ enum class ObstacleKind {
 };
 
 [[nodiscard]] std::string_view to_string(ObstacleKind k);
+[[nodiscard]] std::optional<ObstacleKind> parse_obstacle_kind(std::string_view name);
 
 struct NamedBox {
   std::string name;

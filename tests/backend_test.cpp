@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "core/lab.hpp"
 #include "devices/robot_arm.hpp"
 #include "sim/backend.hpp"
 #include "sim/deck.hpp"
+#include "trace/trace.hpp"
 
 namespace rabit::sim {
 namespace {
@@ -350,6 +352,88 @@ TEST(CollisionSeverityMap, MatchesTableV) {
   EXPECT_EQ(collision_severity(grid), Severity::MediumHigh);
   EXPECT_EQ(collision_severity(vial), Severity::MediumLow);
   EXPECT_EQ(collision_severity(arms), Severity::MediumHigh);
+}
+
+// --- a generic station with a receptacle, doorless and doored ----------------
+// The testbed deck plus a config-style generic station (paper §V-B) on a free
+// spot of the deck, with a receptacle site inside its footprint. Whether it
+// has a door is data, so the doorless station and its doored twin differ in
+// nothing else.
+
+constexpr const char* kCoater = "coater";
+
+void testbed_with_coater(LabBackend& backend, bool has_door) {
+  build_hein_testbed_deck(backend);
+  backend.registry().add(std::make_unique<dev::GenericActionDevice>(
+      kCoater, std::vector<dev::GenericActionDevice::ValueActionSpec>{}, has_door,
+      geom::Aabb::from_center(Vec3(0.0, -0.45, 0.08), Vec3(0.12, 0.12, 0.12))));
+  backend.add_site({kCoater, Vec3(0.0, -0.45, 0.10), "", "", kCoater});
+}
+
+Command site_cmd(const char* action, const char* site) {
+  json::Object o;
+  o["site"] = std::string(site);
+  return make_cmd(ids::kViperX, action, std::move(o));
+}
+
+/// Supervises vial_1 from grid.NW into the coater; returns the two steps.
+std::vector<trace::SupervisedStep> seat_in_coater(trace::Supervisor& supervisor) {
+  supervisor.start();
+  std::vector<trace::SupervisedStep> steps;
+  steps.push_back(supervisor.step(site_cmd("pick_object", "grid.NW")));
+  steps.push_back(supervisor.step(site_cmd("place_object", kCoater)));
+  return steps;
+}
+
+TEST(DoorlessReceptacle, PlaceSeatsTheVialWithoutDamageOrAlert) {
+  for (core::Variant variant : {core::Variant::Modified, core::Variant::ModifiedWithSim}) {
+    SCOPED_TRACE(std::string(core::to_string(variant)));
+    core::Lab lab(variant, 42, [](LabBackend& b) { testbed_with_coater(b, /*has_door=*/false); });
+    trace::Supervisor supervisor(&lab.engine, &lab.backend);
+    for (const trace::SupervisedStep& step : seat_in_coater(supervisor)) {
+      EXPECT_FALSE(step.alert.has_value()) << step.alert->describe();
+      ASSERT_TRUE(step.exec.has_value());
+      EXPECT_TRUE(step.exec->executed);
+      EXPECT_TRUE(step.exec->damage.empty());
+    }
+    EXPECT_TRUE(lab.backend.damage_log().empty());
+    EXPECT_FALSE(lab.backend.vial(ids::kVial1).is_broken());
+    EXPECT_EQ(lab.backend.vial(ids::kVial1).location(), kCoater);
+    EXPECT_EQ(lab.backend.registry().at(kCoater).container_inside(), ids::kVial1);
+  }
+}
+
+TEST(DoorlessReceptacle, SetDoorWithTheArmInsideIsAFirmwareError) {
+  for (core::Variant variant : {core::Variant::Modified, core::Variant::ModifiedWithSim}) {
+    SCOPED_TRACE(std::string(core::to_string(variant)));
+    core::Lab lab(variant, 42, [](LabBackend& b) { testbed_with_coater(b, /*has_door=*/false); });
+    trace::Supervisor::Options options;
+    options.halt_on_alert = false;
+    trace::Supervisor supervisor(&lab.engine, &lab.backend, options);
+    seat_in_coater(supervisor);
+    ASSERT_TRUE(lab.backend.registry()
+                    .at(kCoater)
+                    .footprint()
+                    ->contains(lab.backend.arm(ids::kViperX).position_lab()));
+    trace::SupervisedStep step = supervisor.step(make_cmd(kCoater, "set_door", door("closed")));
+    EXPECT_FALSE(step.alert.has_value());
+    ASSERT_TRUE(step.exec.has_value());
+    EXPECT_FALSE(step.exec->executed);
+    EXPECT_EQ(step.exec->firmware_error, "coater: unknown action 'set_door'");
+    EXPECT_TRUE(step.exec->damage.empty());
+    EXPECT_EQ(supervisor.log().records().back().outcome, trace::Outcome::FirmwareError);
+    EXPECT_TRUE(lab.backend.damage_log().empty());
+  }
+}
+
+TEST(DoorlessReceptacle, DooredTwinStillSmashesItsClosedDoor) {
+  LabBackend backend(testbed_profile());
+  testbed_with_coater(backend, /*has_door=*/true);
+  // Empty-handed, so the arm itself (not a held vial) meets the door.
+  ExecResult r = backend.execute(site_cmd("pick_object", kCoater));
+  ASSERT_FALSE(r.damage.empty());
+  EXPECT_EQ(r.damage.front().severity, Severity::High);
+  EXPECT_EQ(backend.registry().at(kCoater).door_status(), "broken");
 }
 
 }  // namespace

@@ -158,7 +158,7 @@ TEST_F(SimEngineTest, SimulatorLatencyCharged) {
   ASSERT_FALSE(engine->check_command(make_cmd(ids::kViperX, "go_home")).has_value());
   // One motion command = one (or more) GUI invocations at ~2 s each.
   EXPECT_GE(engine->modeled_overhead_s() - before,
-            simulator->options().gui_latency_s);
+            sim::ExtendedSimulator::kGuiLatency_s);
 }
 
 TEST_F(SimEngineTest, HeadlessModeIsCheap) {

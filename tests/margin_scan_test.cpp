@@ -204,7 +204,7 @@ void compare_supervised(core::Lab& lab, const std::vector<dev::Command>& workflo
   trace::Supervisor supervisor(&lab.engine, &lab.backend, options);
   supervisor.start();
   sim::PathCheckOptions scan;
-  scan.step = lab.simulator->options().polling_step_m;
+  scan.step = sim::ExtendedSimulator::kPollingStep_m;
   for (std::size_t i = 0; i < workflow.size(); ++i) {
     const dev::Command& cmd = workflow[i];
     std::optional<core::MotionAnalysis> motion = lab.engine.motion_analysis(cmd);

@@ -214,7 +214,7 @@ TEST(DeviceShapes, CuboidModelOverApproximates) {
   Vec3 graze(fp.max.x - 0.01, fp.max.y - 0.01, fp.max.z - 0.01);
 
   sim::WorldModel cuboid = sim::deck_world_model(backend);
-  sim::WorldModel refined = sim::deck_world_model(backend, {true, true, true, true});
+  sim::WorldModel refined = sim::deck_world_model(backend, /*refined_shapes=*/true);
   EXPECT_TRUE(sim::check_point(cuboid, graze, 0.0).has_value());
   EXPECT_FALSE(sim::check_point(refined, graze, 0.0).has_value());
   // The dome interior is flagged by both.

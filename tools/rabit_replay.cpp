@@ -77,16 +77,12 @@ int main(int argc, char** argv) {
       trace_path = arg;
     } else if (!variant_given) {
       variant_given = true;
-      if (arg == "initial") {
-        variant = core::Variant::Initial;
-      } else if (arg == "modified") {
-        variant = core::Variant::Modified;
-      } else if (arg == "modified+sim") {
-        variant = core::Variant::ModifiedWithSim;
-      } else {
+      std::optional<core::Variant> parsed = core::parse_variant(arg);
+      if (!parsed) {
         std::fprintf(stderr, "error: unknown variant '%s'\n", arg.c_str());
         return 2;
       }
+      variant = *parsed;
     } else {
       print_usage(stderr, argv[0]);
       return 2;
