@@ -31,13 +31,6 @@ using core::SiteMeta;
 using core::StateTracker;
 using dev::Command;
 
-const SiteMeta* receptacle_site_of(const EngineConfig& config, std::string_view device) {
-  for (const SiteMeta& s : config.sites) {
-    if (s.receptacle_device == device) return &s;
-  }
-  return nullptr;
-}
-
 using EmitFn = std::function<void(Severity, const std::string&, const std::string&)>;
 
 /// Analyzer-only checks (A1..A4): hazards the runtime rulebase deliberately
@@ -52,7 +45,7 @@ void extra_command_checks(const EngineConfig& config, const StateTracker& tracke
   // Table III has no rule against it (exactly why the paper's Bug C evades
   // runtime detection), but statically it is almost always a missing pickup.
   if (meta->category == dev::DeviceCategory::DosingSystem && action == "run_action") {
-    const SiteMeta* site = receptacle_site_of(config, meta->id);
+    const SiteMeta* site = config.receptacle_site(meta->id);
     if (site != nullptr && tracker.site_occupant(site->name).empty()) {
       emit(Severity::Warning, "A1",
            meta->id + " runs with no container believed inside (dry run — was a pickup "
@@ -94,21 +87,17 @@ void extra_command_checks(const EngineConfig& config, const StateTracker& tracke
   // A3 — near-miss of a parked arm: §IV category 2 found ~3 cm of frame-
   // unification error between the two arms' coordinate systems, so a target
   // that skims a parked cuboid is unsafe even though no rule forbids it.
-  sim::WorldModel world = core::assemble_rule_world(config, tracker, meta->id);
-  for (const sim::NamedBox& box : world.boxes) {
-    if (box.kind != sim::ObstacleKind::ParkedArm) continue;
-    if (std::find(motion->ignores.begin(), motion->ignores.end(), box.name) !=
-        motion->ignores.end()) {
-      continue;
-    }
+  core::for_each_rule_box(config, tracker, meta->id, [&](const core::RuleBox& box) {
+    if (box.kind != sim::ObstacleKind::ParkedArm || box.named_in(motion->ignores)) return false;
     double d = box.box.distance_to(motion->target_lab);
     if (d > 0.0 && d < kParkedArmMargin) {
       emit(Severity::Warning, "A3",
            meta->id + " target passes within " + std::to_string(d * 100.0).substr(0, 4) +
-               " cm of parked arm '" + box.name +
+               " cm of parked arm '" + box.name() +
                "' — inside the frame-calibration margin");
     }
-  }
+    return false;
+  });
 
   // A4 — target outside the configured workspace: unreachable coordinates
   // are silently skipped by some controllers (footnote 2), after which the

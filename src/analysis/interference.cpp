@@ -34,13 +34,6 @@ std::string fmt_num(double v) {
   return os.str();
 }
 
-const SiteMeta* receptacle_site_of(const EngineConfig& config, std::string_view device) {
-  for (const SiteMeta& s : config.sites) {
-    if (s.receptacle_device == device) return &s;
-  }
-  return nullptr;
-}
-
 /// Actions whose thresholded argument is *additive* across commands —
 /// repeated doses accumulate in the same container, so their campaign-wide
 /// sum is meaningful (I6). Setpoint-style thresholds (set_temperature, stir)
@@ -182,7 +175,7 @@ class EffectAccumulator {
       }
     };
     if (action == "run_action") {
-      if (const SiteMeta* site = receptacle_site_of(config_, meta.id)) {
+      if (const SiteMeta* site = config_.receptacle_site(meta.id)) {
         std::string occupant = obs.tracker->site_occupant(site->name);
         delta(sum_.mass_delta_mg, occupant.empty() ? site->name : occupant, "quantity", +1.0);
       }
@@ -217,7 +210,7 @@ class EffectAccumulator {
       if (config_.find_device(*target) != nullptr) touch_entity(*target, meta.id);
     }
     if (!meta.is_arm) {
-      if (const SiteMeta* site = receptacle_site_of(config_, meta.id)) {
+      if (const SiteMeta* site = config_.receptacle_site(meta.id)) {
         // Only substance-affecting actions reach into the chamber; door and
         // query actions do not contend for the occupant.
         if (action == "run_action" || meta.is_active_action(action)) {

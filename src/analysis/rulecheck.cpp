@@ -498,20 +498,14 @@ void check_divergence(Emitter& em) {
 // pair is constrained after all and nothing is emitted.
 void check_coverage_gaps(Emitter& em) {
   const EngineConfig& config = em.config;
-  auto has_receptacle = [&config](std::string_view device) {
-    for (const SiteMeta& s : config.sites) {
-      if (s.receptacle_device == device) return true;
-    }
-    return false;
-  };
-
   for (const DeviceMeta& d : config.devices) {
     if (d.is_arm) continue;  // every arm action funnels through the motion/gripper rules
     bool doored = d.has_door || !d.multi_doors.empty();
+    bool has_receptacle = config.receptacle_site(d.id) != nullptr;
 
     for (const ValueBinding& b : d.value_bindings) {
       if (find_threshold(d, b.action) != nullptr) continue;  // G11 constrains it
-      if (d.is_active_action(b.action) && (doored || has_receptacle(d.id))) continue;
+      if (d.is_active_action(b.action) && (doored || has_receptacle)) continue;
       if (unconstrained_by_design(b.action)) continue;
       std::ostringstream msg;
       msg << "no rule constrains " << d.id << "." << b.action << ": the '" << b.argument
@@ -526,7 +520,7 @@ void check_coverage_gaps(Emitter& em) {
       bool bound = std::any_of(d.value_bindings.begin(), d.value_bindings.end(),
                                [&action](const ValueBinding& b) { return b.action == action; });
       if (bound) continue;  // reported through the binding loop above when unconstrained
-      if (doored || has_receptacle(d.id)) continue;  // G5/G6/G9 have a path to it
+      if (doored || has_receptacle) continue;  // G5/G6/G9 have a path to it
       if (find_threshold(d, action) != nullptr) continue;
       if (unconstrained_by_design(action)) continue;
       std::ostringstream msg;

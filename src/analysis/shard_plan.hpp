@@ -17,8 +17,9 @@
 //
 // Consumers:
 //   - fleet::Fleet::run_campaign (plan-driven mode) runs each shard against
-//     its own lab state — engine, RuleWorldCache, verdict cache — lock-free,
-//     with epoch-versioned pose snapshots for out-of-shard arms;
+//     its own lab state — backend, engine, simulator and its verdict
+//     cache — lock-free, with epoch-versioned pose snapshots for
+//     out-of-shard arms;
 //   - rabit_lint --shard-plan prints the plan (text or --json) so CI can
 //     gate on shardability before a campaign is scheduled.
 //

@@ -68,6 +68,13 @@ const SiteMeta* EngineConfig::find_site(std::string_view name) const {
   return nullptr;
 }
 
+const SiteMeta* EngineConfig::receptacle_site(std::string_view device) const {
+  for (const SiteMeta& s : sites) {
+    if (s.receptacle_device == device) return &s;
+  }
+  return nullptr;
+}
+
 const SiteMeta* EngineConfig::site_near(const Vec3& lab_point) const {
   const SiteMeta* best = nullptr;
   double best_dist = site_tolerance;
@@ -630,13 +637,6 @@ std::vector<RuleAvailability> rulebase_availability(const EngineConfig& config) 
   bool sensor = false;               // S1
   bool any_site = false;
 
-  auto has_receptacle_site = [&config](std::string_view device) {
-    for (const SiteMeta& s : config.sites) {
-      if (s.receptacle_device == device) return true;
-    }
-    return false;
-  };
-
   for (const DeviceMeta& d : config.devices) {
     if (d.is_arm) {
       has_arm = true;
@@ -645,7 +645,9 @@ std::vector<RuleAvailability> rulebase_availability(const EngineConfig& config) 
     bool has_any_door = d.has_door || !d.multi_doors.empty();
     if (!d.is_arm && has_any_door && d.box) doored_station = true;
     if (has_any_door && !d.active_actions.empty()) doored_active = true;
-    if (!d.active_actions.empty() && has_receptacle_site(d.id)) active_receptacle = true;
+    if (!d.active_actions.empty() && config.receptacle_site(d.id) != nullptr) {
+      active_receptacle = true;
+    }
     if (d.category == dev::DeviceCategory::DosingSystem) dosing_system = true;
     if (d.category == dev::DeviceCategory::Container &&
         (d.capacity_mg > 0 || d.capacity_ml > 0)) {

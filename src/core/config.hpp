@@ -9,7 +9,6 @@
 // describe it by hand.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -35,19 +34,6 @@ enum class Variant {
 [[nodiscard]] std::string_view to_string(Variant v);
 /// The variant named `name` in to_string's spelling ("modified+sim" for V3).
 [[nodiscard]] std::optional<Variant> parse_variant(std::string_view name);
-
-namespace detail {
-
-/// Transparent string hash: lets an unordered_map keyed on std::string answer
-/// find() for a string_view without materializing a key.
-struct StringViewHash {
-  using is_transparent = void;
-  [[nodiscard]] std::size_t operator()(std::string_view s) const {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-
-}  // namespace detail
 
 /// A RABIT-level threshold on an action argument (Table III rule 11). These
 /// sit *above* device firmware limits, typically stricter.
@@ -167,6 +153,8 @@ struct EngineConfig {
   /// The config is a plain value: callers may edit it between lookups.
   [[nodiscard]] const DeviceMeta* find_device(std::string_view id) const;
   [[nodiscard]] const SiteMeta* find_site(std::string_view name) const;
+  /// First site whose receptacle feeds `device` (nullptr when none).
+  [[nodiscard]] const SiteMeta* receptacle_site(std::string_view device) const;
   [[nodiscard]] const SiteMeta* site_near(const geom::Vec3& lab_point) const;
 };
 

@@ -89,7 +89,7 @@ std::optional<Alert> RabitEngine::check_command(const dev::Command& raw) {
   };
 
   // Lines 6-7: precondition validation against the tracked state.
-  if (auto hit = check_preconditions(config_, tracker_, cmd, &rule_world_cache_)) {
+  if (auto hit = check_preconditions(config_, tracker_, cmd)) {
     ++stats_.precondition_alerts;
     finish_precondition_phase();
     return Alert{AlertKind::InvalidCommand, hit->rule, hit->message, cmd};

@@ -43,10 +43,6 @@ class RabitEngine {
   [[nodiscard]] const EngineConfig& config() const { return config_; }
   [[nodiscard]] const StateTracker& tracker() const { return tracker_; }
 
-  /// Times the memoized rule world was actually assembled (0 until the first
-  /// motion command; stays flat while no arm changes pose).
-  [[nodiscard]] std::size_t rule_world_rebuilds() const { return rule_world_cache_.rebuilds(); }
-
   /// Fig. 2 line 3: seeds the symbolic state from the initial FetchState().
   void initialize(const dev::LabStateSnapshot& observed);
 
@@ -163,7 +159,6 @@ class RabitEngine {
   sim::ExtendedSimulator* simulator_ = nullptr;
   Stats stats_;
   double base_overhead_s_ = 0.0;
-  RuleWorldCache rule_world_cache_;
   obs::SpanRecord* span_ = nullptr;
   std::function<void(const MotionAnalysis&)> motion_observer_;
   double assurance_margin_ = 0.0;

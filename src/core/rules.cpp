@@ -35,19 +35,9 @@ std::string tracked_string(const StateTracker& tracker, std::string_view device,
   return v != nullptr && v->is_string() ? v->as_string() : std::string();
 }
 
-/// The site a station's receptacle is bound to, if any.
-const SiteMeta* receptacle_site(const EngineConfig& config, std::string_view device) {
-  for (const SiteMeta& s : config.sites) {
-    if (s.receptacle_device == device) return &s;
-  }
-  return nullptr;
-}
-
 /// Is this Hein's centrifuge? Identified structurally: an action device with
 /// a rotor red-dot variable.
-bool is_centrifuge(const EngineConfig& config, const DeviceMeta& meta,
-                   const StateTracker& tracker) {
-  (void)config;
+bool is_centrifuge(const DeviceMeta& meta, const StateTracker& tracker) {
   return meta.category == DeviceCategory::ActionDevice &&
          tracker.find_var(meta.id, "redDot") != nullptr;
 }
@@ -122,62 +112,43 @@ std::optional<MotionAnalysis> analyze_motion(const EngineConfig& config,
   return m;
 }
 
-sim::WorldModel assemble_rule_world(const EngineConfig& config, const StateTracker& tracker,
-                                    std::string_view moving_arm) {
-  sim::WorldModel world;
-  for (const DeviceMeta& d : config.devices) {
-    if (d.id == moving_arm || !d.box) continue;
-    bool is_grid = d.category == DeviceCategory::Container;
-    sim::ObstacleKind kind = is_grid ? sim::ObstacleKind::Grid : sim::ObstacleKind::Equipment;
-    if (config.use_refined_shapes && d.refined_shape) {
-      world.add_solid(d.id, *d.refined_shape, kind);
-    } else {
-      world.add_box(d.id, *d.box, kind);
-    }
-  }
-  if (config.variant == Variant::Initial) return world;
-
-  // V2 additions: the platform/walls, arms believed parked, soft walls.
-  for (const sim::NamedBox& b : config.static_obstacles) world.boxes.push_back(b);
-  for (const DeviceMeta& d : config.devices) {
-    if (!d.is_arm || d.id == moving_arm || !d.sleep_box) continue;
-    if (tracker.arm_pose(d.id) == "sleep") {
-      world.add_box(d.id, *d.sleep_box, sim::ObstacleKind::ParkedArm);
-    }
-  }
-  for (const SoftWallSpec& w : config.soft_walls) {
-    if (w.arm_id == moving_arm) {
-      world.add_box("soft_wall:" + w.arm_id, w.forbidden, sim::ObstacleKind::SoftWall);
-    }
-  }
-  return world;
+std::string RuleBox::name() const {
+  std::string out(prefix);
+  out += id;
+  return out;
 }
 
-namespace {
+bool RuleBox::named_in(const std::vector<std::string>& names) const {
+  return std::any_of(names.begin(), names.end(), [this](const std::string& n) {
+    return n.size() == prefix.size() + id.size() && n.starts_with(prefix) && n.ends_with(id);
+  });
+}
 
-}  // namespace
-
-const RuleWorldCache::Entry& RuleWorldCache::world_for(const EngineConfig& config,
-                                                       const StateTracker& tracker,
-                                                       std::string_view moving_arm) {
-  // The tracker bumps pose revisions whenever an arm's believed pose
-  // changes; nothing else it tracks (doors, volumes, occupancy) can alter
-  // the assembled world. The world for `moving_arm` excludes that arm, so
-  // subtracting its own share leaves exactly the revisions that matter —
-  // the arm's own per-move pose churn never invalidates its cached world.
-  // revision + 1 as the "valid" stamp keeps a fresh entry distinguishable
-  // from one built at revision 0.
-  std::uint64_t others = tracker.pose_revision() - tracker.pose_revision(moving_arm);
-  auto it = by_arm_.find(moving_arm);
-  if (it == by_arm_.end()) it = by_arm_.emplace(std::string(moving_arm), CachedWorld{}).first;
-  CachedWorld& cached = it->second;
-  if (cached.pose_revision != others + 1) {
-    cached.entry.world = assemble_rule_world(config, tracker, moving_arm);
-    cached.entry.grid.rebuild(cached.entry.world);
-    cached.pose_revision = others + 1;
-    ++rebuilds_;
+std::optional<RuleHit> check_target_location(const EngineConfig& config,
+                                             const StateTracker& tracker,
+                                             const MotionAnalysis& motion) {
+  const Vec3& target = motion.target_lab;
+  // The held vial: a slim box hanging held_clearance below the tip, as wide
+  // as sim::check_point makes it by default.
+  std::optional<geom::Aabb> held;
+  if (motion.held_clearance > 0) {
+    const double half = sim::PathCheckOptions{}.held_half_width;
+    held = geom::Aabb(target - Vec3(half, half, motion.held_clearance),
+                      target + Vec3(half, half, 0.0));
   }
-  return cached.entry;
+  std::optional<RuleHit> hit;
+  for_each_rule_box(config, tracker, motion.arm_id, [&](const RuleBox& b) {
+    // Geometry first: most boxes miss, and a miss needs no name comparison.
+    const bool tip_hit = b.contains(target);
+    if (!tip_hit && !(held && b.intersects(*held))) return false;
+    if (b.named_in(motion.ignores)) return false;
+    const sim::CollisionReport report{b.name(), b.kind, target, /*via_held_object=*/!tip_hit,
+                                      /*arm_vs_arm=*/false};
+    hit = RuleHit{b.kind == sim::ObstacleKind::SoftWall ? "M2" : "G3",
+                  motion.arm_id + " target location is occupied: " + report.describe()};
+    return true;
+  });
+  return hit;
 }
 
 // ---------------------------------------------------------------------------
@@ -188,7 +159,7 @@ namespace {
 
 std::optional<RuleHit> check_motion_rules(const EngineConfig& config,
                                           const StateTracker& tracker, const Command& cmd,
-                                          const DeviceMeta& meta, RuleWorldCache* world_cache) {
+                                          const DeviceMeta& meta) {
   auto motion = analyze_motion(config, tracker, cmd);
   if (!motion) {
     return RuleHit{"G3", cmd.device + "." + cmd.action + ": unresolvable motion target"};
@@ -269,7 +240,7 @@ std::optional<RuleHit> check_motion_rules(const EngineConfig& config,
   if (config.hein_custom_rules && cmd.action == "place_object" && target_site != nullptr &&
       target_site->is_receptacle()) {
     const DeviceMeta* station = config.find_device(target_site->receptacle_device);
-    if (station != nullptr && is_centrifuge(config, *station, tracker)) {
+    if (station != nullptr && is_centrifuge(*station, tracker)) {
       std::string held = tracker.arm_holding(meta.id);
       if (!held.empty()) {
         if (tracked_number(tracker, held, "solidMg") <= kVolumeEpsilon ||
@@ -290,23 +261,7 @@ std::optional<RuleHit> check_motion_rules(const EngineConfig& config,
   }
 
   // G3 (geometric form) — the target must not lie inside any modeled object.
-  sim::PathCheckOptions opts;
-  opts.ignore = motion->ignores;
-  std::optional<sim::CollisionReport> hit;
-  if (world_cache != nullptr) {
-    const RuleWorldCache::Entry& entry = world_cache->world_for(config, tracker, meta.id);
-    hit = sim::check_point(entry.world, motion->target_lab, motion->held_clearance, opts,
-                           &entry.grid);
-  } else {
-    sim::WorldModel world = assemble_rule_world(config, tracker, meta.id);
-    hit = sim::check_point(world, motion->target_lab, motion->held_clearance, opts);
-  }
-  if (hit) {
-    std::string rule = hit->kind == sim::ObstacleKind::SoftWall ? "M2" : "G3";
-    return RuleHit{rule, meta.id + " target location is occupied: " + hit->describe()};
-  }
-
-  return std::nullopt;
+  return check_target_location(config, tracker, *motion);
 }
 
 std::optional<RuleHit> check_gripper_rules(const EngineConfig& config,
@@ -335,7 +290,7 @@ std::optional<RuleHit> check_gripper_rules(const EngineConfig& config,
 
   if (config.hein_custom_rules && site->is_receptacle()) {
     const DeviceMeta* station = config.find_device(site->receptacle_device);
-    if (station != nullptr && is_centrifuge(config, *station, tracker)) {
+    if (station != nullptr && is_centrifuge(*station, tracker)) {
       if (tracked_number(tracker, held, "solidMg") <= kVolumeEpsilon ||
           tracked_number(tracker, held, "liquidMl") <= kVolumeEpsilon) {
         return RuleHit{"C2", "container '" + held +
@@ -395,7 +350,7 @@ std::optional<RuleHit> check_active_action_rules(const EngineConfig& config,
   }
 
   if (meta.category == DeviceCategory::ActionDevice) {
-    const SiteMeta* site = receptacle_site(config, meta.id);
+    const SiteMeta* site = config.receptacle_site(meta.id);
     if (site != nullptr) {
       std::string occupant = tracker.site_occupant(site->name);
       // G5 — action devices act only on a container inside them.
@@ -414,7 +369,7 @@ std::optional<RuleHit> check_active_action_rules(const EngineConfig& config,
 
   // Dosing transfer rules for the solid dosing device.
   if (meta.category == DeviceCategory::DosingSystem && cmd.action == "run_action") {
-    const SiteMeta* site = receptacle_site(config, meta.id);
+    const SiteMeta* site = config.receptacle_site(meta.id);
     std::string occupant = site != nullptr ? tracker.site_occupant(site->name) : std::string();
     if (!occupant.empty()) {
       // G7 — no transfer through a stopper.
@@ -480,12 +435,6 @@ std::optional<RuleHit> check_pump_rules(const EngineConfig& config, const StateT
 
 std::optional<RuleHit> check_preconditions(const EngineConfig& config,
                                            const StateTracker& tracker, const Command& cmd) {
-  return check_preconditions(config, tracker, cmd, nullptr);
-}
-
-std::optional<RuleHit> check_preconditions(const EngineConfig& config,
-                                           const StateTracker& tracker, const Command& cmd,
-                                           RuleWorldCache* cache) {
   const DeviceMeta* meta = config.find_device(cmd.device);
   if (meta == nullptr) {
     return RuleHit{"G3", "command addresses unknown device '" + cmd.device + "'"};
@@ -502,7 +451,7 @@ std::optional<RuleHit> check_preconditions(const EngineConfig& config,
   }
 
   if (meta->is_arm) {
-    if (is_motion_command(cmd)) return check_motion_rules(config, tracker, cmd, *meta, cache);
+    if (is_motion_command(cmd)) return check_motion_rules(config, tracker, cmd, *meta);
     if (cmd.action == "open_gripper" || cmd.action == "close_gripper") {
       return check_gripper_rules(config, tracker, cmd, *meta);
     }

@@ -8,10 +8,9 @@
 // detection misses reported in the paper.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "core/config.hpp"
@@ -59,56 +58,81 @@ inline constexpr double kVolumeEpsilon = 1e-9;
                                                            const StateTracker& tracker,
                                                            const dev::Command& cmd);
 
-/// The world model RABIT checks targets against, assembled per variant:
-/// Initial sees configured device cuboids only; Modified adds the static
-/// geometry (platform/walls), parked-arm cuboids for arms believed asleep,
-/// and the space-multiplexing soft walls for `moving_arm`.
-[[nodiscard]] sim::WorldModel assemble_rule_world(const EngineConfig& config,
-                                                  const StateTracker& tracker,
-                                                  std::string_view moving_arm);
+/// One box of the world G3 checks a motion target against, as
+/// for_each_rule_box visits it: a view of the config, so a walk allocates
+/// nothing. A soft wall is named "soft_wall:" + its arm (`prefix` + `id`);
+/// every other box is named `id`.
+struct RuleBox {
+  std::string_view prefix;
+  std::string_view id;
+  sim::ObstacleKind kind;
+  const geom::Aabb& box;     ///< the solid's bounding box when `solid` is set
+  const geom::Solid* solid;  ///< refined shape, or nullptr
 
-/// Memoizes assemble_rule_world between commands. The assembled world only
-/// depends on static config geometry plus which arms are believed parked, so
-/// the tracker's pose revision counter decides whether the cached world (and
-/// its broad-phase grid) can be reused — an O(1) comparison per motion. The
-/// cache assumes the config it is handed does not change between calls —
-/// RabitEngine owns one per (config, tracker) pair for exactly that reason.
-class RuleWorldCache {
- public:
-  struct Entry {
-    sim::WorldModel world;
-    sim::BroadPhaseGrid grid;
-  };
-
-  /// The rule world for `moving_arm`, rebuilt only when some arm's believed
-  /// pose changed since the previous call for this arm.
-  [[nodiscard]] const Entry& world_for(const EngineConfig& config, const StateTracker& tracker,
-                                       std::string_view moving_arm);
-
-  /// Times the world was actually assembled (memo-effectiveness metric).
-  [[nodiscard]] std::size_t rebuilds() const { return rebuilds_; }
-
- private:
-  struct CachedWorld {
-    std::uint64_t pose_revision = 0;
-    Entry entry;
-  };
-  std::unordered_map<std::string, CachedWorld, detail::StringViewHash, std::equal_to<>> by_arm_;
-  std::size_t rebuilds_ = 0;
+  [[nodiscard]] std::string name() const;
+  /// Is this box's name one of `names` (e.g. MotionAnalysis::ignores)?
+  [[nodiscard]] bool named_in(const std::vector<std::string>& names) const;
+  [[nodiscard]] bool contains(const geom::Vec3& p) const {
+    return solid != nullptr ? solid->contains(p) : box.contains(p);
+  }
+  [[nodiscard]] bool intersects(const geom::Aabb& other) const {
+    return solid != nullptr ? solid->intersects_box(other) : box.intersects(other);
+  }
 };
+
+/// Walks the world RABIT checks `moving_arm`'s targets against, in order,
+/// until `visit` returns true. Initial sees the configured device cuboids
+/// (their refined solids with use_refined_shapes); Modified adds the static
+/// geometry (platform/walls), a cuboid for every other arm believed parked,
+/// and `moving_arm`'s space-multiplexing soft walls. On the stock decks that
+/// is 11-12 boxes, few enough to read in place on every check.
+template <class Visit>
+void for_each_rule_box(const EngineConfig& config, const StateTracker& tracker,
+                       std::string_view moving_arm, Visit&& visit) {
+  for (const DeviceMeta& d : config.devices) {
+    if (!d.box || d.id == moving_arm) continue;
+    const sim::ObstacleKind kind = d.category == dev::DeviceCategory::Container
+                                       ? sim::ObstacleKind::Grid
+                                       : sim::ObstacleKind::Equipment;
+    const geom::Solid* solid =
+        config.use_refined_shapes && d.refined_shape ? &*d.refined_shape : nullptr;
+    if (visit(RuleBox{"", d.id, kind, solid != nullptr ? solid->bounding_box() : *d.box, solid})) {
+      return;
+    }
+  }
+  if (config.variant == Variant::Initial) return;
+
+  for (const sim::NamedBox& b : config.static_obstacles) {
+    if (visit(RuleBox{"", b.name, b.kind, b.box, b.solid ? &*b.solid : nullptr})) return;
+  }
+  for (const DeviceMeta& d : config.devices) {
+    if (!d.is_arm || d.id == moving_arm || !d.sleep_box) continue;
+    if (tracker.arm_pose(d.id) == "sleep" &&
+        visit(RuleBox{"", d.id, sim::ObstacleKind::ParkedArm, *d.sleep_box, nullptr})) {
+      return;
+    }
+  }
+  for (const SoftWallSpec& w : config.soft_walls) {
+    if (w.arm_id == moving_arm &&
+        visit(RuleBox{"soft_wall:", w.arm_id, sim::ObstacleKind::SoftWall, w.forbidden, nullptr})) {
+      return;
+    }
+  }
+}
+
+/// G3's geometric form: the first rule-world box for `motion`'s arm, outside
+/// `motion.ignores`, that contains the target or meets the held vial's
+/// volume hanging below it (sim::check_point's semantics). Crossing a soft
+/// wall is rule M2. check_preconditions runs this last for motion commands.
+[[nodiscard]] std::optional<RuleHit> check_target_location(const EngineConfig& config,
+                                                           const StateTracker& tracker,
+                                                           const MotionAnalysis& motion);
 
 /// Valid(S_current, a_next): first violated precondition, or nullopt when
 /// the command is allowed.
 [[nodiscard]] std::optional<RuleHit> check_preconditions(const EngineConfig& config,
                                                          const StateTracker& tracker,
                                                          const dev::Command& cmd);
-
-/// Same, reusing `cache` for the per-motion rule-world assembly (nullptr
-/// falls back to assembling per command — identical verdicts either way).
-[[nodiscard]] std::optional<RuleHit> check_preconditions(const EngineConfig& config,
-                                                         const StateTracker& tracker,
-                                                         const dev::Command& cmd,
-                                                         RuleWorldCache* cache);
 
 /// One row of the state-transition table (paper Table II): an action with
 /// its preconditions and postconditions, in human-readable form. Used for

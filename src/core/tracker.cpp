@@ -42,7 +42,6 @@ void StateTracker::initialize(const dev::LabStateSnapshot& observed) {
   state_.clear();
   arm_lab_positions_.clear();
   site_occupancy_.clear();
-  ++pose_revision_;  // wholesale reset: every cached rule world is stale
 
   // Symbolic baseline from the researcher-entered configuration...
   for (const DeviceMeta& meta : config_->devices) {
@@ -88,12 +87,7 @@ const json::Value* StateTracker::find_var(std::string_view device, std::string_v
 }
 
 void StateTracker::set_var(std::string_view device, std::string_view name, json::Value value) {
-  json::Value& slot = state_[std::string(device)][std::string(name)];
-  if (name == "pose" && !(slot == value)) {
-    ++pose_revision_;
-    ++pose_revisions_[std::string(device)];
-  }
-  slot = std::move(value);
+  state_[std::string(device)][std::string(name)] = std::move(value);
   if (std::find(touched_.begin(), touched_.end(), device) == touched_.end()) {
     touched_.emplace_back(device);
   }
@@ -102,11 +96,6 @@ void StateTracker::set_var(std::string_view device, std::string_view name, json:
 std::string StateTracker::arm_holding(std::string_view arm) const {
   const json::Value* v = find_var(arm, "holding");
   return v != nullptr && v->is_string() ? v->as_string() : std::string();
-}
-
-std::uint64_t StateTracker::pose_revision(std::string_view device) const {
-  auto it = pose_revisions_.find(device);
-  return it == pose_revisions_.end() ? 0 : it->second;
 }
 
 std::string StateTracker::arm_pose(std::string_view arm) const {
@@ -273,14 +262,20 @@ void StateTracker::apply_station_postconditions(const DeviceMeta& meta, const Co
     set_var(id, "running", 0);
   } else if (cmd.action == "draw_solvent") {
     if (auto volume = arg_number("volume")) {
-      set_var(id, "reservoirMl", var(id, "reservoirMl").as_double() - *volume);
-      set_var(id, "heldMl", var(id, "heldMl").as_double() + *volume);
+      if (const json::Value* v = find_var(id, "reservoirMl")) {
+        set_var(id, "reservoirMl", v->as_double() - *volume);
+      }
+      if (const json::Value* v = find_var(id, "heldMl")) {
+        set_var(id, "heldMl", v->as_double() + *volume);
+      }
     }
   } else if (cmd.action == "dose_solvent") {
     auto volume = arg_number("volume");
     const json::Value* target = cmd.args.find("target");
     if (volume && target != nullptr && target->is_string()) {
-      set_var(id, "heldMl", var(id, "heldMl").as_double() - *volume);
+      if (const json::Value* v = find_var(id, "heldMl")) {
+        set_var(id, "heldMl", v->as_double() - *volume);
+      }
       const std::string& vial = target->as_string();
       if (find_var(vial, "liquidMl") != nullptr) {
         set_var(vial, "liquidMl", var(vial, "liquidMl").as_double() + *volume);
@@ -363,14 +358,7 @@ void StateTracker::diff_device(const std::string& device, const dev::StateMap& a
 void StateTracker::resync_device(const std::string& device, const dev::StateMap& actual) {
   if (actual.empty()) return;
   dev::StateMap& tracked = state_[device];
-  for (const auto& [name, value] : actual) {
-    json::Value& slot = tracked[name];
-    if (name == "pose" && !(slot == value)) {
-      ++pose_revision_;
-      ++pose_revisions_[device];
-    }
-    slot = value;
-  }
+  for (const auto& [name, value] : actual) tracked[name] = value;
 }
 
 std::vector<std::string> StateTracker::mismatches(const dev::LabStateSnapshot& observed) const {

@@ -44,17 +44,6 @@ class StateTracker {
   [[nodiscard]] std::string arm_inside(std::string_view arm) const;
   [[nodiscard]] geom::Vec3 arm_position_lab(std::string_view arm) const;
 
-  /// Monotone counter bumped whenever any tracked "pose" variable changes.
-  /// Arm poses are the only tracker state the assembled rule world depends
-  /// on, so this is the (O(1)) invalidation key for the memoized rule world.
-  [[nodiscard]] std::uint64_t pose_revision() const { return pose_revision_; }
-
-  /// The share of pose_revision() attributable to `device` alone. The rule
-  /// world assembled for a moving arm excludes that arm, so its memo key is
-  /// pose_revision() - pose_revision(moving_arm): the arm's own pose churn
-  /// (every move bumps it) never invalidates its cached world.
-  [[nodiscard]] std::uint64_t pose_revision(std::string_view device) const;
-
   /// Tracked occupant of a deck site ("" when believed free).
   [[nodiscard]] std::string site_occupant(std::string_view site_name) const;
   void seat(std::string_view site_name, std::string vial_id);
@@ -112,8 +101,6 @@ class StateTracker {
   std::map<std::string, geom::Vec3, std::less<>> arm_lab_positions_;
   /// Tracked site occupancy: site name -> vial id.
   std::map<std::string, std::string, std::less<>> site_occupancy_;
-  std::uint64_t pose_revision_ = 0;
-  std::map<std::string, std::uint64_t, std::less<>> pose_revisions_;
   /// Per ObservedLab entry: the revision resync(ObservedLab) last adopted.
   /// Entries past the end have never been synced incrementally.
   std::vector<std::uint64_t> synced_revisions_;

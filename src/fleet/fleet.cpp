@@ -513,6 +513,9 @@ CampaignReport run_plan(const CampaignSpec& spec, const ResolvedCampaign& resolv
                  if (auto pose = live_pose(cmd.device)) board.publish(cmd.device, *pose);
                }
              });
+    // A shard steps without Supervisor::run, which is what absorbs the
+    // engine's Stats into a registry for a single-stream run.
+    if (options.obs) lab.engine.export_stats(*outcome.obs_metrics);
   };
   report.wall_s = run_pool(plan.shards.size(), options.workers, run_shard);
 

@@ -316,17 +316,8 @@ std::optional<CollisionReport> check_path(const WorldModel& world, const geom::V
 
 std::optional<CollisionReport> check_point(const WorldModel& world, const geom::Vec3& point,
                                            double held_clearance,
-                                           const PathCheckOptions& options,
-                                           const BroadPhaseGrid* grid) {
-  std::vector<std::size_t> candidate_storage;
-  const std::vector<std::size_t>* candidates = nullptr;
-  if (grid != nullptr && grid->box_count() == world.boxes.size()) {
-    geom::Aabb query =
-        sample_volume(point, held_clearance, options).inflated(geom::kEpsilon + options.inflate);
-    grid->candidates(query, candidate_storage);
-    candidates = &candidate_storage;
-  }
-  return check_sample(world, point, held_clearance, options, candidates);
+                                           const PathCheckOptions& options) {
+  return check_sample(world, point, held_clearance, options, nullptr);
 }
 
 // ---------------------------------------------------------------------------

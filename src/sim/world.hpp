@@ -185,14 +185,14 @@ struct PathCheckOptions {
                                                         const PathCheckOptions& options = {},
                                                         const BroadPhaseGrid* grid = nullptr);
 
-/// Point-in-world query with the same held-object semantics, for validating
-/// a single target location (the fallback when no simulator is available:
-/// "only the target location is checked", paper §II-B lines 8-10).
+/// Point-in-world query with the same held-object semantics: the first box
+/// (then arm segment) that contains `point` or meets the held volume below
+/// it. RABIT's own target check (core::check_target_location, paper §II-B
+/// lines 8-10) walks its configured world in place with these semantics.
 [[nodiscard]] std::optional<CollisionReport> check_point(const WorldModel& world,
                                                          const geom::Vec3& point,
                                                          double held_clearance,
-                                                         const PathCheckOptions& options = {},
-                                                         const BroadPhaseGrid* grid = nullptr);
+                                                         const PathCheckOptions& options = {});
 
 // ---------------------------------------------------------------------------
 // Runtime-assurance margin profile

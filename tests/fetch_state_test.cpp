@@ -265,7 +265,7 @@ TEST(FetchStateBookkeeping, VisitsOnlyWhatMovedAndForgetsOnFullResync) {
 /// making the engine calls trace::Supervisor makes, with a full-path
 /// shadow StateTracker beside the engine's incremental one. Every fetch
 /// compares the incremental mismatch list with the full one; every resync
-/// compares tracked state and pose revisions.
+/// compares tracked state.
 class ShadowedRun {
  public:
   ShadowedRun(core::Lab& lab, std::optional<assurance::AssuranceConfig> assurance = {})
@@ -372,11 +372,6 @@ class ShadowedRun {
     const core::StateTracker& incremental = lab_.engine.tracker();
     EXPECT_EQ(dev::diff(incremental.state(), shadow_.state()), std::vector<std::string>{})
         << when;
-    EXPECT_EQ(incremental.pose_revision(), shadow_.pose_revision()) << when;
-    for (const core::DeviceMeta& meta : lab_.engine.config().devices) {
-      EXPECT_EQ(incremental.pose_revision(meta.id), shadow_.pose_revision(meta.id))
-          << when << ": " << meta.id;
-    }
   }
 
   core::Lab& lab_;

@@ -314,6 +314,23 @@ TEST(FleetInput, MalformedMovePositionIsAG3AlertNotACrash) {
   }
 }
 
+// A pump action sent to a station without the pump's volumes is the
+// firmware's rejection, not an exception out of a worker (which ends the
+// process in std::terminate) or out of Fleet::run.
+TEST(FleetInput, SolventActionOnAHotplateIsAFirmwareRejection) {
+  fleet::CampaignSpec spec;
+  spec.variant = core::Variant::ModifiedWithSim;
+  for (const char* name : {"draw-a", "draw-b"}) {
+    spec.streams.push_back({name, {cmd("hotplate", "draw_solvent", num_args("volume", 1.0))}, ""});
+  }
+  for (std::size_t workers : {1u, 2u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    fleet::CampaignReport report = run_grouped(spec, workers);
+    EXPECT_EQ(report.commands_checked, 2u);
+    EXPECT_TRUE(report.alerts.empty());
+  }
+}
+
 TEST(FleetPlan, ShardsMustPartitionTheStreams) {
   // Three V2 streams of two commands each on disjoint stations.
   fleet::CampaignSpec spec;
@@ -412,6 +429,31 @@ TEST(FleetObservability, MergedMetricsAggregatePerStreamRegistries) {
   fleet::CampaignReport no_obs = run_grouped(spec, 2);
   EXPECT_EQ(no_obs.obs_events, nullptr);
   EXPECT_EQ(no_obs.obs_metrics, nullptr);
+}
+
+TEST(FleetObservability, MergedMetricsCarryTheEngineCounters) {
+  // Shards step without Supervisor::run; each exports its engine's Stats
+  // into its own registry, so the merged registry counts every check.
+  fleet::CampaignSpec spec = grouped_campaign(12, 7);
+  spec.streams[0].commands[0] = cmd("hotplate", "set_temperature", num_args("celsius", 200.0));
+  ASSERT_FALSE(spec.halt_on_alert);
+  for (std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    fleet::CampaignReport report = run_grouped(spec, workers, /*obs=*/true);
+    ASSERT_NE(report.obs_metrics, nullptr);
+    EXPECT_GT(report.shards, 1u);
+    const obs::Counter* checked =
+        report.obs_metrics->find_counter("rabit_engine_commands_checked_total");
+    const obs::Counter* commands = report.obs_metrics->find_counter("rabit_commands_total");
+    const obs::Counter* blocked =
+        report.obs_metrics->find_counter("rabit_engine_precondition_alerts_total");
+    ASSERT_NE(checked, nullptr);
+    ASSERT_NE(commands, nullptr);
+    ASSERT_NE(blocked, nullptr);
+    EXPECT_EQ(checked->value(), report.commands_checked);
+    EXPECT_EQ(checked->value(), commands->value());
+    EXPECT_EQ(blocked->value(), report.alerts.size());
+  }
 }
 
 // The sharded-sink audit (run under TSan in CI): 64 observed streams in 8

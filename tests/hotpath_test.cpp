@@ -1,8 +1,8 @@
-// Hot-path equivalence and invalidation: the memoized rule world, the
-// broad-phase grid, and the collision-verdict cache are pure accelerations —
-// every test here pins the invariant that they can change the cost of an
-// answer but never the answer, and that every mutation of the underlying
-// world/state invalidates what it must. The config lookups they sit on are
+// Hot-path equivalence and invalidation: the broad-phase grid and the
+// collision-verdict cache are pure accelerations — every test here pins the
+// invariant that they can change the cost of an answer but never the
+// answer, and that every mutation of the underlying world invalidates what
+// it must. The config lookups and the rule-world walk they sit beside are
 // first-match scans over a freely editable config.
 #include <gtest/gtest.h>
 
@@ -134,38 +134,6 @@ TEST_F(ConfigIndexTest, IndexSurvivesInPlaceRename) {
 }
 
 // ---------------------------------------------------------------------------
-// Memoized rule world
-// ---------------------------------------------------------------------------
-
-TEST(RuleWorldMemo, RebuildsOnlyWhenOtherArmsMove) {
-  sim::LabBackend backend(sim::testbed_profile());
-  sim::build_hein_testbed_deck(backend);
-  EngineConfig config = config_from_backend(backend, Variant::Modified);
-  StateTracker tracker(&config);
-  tracker.initialize(backend.registry().fetch_observed_state());
-
-  RuleWorldCache cache;
-  ASSERT_EQ(tracker.arm_pose(ids::kNed2), "sleep");
-  const RuleWorldCache::Entry& first = cache.world_for(config, tracker, ids::kViperX);
-  EXPECT_EQ(cache.rebuilds(), 1u);
-  // Ned2 is asleep, so its parked cuboid is part of ViperX's world.
-  EXPECT_NE(first.world.find_box(ids::kNed2), nullptr);
-
-  // Repeat and own-pose churn: both served from the memo.
-  (void)cache.world_for(config, tracker, ids::kViperX);
-  EXPECT_EQ(cache.rebuilds(), 1u);
-  tracker.set_var(ids::kViperX, "pose", "custom");
-  (void)cache.world_for(config, tracker, ids::kViperX);
-  EXPECT_EQ(cache.rebuilds(), 1u);
-
-  // Another arm waking up must invalidate: its parked box disappears.
-  tracker.set_var(ids::kNed2, "pose", "home");
-  const RuleWorldCache::Entry& rebuilt = cache.world_for(config, tracker, ids::kViperX);
-  EXPECT_EQ(cache.rebuilds(), 2u);
-  EXPECT_EQ(rebuilt.world.find_box(ids::kNed2), nullptr);
-}
-
-// ---------------------------------------------------------------------------
 // Broad phase
 // ---------------------------------------------------------------------------
 
@@ -219,13 +187,6 @@ TEST(BroadPhase, PathAndPointVerdictsMatchFullScan) {
     auto full = sim::check_path(world, start, goal, 0.05, opts, nullptr);
     expect_same_hit(sim::check_path(world, start, goal, 0.05, opts, &grid), full, i);
     if (full) ++collisions;
-
-    auto full_pt = sim::check_point(world, start, 0.05, opts, nullptr);
-    auto pruned_pt = sim::check_point(world, start, 0.05, opts, &grid);
-    ASSERT_EQ(full_pt.has_value(), pruned_pt.has_value());
-    if (full_pt) {
-      EXPECT_EQ(full_pt->obstacle, pruned_pt->obstacle);
-    }
   }
   // The world is dense enough that the equivalence was actually exercised.
   EXPECT_GT(collisions, 10);
@@ -500,15 +461,15 @@ TEST(VolumeEpsilon, SharedConstantGovernsPumpBoundaries) {
 }
 
 // ---------------------------------------------------------------------------
-// Catalogue verdict parity: the memoized engine vs the stateless rulebase
+// Catalogue verdict parity: the engine vs the stateless rulebase
 // ---------------------------------------------------------------------------
 
 TEST(HotPathParity, CatalogueVerdictsUnchangedAtV3) {
   // Every catalogue bug's buggy and safe stream, stepped through a V3 lab
   // without halting. At each command, the engine's precondition verdict
-  // (memoized rule world and its grid) must equal the stateless
-  // check_preconditions oracle on the same tracked state and canonical
-  // command: the same rule and message, or no hit on either side.
+  // must equal the stateless check_preconditions oracle on the same tracked
+  // state and canonical command: the same rule and message, or no hit on
+  // either side.
   trace::Supervisor::Options options;
   options.halt_on_alert = false;
   std::size_t checked = 0;

@@ -170,17 +170,32 @@ TEST(DeviceShapes, RuleWorldUsesCuboidsByDefault) {
   sim::LabBackend backend(sim::testbed_profile());
   sim::build_hein_testbed_deck(backend);
   core::EngineConfig cfg = core::config_from_backend(backend, core::Variant::Modified);
-  // The paper's deployed RABIT: cuboids only.
   core::StateTracker tracker(&cfg);
   tracker.initialize(backend.registry().fetch_observed_state());
-  sim::WorldModel cuboid_world =
-      core::assemble_rule_world(cfg, tracker, sim::deck_ids::kViperX);
-  EXPECT_FALSE(cuboid_world.find_box(sim::deck_ids::kCentrifuge)->solid.has_value());
+  // Open the centrifuge so G1 lets a target inside it through to G3.
+  tracker.set_var(sim::deck_ids::kCentrifuge, "doorStatus", "open");
+  // A target in the top corner of the centrifuge's cuboid, which is free
+  // space in its refined shape.
+  const Aabb fp = *backend.registry().at(sim::deck_ids::kCentrifuge).footprint();
+  Vec3 corner(fp.max.x - 0.01, fp.max.y - 0.01, fp.max.z - 0.01);
+  Vec3 local = cfg.find_device(sim::deck_ids::kViperX)->base.inverse().apply(corner);
+  json::Object args;
+  args["position"] = json::Array{local.x, local.y, local.z};
+  dev::Command move;
+  move.device = sim::deck_ids::kViperX;
+  move.action = "move_to";
+  move.args = json::Value(std::move(args));
+
+  // The paper's deployed RABIT: cuboids only, so the corner is occupied.
+  std::optional<core::RuleHit> cuboid = core::check_preconditions(cfg, tracker, move);
+  ASSERT_TRUE(cuboid.has_value());
+  EXPECT_EQ(cuboid->rule, "G3");
+  EXPECT_NE(cuboid->message.find("equipment 'centrifuge'"), std::string::npos)
+      << cuboid->message;
   // With the §V-C extension enabled, refined shapes flow through.
   cfg.use_refined_shapes = true;
-  sim::WorldModel refined_world =
-      core::assemble_rule_world(cfg, tracker, sim::deck_ids::kViperX);
-  EXPECT_TRUE(refined_world.find_box(sim::deck_ids::kCentrifuge)->solid.has_value());
+  std::optional<core::RuleHit> refined = core::check_preconditions(cfg, tracker, move);
+  EXPECT_FALSE(refined.has_value()) << refined->message;
 }
 
 TEST(DeviceShapes, ConfigJsonRoundTripsSolids) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "core/lab.hpp"
 #include "core/tracker.hpp"
 #include "devices/robot_arm.hpp"
 #include "sim/deck.hpp"
+#include "trace/trace.hpp"
 
 namespace rabit::core {
 namespace {
@@ -229,6 +231,50 @@ TEST_F(TrackerTest, MismatchesCatchDivergentDiscreteState) {
 
 TEST_F(TrackerTest, UnknownDeviceCommandsAreIgnored) {
   EXPECT_NO_THROW(tracker->apply_postconditions(make_cmd("ghost", "move_to")));
+}
+
+// --- pump actions sent to a station without the pump's volumes ---------------
+// No rule blocks hotplate.draw_solvent or (without the Hein custom rules)
+// hotplate.dose_solvent, so line 11 runs before the firmware rejects them:
+// the expectation must skip the volumes the hotplate lacks, and the step
+// must report the firmware's unknown-action rejection.
+
+void expect_firmware_rejection(trace::Supervisor& supervisor, const Command& cmd) {
+  SCOPED_TRACE(cmd.describe());
+  trace::SupervisedStep step = supervisor.step(cmd);
+  EXPECT_FALSE(step.alert.has_value()) << step.alert->describe();
+  ASSERT_TRUE(step.exec.has_value());
+  EXPECT_FALSE(step.exec->executed);
+  EXPECT_EQ(step.exec->firmware_error, "hotplate: unknown action '" + cmd.action + "'");
+  EXPECT_EQ(supervisor.log().records().back().outcome, trace::Outcome::FirmwareError);
+}
+
+TEST(UnmodeledStationAction, SolventActionsOnAHotplateAreFirmwareRejections) {
+  json::Object draw;
+  draw["volume"] = 1.0;
+  json::Object dose;
+  dose["volume"] = 0.0;
+  dose["target"] = std::string(ids::kVial1);
+  for (Variant variant : {Variant::Initial, Variant::Modified, Variant::ModifiedWithSim}) {
+    SCOPED_TRACE(std::string(to_string(variant)));
+    Lab lab(variant);
+    trace::Supervisor supervisor(&lab.engine, &lab.backend);
+    supervisor.start();
+    expect_firmware_rejection(supervisor, make_cmd(ids::kHotplate, "draw_solvent", draw));
+    EXPECT_EQ(lab.engine.tracker().find_var(ids::kHotplate, "heldMl"), nullptr);
+
+    // C1 would block the dose (vial_1 holds no solid), so the custom rules
+    // are off for it.
+    sim::LabBackend backend(sim::testbed_profile());
+    sim::build_hein_testbed_deck(backend);
+    EngineConfig config = config_from_backend(backend, variant);
+    config.hein_custom_rules = false;
+    RabitEngine engine(std::move(config));
+    trace::Supervisor plain(&engine, &backend);
+    plain.start();
+    expect_firmware_rejection(plain, make_cmd(ids::kHotplate, "dose_solvent", dose));
+    EXPECT_DOUBLE_EQ(engine.tracker().var(ids::kVial1, "liquidMl").as_double(), 0.0);
+  }
 }
 
 TEST(TrackerStandalone, NullConfigRejected) {
