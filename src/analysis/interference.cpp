@@ -290,6 +290,27 @@ std::string join(const Names& names) {
   return out;
 }
 
+/// join() of the union of two name sets, merged in order without building
+/// the union.
+std::string join_union(const std::set<std::string>& a, const std::set<std::string>& b) {
+  std::string out;
+  auto append = [&out](const std::string& s) {
+    if (!out.empty()) out += ", ";
+    out += s;
+  };
+  auto ia = a.begin();
+  auto ib = b.begin();
+  while (ia != a.end() || ib != b.end()) {
+    if (ib == b.end() || (ia != a.end() && *ia < *ib)) {
+      append(*ia++);
+    } else {
+      if (ia != a.end() && !(*ib < *ia)) ++ia;  // in both: once
+      append(*ib++);
+    }
+  }
+  return out;
+}
+
 /// The I-rule and severity each finding kind reports as.
 std::pair<const char*, Severity> rule_of(ConflictKind kind) {
   switch (kind) {
@@ -398,16 +419,20 @@ void find_interference(const core::EngineConfig& config,
 
   // I5: stream `d` declares a deliberate interaction (collision checks
   // suppressed for that box) that stream `u`, which also uses the device,
-  // never declares.
+  // never declares. Each stream's declarations, across its arms, are
+  // gathered once.
+  std::vector<std::set<std::string_view>> declared(streams.size());
+  for (std::size_t k = 0; k < streams.size(); ++k) {
+    for (const auto& [arm, names] : streams[k].ignores) {
+      declared[k].insert(names.begin(), names.end());
+    }
+  }
   auto ignore_asymmetry = [&](std::size_t d, std::size_t u) {
     const StreamSummary& a = streams[d];
     const StreamSummary& b = streams[u];
-    if (a.ignores.empty()) return;
-    std::set<std::string> declared_by_b;
-    for (const auto& [arm, names] : b.ignores) declared_by_b.insert(names.begin(), names.end());
     for (const auto& [arm, names] : a.ignores) {
       for (const std::string& name : names) {
-        if (declared_by_b.contains(name)) continue;
+        if (declared[u].contains(name)) continue;
         if (!b.devices.contains(name) && !b.entities.contains(name)) continue;
         emit({ConflictKind::IgnoreAsymmetry, {d, u}, name, {arm, name},
                        cat({"stream '", a.name, "' declares a deliberate interaction of '", arm,
@@ -426,11 +451,9 @@ void find_interference(const core::EngineConfig& config,
       for (const auto& [device, fa] : a.devices) {
         auto it = b.devices.find(device);
         if (it == b.devices.end()) continue;
-        std::set<std::string> actions = fa.actions;
-        actions.insert(it->second.actions.begin(), it->second.actions.end());
         emit({ConflictKind::SharedDevice, {i, j}, device, {device},
                        cat({"streams '", a.name, "' and '", b.name, "' both command device '",
-                            device, "' (", join(actions),
+                            device, "' (", join_union(fa.actions, it->second.actions),
                             "): the interleaving of their commands is unordered"}),
                        fa.speculative || it->second.speculative});
       }
@@ -619,15 +642,31 @@ AnalysisReport check_interference(const core::EngineConfig& config,
   return report;
 }
 
+std::vector<StreamSummary> summarize_campaign(const core::EngineConfig& config,
+                                              const std::vector<CampaignStream>& streams,
+                                              const AnalyzeOptions& options) {
+  std::vector<StreamSummary> summaries;
+  summaries.reserve(streams.size());
+  std::vector<std::size_t> distinct;  // first stream of each distinct command list
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    auto same = std::find_if(distinct.begin(), distinct.end(), [&](std::size_t d) {
+      return streams[d].commands == streams[i].commands;
+    });
+    if (same == distinct.end()) {
+      distinct.push_back(i);
+      summaries.push_back(summarize_stream(config, streams[i].name, streams[i].commands, options));
+    } else {
+      summaries.push_back(summaries[*same]);
+      summaries.back().name = streams[i].name;
+    }
+  }
+  return summaries;
+}
+
 AnalysisReport analyze_campaign(const core::EngineConfig& config,
                                 const std::vector<CampaignStream>& streams,
                                 const AnalyzeOptions& options) {
-  std::vector<StreamSummary> summaries;
-  summaries.reserve(streams.size());
-  for (const CampaignStream& s : streams) {
-    summaries.push_back(summarize_stream(config, s.name, s.commands, options));
-  }
-  return check_interference(config, summaries, options);
+  return check_interference(config, summarize_campaign(config, streams, options), options);
 }
 
 }  // namespace rabit::analysis

@@ -191,6 +191,16 @@ struct CampaignStream {
   std::vector<dev::Command> commands;
 };
 
+/// Phase 1 over a campaign: one summary per stream, in stream order. Each
+/// distinct command list (equal under dev::Command::operator==, source_line
+/// included) is summarized once, and a later stream with an equal list gets
+/// a copy of that summary under its own name. A summary is a function of the
+/// config, the options and the commands; the name is only carried, so the
+/// renamed copy is exactly the summary the stream would get on its own.
+[[nodiscard]] std::vector<StreamSummary> summarize_campaign(
+    const core::EngineConfig& config, const std::vector<CampaignStream>& streams,
+    const AnalyzeOptions& options = {});
+
 /// One call: summarize every stream, then run the interference checks. The
 /// returned report holds only the campaign-level I-diagnostics; per-stream
 /// single-stream findings come from analyze_stream / analyze_script.

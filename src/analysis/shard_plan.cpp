@@ -221,18 +221,16 @@ std::string evidence_digest(const std::vector<const ConflictEvidence*>& evidence
   return out;
 }
 
-/// The closed certificate vocabulary (see IndependenceCertificate). Derived
-/// from summaries alone so verify_plan can replay it bit-for-bit.
-std::vector<std::string> certificate_conditions(const EngineConfig& config,
-                                                const StreamSummary& a,
-                                                const StreamSummary& b) {
-  std::vector<std::string> out{"devices-disjoint", "entities-disjoint"};
-  if (config.time_multiplex) out.emplace_back("no-multiplex-race");
-  out.emplace_back("envelopes-disjoint");
-  out.emplace_back("no-shared-budget");
-  out.emplace_back("setpoints-compatible");
-  out.emplace_back("ignores-symmetric");
-  if (!a.truncated && !b.truncated) out.emplace_back("summaries-complete");
+using ConditionMask = decltype(IndependenceCertificate::conditions);
+
+/// The certificate's conditions (see CertificateCondition). Derived from
+/// summaries alone so verify_plan can replay them bit for bit.
+ConditionMask certificate_conditions(const EngineConfig& config, const StreamSummary& a,
+                                     const StreamSummary& b) {
+  ConditionMask out;
+  out.set();
+  if (!config.time_multiplex) out.reset(kNoMultiplexRace);
+  if (a.truncated || b.truncated) out.reset(kSummariesComplete);
   return out;
 }
 
@@ -304,10 +302,14 @@ ShardPlan plan_shards(const EngineConfig& config, const std::vector<StreamSummar
     plan.shards.push_back({std::move(members)});
   }
 
-  // Certificates for every cross-shard pair.
+  // Certificates for every cross-shard pair. owner[v]: the shard of stream v.
+  std::vector<std::size_t> owner(streams.size());
+  for (std::size_t k = 0; k < plan.shards.size(); ++k) {
+    for (std::size_t v : plan.shards[k].streams) owner[v] = k;
+  }
   for (std::size_t i = 0; i < streams.size(); ++i) {
     for (std::size_t j = i + 1; j < streams.size(); ++j) {
-      if (!plan.certified_independent(i, j)) continue;
+      if (owner[i] == owner[j]) continue;
       plan.certificates.push_back({i, j, certificate_conditions(config, streams[i], streams[j])});
     }
   }
@@ -411,7 +413,7 @@ ShardPlan plan_shards(const EngineConfig& config, const std::vector<StreamSummar
   for (std::size_t t = 0; t < streams.size(); ++t) {
     if (!streams[t].truncated || streams.size() < 2) continue;
     std::vector<std::string> partners;
-    std::size_t shard = plan.shard_of(t);
+    std::size_t shard = owner[t];
     for (std::size_t m : plan.shards[shard].streams) partners.push_back(plan.stream_names[m]);
     emit("S3",
          "truncated summary forced pessimistic merging: '" + streams[t].name +
@@ -429,12 +431,7 @@ ShardPlan plan_campaign_shards(const EngineConfig& config,
                                const std::vector<CampaignStream>& streams,
                                const ShardPlanOptions& plan_options,
                                const AnalyzeOptions& analyze_options) {
-  std::vector<StreamSummary> summaries;
-  summaries.reserve(streams.size());
-  for (const CampaignStream& s : streams) {
-    summaries.push_back(summarize_stream(config, s.name, s.commands, analyze_options));
-  }
-  return plan_shards(config, summaries, plan_options);
+  return plan_shards(config, summarize_campaign(config, streams, analyze_options), plan_options);
 }
 
 // ---------------------------------------------------------------------------
@@ -490,8 +487,7 @@ std::vector<std::string> verify_plan(const EngineConfig& config,
       continue;
     }
     certified.insert({std::min(c.a, c.b), std::max(c.a, c.b)});
-    std::vector<std::string> expected = certificate_conditions(config, streams[c.a], streams[c.b]);
-    if (c.conditions != expected) {
+    if (c.conditions != certificate_conditions(config, streams[c.a], streams[c.b])) {
       violations.push_back("certificate (" + streams[c.a].name + ", " + streams[c.b].name +
                            ") conditions do not replay");
     }
@@ -556,7 +552,9 @@ json::Value plan_to_json(const ShardPlan& plan) {
     o["a"] = plan.stream_names[c.a];
     o["b"] = plan.stream_names[c.b];
     json::Array conditions;
-    for (const std::string& cond : c.conditions) conditions.emplace_back(cond);
+    for (std::size_t k = 0; k < kCertificateConditions.size(); ++k) {
+      if (c.conditions.test(k)) conditions.emplace_back(kCertificateConditions[k]);
+    }
     o["conditions"] = std::move(conditions);
     certificates.emplace_back(std::move(o));
   }
@@ -600,9 +598,11 @@ std::string format_plan(const ShardPlan& plan) {
   for (std::size_t i = 0; i < plan.certificates.size() && i < kMaxCerts; ++i) {
     const IndependenceCertificate& c = plan.certificates[i];
     os << "  " << plan.stream_names[c.a] << " x " << plan.stream_names[c.b] << ": ";
-    for (std::size_t j = 0; j < c.conditions.size(); ++j) {
-      if (j != 0) os << ", ";
-      os << c.conditions[j];
+    const char* sep = "";
+    for (std::size_t k = 0; k < kCertificateConditions.size(); ++k) {
+      if (!c.conditions.test(k)) continue;
+      os << sep << kCertificateConditions[k];
+      sep = ", ";
     }
     os << "\n";
   }

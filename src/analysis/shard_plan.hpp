@@ -39,9 +39,12 @@
 //   S3  a truncated summary forced pessimistic merging
 #pragma once
 
+#include <array>
+#include <bitset>
 #include <cstddef>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/interference.hpp"
@@ -81,16 +84,31 @@ struct Shard {
   std::vector<std::size_t> streams;
 };
 
+/// The closed certificate vocabulary, in its documented order: condition k
+/// is bit k of IndependenceCertificate::conditions and is spelled
+/// kCertificateConditions[k].
+enum CertificateCondition : std::size_t {
+  kDevicesDisjoint,
+  kEntitiesDisjoint,
+  kNoMultiplexRace,  ///< time-multiplexed configs only
+  kEnvelopesDisjoint,
+  kNoSharedBudget,
+  kSetpointsCompatible,
+  kIgnoresSymmetric,
+  kSummariesComplete,  ///< neither summary truncated
+};
+inline constexpr std::array<std::string_view, 8> kCertificateConditions = {
+    "devices-disjoint",   "entities-disjoint",    "no-multiplex-race", "envelopes-disjoint",
+    "no-shared-budget",   "setpoints-compatible", "ignores-symmetric", "summaries-complete"};
+
 /// The machine-checkable half of a cross-shard independence claim: every
-/// condition listed was re-derived from the two summaries and held. The
-/// conditions use a closed vocabulary ("devices-disjoint",
-/// "entities-disjoint", "no-multiplex-race", "envelopes-disjoint",
-/// "no-shared-budget", "setpoints-compatible", "ignores-symmetric",
-/// "summaries-complete") so verify_plan can replay them.
+/// condition set was re-derived from the two summaries and held, so
+/// verify_plan can replay the mask. Only plan_to_json and format_plan spell
+/// the conditions out.
 struct IndependenceCertificate {
   std::size_t a = 0;
   std::size_t b = 0;
-  std::vector<std::string> conditions;
+  std::bitset<kCertificateConditions.size()> conditions;
 };
 
 struct ShardPlanOptions {
@@ -136,7 +154,8 @@ struct ShardPlan {
                                     const std::vector<StreamSummary>& streams,
                                     const ShardPlanOptions& options = {});
 
-/// Convenience: summarize every campaign stream (phase 1), then plan.
+/// Convenience: summarize every campaign stream (phase 1, once per distinct
+/// command list: summarize_campaign), then plan.
 [[nodiscard]] ShardPlan plan_campaign_shards(const core::EngineConfig& config,
                                              const std::vector<CampaignStream>& streams,
                                              const ShardPlanOptions& plan_options = {},

@@ -42,7 +42,7 @@ namespace {
 
 /// (stream index, command index): one dispatch slot of a campaign schedule.
 using Entry = std::pair<std::size_t, std::size_t>;
-using Commands = std::vector<std::vector<dev::Command>>;
+using Streams = std::vector<analysis::CampaignStream>;
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point t0) {
@@ -89,11 +89,11 @@ struct Rendezvous {
 /// and ends the lab's run at a halt. Steps on a rendezvous device hold the
 /// rendezvous mutex.
 template <class OnStep>
-void step_lab(trace::Supervisor& supervisor, const Commands& commands,
+void step_lab(trace::Supervisor& supervisor, const Streams& streams,
               const std::vector<Entry>& entries, Rendezvous* rendezvous, OnStep&& on_step) {
   supervisor.start();
   for (const Entry& entry : entries) {
-    const dev::Command& cmd = commands[entry.first][entry.second];
+    const dev::Command& cmd = streams[entry.first].commands[entry.second];
     trace::SupervisedStep step;
     if (rendezvous != nullptr && rendezvous->names.contains(cmd.device)) {
       std::lock_guard<std::recursive_mutex> lock(rendezvous->mutex);
@@ -137,11 +137,12 @@ void merge_obs(std::shared_ptr<obs::Collector>& events, std::shared_ptr<obs::Reg
 
 namespace {
 
-/// A campaign resolved once per run: script streams recorded to commands,
-/// plus a probe lab's (backend, deck and config; no simulator) arm inventory
-/// and campaign-start poses, which seed the pose board.
+/// A campaign resolved once per run: every stream named, script streams
+/// recorded to commands (the planner's input as it is), plus a probe lab's
+/// (backend, deck and config; no simulator) arm inventory and campaign-start
+/// poses, which seed the pose board.
 struct ResolvedCampaign {
-  Commands commands;
+  Streams streams;
   core::EngineConfig config;
   std::set<std::string, std::less<>> arm_ids;
   std::map<std::string, geom::Vec3, std::less<>> initial_poses;
@@ -160,18 +161,18 @@ ResolvedCampaign resolve_campaign(const CampaignSpec& spec) {
   sim::LabBackend probe(sim::testbed_profile(), spec.seed);
   core::build_deck(probe, spec.deck);
   std::map<std::string_view, std::size_t> recorded;  // script -> first stream with it
-  resolved.commands.reserve(spec.streams.size());
+  resolved.streams.reserve(spec.streams.size());
   for (const CampaignStreamSpec& stream : spec.streams) {
     if (!stream.commands.empty() || stream.script.empty()) {
-      resolved.commands.push_back(stream.commands);
+      resolved.streams.push_back({stream.name, stream.commands});
       continue;
     }
-    auto [first, fresh] = recorded.try_emplace(stream.script, resolved.commands.size());
+    auto [first, fresh] = recorded.try_emplace(stream.script, resolved.streams.size());
     if (fresh) {
-      resolved.commands.push_back(script::record_workflow(probe, stream.script));
+      resolved.streams.push_back({stream.name, script::record_workflow(probe, stream.script)});
       ++resolved.scripts_recorded;
     } else {
-      resolved.commands.push_back(resolved.commands[first->second]);
+      resolved.streams.push_back({stream.name, resolved.streams[first->second].commands});
     }
   }
   resolved.config = core::config_from_backend(probe, spec.variant);
@@ -201,13 +202,13 @@ analysis::ShardPlan single_shard_plan(const CampaignSpec& spec) {
 /// among the streams that still have commands. Depends only on (stream
 /// lengths, seed), so a failing campaign replays from its seed — and every
 /// shard recomputes the identical global order and filters it.
-std::vector<Entry> make_schedule(const Commands& commands, unsigned seed) {
+std::vector<Entry> make_schedule(const Streams& streams, unsigned seed) {
   std::vector<Entry> schedule;
   std::mt19937 rng(seed);
-  std::vector<std::size_t> cursor(commands.size(), 0);
+  std::vector<std::size_t> cursor(streams.size(), 0);
   std::vector<std::size_t> live;
-  for (std::size_t i = 0; i < commands.size(); ++i) {
-    if (!commands[i].empty()) live.push_back(i);
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    if (!streams[i].commands.empty()) live.push_back(i);
   }
   while (!live.empty()) {
     std::size_t pick = live.size() == 1
@@ -215,7 +216,9 @@ std::vector<Entry> make_schedule(const Commands& commands, unsigned seed) {
                            : std::uniform_int_distribution<std::size_t>(0, live.size() - 1)(rng);
     std::size_t s = live[pick];
     schedule.emplace_back(s, cursor[s]);
-    if (++cursor[s] >= commands[s].size()) live.erase(live.begin() + static_cast<long>(pick));
+    if (++cursor[s] >= streams[s].commands.size()) {
+      live.erase(live.begin() + static_cast<long>(pick));
+    }
   }
   return schedule;
 }
@@ -228,7 +231,7 @@ std::vector<Entry> make_schedule(const Commands& commands, unsigned seed) {
 /// depends on commands 0..k only. So alerted streams with equal command
 /// lists share one replay, cut after the furthest alerted command among
 /// them. Returns the number of replays.
-std::size_t classify_against_solo(const CampaignSpec& spec, const Commands& commands,
+std::size_t classify_against_solo(const CampaignSpec& spec, const Streams& streams,
                                   CampaignReport& report) {
   struct Replay {
     std::size_t stream = 0;  ///< whose command list it steps
@@ -241,7 +244,7 @@ std::size_t classify_against_solo(const CampaignSpec& spec, const Commands& comm
     auto [slot, fresh] = replay_of.try_emplace(a.stream, replays.size());
     if (fresh) {
       auto same = std::find_if(replays.begin(), replays.end(), [&](const Replay& r) {
-        return commands[r.stream] == commands[a.stream];
+        return streams[r.stream].commands == streams[a.stream].commands;
       });
       slot->second = static_cast<std::size_t>(same - replays.begin());
       if (same == replays.end()) replays.push_back(Replay{a.stream, 0, {}});
@@ -254,7 +257,7 @@ std::size_t classify_against_solo(const CampaignSpec& spec, const Commands& comm
     trace::Supervisor::Options solo_options;
     solo_options.halt_on_alert = false;
     trace::Supervisor supervisor(&solo.engine, &solo.backend, solo_options);
-    step_lab(supervisor, commands, stream_entries(replay.stream, replay.length), nullptr,
+    step_lab(supervisor, streams, stream_entries(replay.stream, replay.length), nullptr,
              [&](const Entry& entry, const trace::SupervisedStep& step) {
                if (step.alert) replay.alerts.emplace(entry.second, step.alert->rule);
              });
@@ -306,10 +309,10 @@ CampaignReport run_plan(const CampaignSpec& spec, const ResolvedCampaign& resolv
                              std::to_string(spec.streams.size()));
   }
   const std::vector<std::size_t> shard_of = shard_of_streams(spec, plan);
-  const Commands& commands = resolved.commands;
+  const Streams& streams = resolved.streams;
   CampaignReport report;
   report.shards = plan.shards.size();
-  report.schedule = make_schedule(commands, spec.seed);
+  report.schedule = make_schedule(streams, spec.seed);
 
   // The epoch-versioned pose board every shard publishes to and reads from.
   // Epoch 1 is the campaign-start pose; each publish advances the arm's slot
@@ -322,15 +325,17 @@ CampaignReport run_plan(const CampaignSpec& spec, const ResolvedCampaign& resolv
   // the stream -> shard map, the inputs for deciding what stays lock-free.
   std::map<std::string, std::set<std::size_t>, std::less<>> device_shards;
   std::map<std::string, std::set<std::size_t>, std::less<>> arm_owner_streams;
-  for (std::size_t s = 0; s < commands.size(); ++s) {
-    for (const dev::Command& c : commands[s]) {
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    for (const dev::Command& c : streams[s].commands) {
       device_shards[c.device].insert(shard_of[s]);
       if (resolved.arm_ids.contains(c.device)) arm_owner_streams[c.device].insert(s);
     }
   }
-  std::set<std::pair<std::size_t, std::size_t>> certified;
+  // certified[a * n + b]: the plan certifies streams a and b independent.
+  const std::size_t n = streams.size();
+  std::vector<char> certified(n * n, 0);
   for (const analysis::IndependenceCertificate& c : plan.certificates) {
-    certified.emplace(std::min(c.a, c.b), std::max(c.a, c.b));
+    if (c.a < n && c.b < n) certified[c.a * n + c.b] = certified[c.b * n + c.a] = 1;
   }
 
   // The explicit coordination path. Devices claimed by two or more shards,
@@ -356,7 +361,7 @@ CampaignReport run_plan(const CampaignSpec& spec, const ResolvedCampaign& resolv
       bool covered = true;
       for (std::size_t o : owners) {
         for (std::size_t m : members) {
-          covered = covered && certified.contains({std::min(m, o), std::max(m, o)});
+          covered = covered && certified[m * n + o] != 0;
         }
       }
       if (!covered) {
@@ -392,7 +397,7 @@ CampaignReport run_plan(const CampaignSpec& spec, const ResolvedCampaign& resolv
     // shard's own backend; every other arm comes from the pose board.
     std::set<std::string, std::less<>> shard_arms;
     for (std::size_t s : member_set) {
-      for (const dev::Command& c : commands[s]) {
+      for (const dev::Command& c : streams[s].commands) {
         if (resolved.arm_ids.contains(c.device)) shard_arms.insert(c.device);
       }
     }
@@ -499,9 +504,9 @@ CampaignReport run_plan(const CampaignSpec& spec, const ResolvedCampaign& resolv
       sup_options.obs_stream = "shard-" + std::to_string(shard_index);
     }
     trace::Supervisor supervisor(&lab.engine, &lab.backend, sup_options);
-    step_lab(supervisor, commands, entries, &rendezvous,
+    step_lab(supervisor, streams, entries, &rendezvous,
              [&](const Entry& entry, const trace::SupervisedStep& step) {
-               const dev::Command& cmd = commands[entry.first][entry.second];
+               const dev::Command& cmd = streams[entry.first].commands[entry.second];
                if (rendezvous.names.contains(cmd.device)) count_coordination();
                ++outcome.commands_checked;
                if (step.check_cpu_us > 0) outcome.latencies_us.push_back(step.check_cpu_us);
@@ -521,8 +526,13 @@ CampaignReport run_plan(const CampaignSpec& spec, const ResolvedCampaign& resolv
 
   // Deterministic merge: per-shard slots combined in shard-index order;
   // alerts then sorted by global schedule position, never finish order.
-  std::map<Entry, std::size_t> position;
-  for (std::size_t i = 0; i < report.schedule.size(); ++i) position[report.schedule[i]] = i;
+  // position[first[s] + k]: where command k of stream s was dispatched.
+  std::vector<std::size_t> first(n + 1, 0);
+  for (std::size_t s = 0; s < n; ++s) first[s + 1] = first[s] + streams[s].commands.size();
+  std::vector<std::size_t> position(first[n]);
+  for (std::size_t i = 0; i < report.schedule.size(); ++i) {
+    position[first[report.schedule[i].first] + report.schedule[i].second] = i;
+  }
   std::vector<double> latencies_us;
   for (const ShardOutcome& outcome : outcomes) {
     report.commands_checked += outcome.commands_checked;
@@ -535,17 +545,16 @@ CampaignReport run_plan(const CampaignSpec& spec, const ResolvedCampaign& resolv
                         outcome.latencies_us.end());
     merge_obs(report.obs_events, report.obs_metrics, outcome.obs_events, outcome.obs_metrics);
   }
+  auto at = [&](const CampaignAlert& a) { return position[first[a.stream] + a.command_index]; };
   std::sort(report.alerts.begin(), report.alerts.end(),
-            [&position](const CampaignAlert& a, const CampaignAlert& b) {
-              return position[{a.stream, a.command_index}] < position[{b.stream, b.command_index}];
-            });
+            [&at](const CampaignAlert& a, const CampaignAlert& b) { return at(a) < at(b); });
   report.check_latency = summarize_latencies(std::move(latencies_us));
   if (report.wall_s > 0) {
     report.commands_per_s = static_cast<double>(report.commands_checked) / report.wall_s;
   }
 
   Clock::time_point classify_start = Clock::now();
-  report.solo_replays = classify_against_solo(spec, commands, report);
+  report.solo_replays = classify_against_solo(spec, streams, report);
   report.classify_s = seconds_since(classify_start);
   report.resolve_s = resolved.resolve_s;
   report.scripts_recorded = resolved.scripts_recorded;
@@ -579,13 +588,8 @@ CampaignReport Fleet::run(const CampaignSpec& spec, const ShardedCampaignOptions
   // plan-driven hot path. An unshardable campaign yields a 1-shard plan and
   // degenerates to the monolithic schedule through the same machinery.
   ResolvedCampaign resolved = resolve_campaign(spec);
-  std::vector<analysis::CampaignStream> planned;
-  planned.reserve(spec.streams.size());
-  for (std::size_t i = 0; i < spec.streams.size(); ++i) {
-    planned.push_back(analysis::CampaignStream{spec.streams[i].name, resolved.commands[i]});
-  }
   Clock::time_point plan_start = Clock::now();
-  analysis::ShardPlan plan = analysis::plan_campaign_shards(resolved.config, planned);
+  analysis::ShardPlan plan = analysis::plan_campaign_shards(resolved.config, resolved.streams);
   double plan_s = seconds_since(plan_start);
   if (plan_out != nullptr) *plan_out = std::move(plan);  // one plan in memory, not a copy
   CampaignReport report =

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "devices/robot_arm.hpp"
 #include "sim/deck.hpp"
@@ -92,16 +94,25 @@ std::vector<Command> synth_experiment(const sim::LabBackend& deck, Rng& rng,
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   std::uniform_real_distribution<double> quantity(2.0, 8.0);
   const char* arm = sim::deck_ids::kViperX;
-  const auto& viperx = dynamic_cast<const dev::RobotArmDevice&>(
-      *deck.registry().find(arm));
+  const auto* viperx = dynamic_cast<const dev::RobotArmDevice*>(deck.registry().find(arm));
+  if (viperx == nullptr) {
+    throw std::invalid_argument(std::string("rad session: the deck has no '") + arm + "' arm");
+  }
+  auto site = [&deck](const char* name) {
+    const sim::SiteBinding* s = deck.find_site(name);
+    if (s == nullptr) {
+      throw std::invalid_argument(std::string("rad session: the deck has no '") + name +
+                                  "' site");
+    }
+    return s;
+  };
 
-  const sim::SiteBinding* dosing_site = deck.find_site("dosing_device");
+  const sim::SiteBinding* dosing_site = site("dosing_device");
   const char* slots[] = {"grid.NW", "grid.NE", "grid.SW", "grid.SE"};
-  const sim::SiteBinding* grid_site =
-      deck.find_site(slots[std::uniform_int_distribution<int>(0, 3)(rng)]);
+  const sim::SiteBinding* grid_site = site(slots[std::uniform_int_distribution<int>(0, 3)(rng)]);
 
-  Vec3 grid_local = viperx.to_local(grid_site->lab_position);
-  Vec3 dosing_local = viperx.to_local(dosing_site->lab_position);
+  Vec3 grid_local = viperx->to_local(grid_site->lab_position);
+  Vec3 dosing_local = viperx->to_local(dosing_site->lab_position);
   Vec3 lift(0, 0, 0.22);
 
   std::vector<Command> cmds;

@@ -57,6 +57,8 @@ struct TraceSession {
 /// from `rng`). The scenario factory threads one master std::mt19937_64
 /// through every generator so a campaign is reproducible end-to-end from a
 /// single seed; generate_dataset keeps its own legacy-seeded engine.
+/// Throws std::invalid_argument naming the ViperX arm or the dosing or grid
+/// site when the deck lacks it (the Hein production deck has no ViperX).
 [[nodiscard]] std::vector<dev::Command> synth_session(const sim::LabBackend& deck,
                                                       std::mt19937_64& rng,
                                                       double noise_rate = 0.15);

@@ -1,6 +1,12 @@
 // RAD dataset generator and rule miner tests (paper §II-A).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <string>
+
+#include "devices/robot_arm.hpp"
+#include "kinematics/kinematics.hpp"
 #include "rad/rad.hpp"
 #include "sim/deck.hpp"
 
@@ -182,6 +188,31 @@ TEST(PlantedRules, MapToPaperTables) {
   }
   EXPECT_TRUE(door_rule);
   EXPECT_TRUE(solid_rule);
+}
+
+/// The message of the std::invalid_argument synth_session throws on `deck`.
+std::string synth_error(const sim::LabBackend& deck) {
+  std::mt19937_64 rng(7);
+  try {
+    (void)synth_session(deck, rng);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "no std::invalid_argument";
+}
+
+TEST(RadSynthSession, ProductionDeckHasNoViperXAndSaysSo) {
+  sim::LabBackend deck(sim::production_profile());
+  sim::build_hein_production_deck(deck);
+  EXPECT_EQ(synth_error(deck), "rad session: the deck has no 'viperx' arm");
+}
+
+TEST(RadSynthSession, ADeckWithoutTheDosingSiteSaysSo) {
+  sim::LabBackend deck(sim::testbed_profile());
+  deck.registry().add(std::make_unique<dev::RobotArmDevice>(
+      ids::kViperX, kin::make_viperx300(geom::Transform::translation(geom::Vec3(0, 0, 0))),
+      dev::MotionPolicy::SilentSkipOnUnreachable));
+  EXPECT_EQ(synth_error(deck), "rad session: the deck has no 'dosing_device' site");
 }
 
 }  // namespace

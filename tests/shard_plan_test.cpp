@@ -133,9 +133,8 @@ TEST(ShardPlan, DisjointStreamsGetSingletonShardsAndFullCertificates) {
   EXPECT_TRUE(plan.certified_independent(0, 2));
   EXPECT_FALSE(plan.certified_independent(1, 1));
   for (const analysis::IndependenceCertificate& c : plan.certificates) {
-    EXPECT_FALSE(c.conditions.empty());
-    EXPECT_NE(std::find(c.conditions.begin(), c.conditions.end(), "devices-disjoint"),
-              c.conditions.end());
+    EXPECT_TRUE(c.conditions.any());
+    EXPECT_TRUE(c.conditions.test(analysis::kDevicesDisjoint));
   }
   EXPECT_TRUE(analysis::verify_plan(config, streams, plan).empty());
 }
@@ -435,7 +434,7 @@ TEST(ShardPlanFleet, OracleFlagsAForgedCertificate) {
 
   ShardPlan forged = honest;
   forged.shards = {analysis::Shard{{0}}, analysis::Shard{{1}}};
-  forged.certificates = {analysis::IndependenceCertificate{0, 1, {"devices-disjoint"}}};
+  forged.certificates = {analysis::IndependenceCertificate{0, 1, 1u << analysis::kDevicesDisjoint}};
 
   fleet::ShardedCampaignOptions options;
   options.validate_certificates = true;
