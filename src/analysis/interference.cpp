@@ -10,6 +10,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string_view>
 
 #include "analysis/interference.hpp"
@@ -266,11 +267,83 @@ class EffectAccumulator {
 };
 
 // ---------------------------------------------------------------------------
-// Phase 2 — helpers of the interference predicate
+// Phase 2 — helpers of the interference predicate and its renderer
 // ---------------------------------------------------------------------------
 
-/// Concatenation with one allocation: the predicate formats a message per
-/// finding, thousands per large campaign.
+/// One container budget I3 holds the summed deltas to: the per-stream
+/// deltas, the capacity and initial fill, the unit a message names, and the
+/// finding keys of its two violations.
+struct ContainerBudget {
+  std::map<std::string, Interval> StreamSummary::*deltas;
+  double DeviceMeta::*capacity;
+  const char* initial_var;
+  std::string_view unit;
+  std::string_view overflow_key;
+  std::string_view overdraw_key;
+};
+constexpr ContainerBudget kContainerBudgets[] = {
+    {&StreamSummary::mass_delta_mg, &DeviceMeta::capacity_mg, "solidMg", "mg", kMassOverflow,
+     kMassOverdraw},
+    {&StreamSummary::volume_delta_ml, &DeviceMeta::capacity_ml, "liquidMl", "mL",
+     kVolumeOverflow, kVolumeOverdraw}};
+
+double initial_amount(const DeviceMeta& meta, const char* variable) {
+  auto it = meta.initial_state.find(variable);
+  return it != meta.initial_state.end() && it->second.is_number() ? it->second.as_double() : 0.0;
+}
+
+const Interval* container_delta(const StreamSummary& s, const ContainerBudget& budget,
+                                const std::string& container) {
+  auto it = (s.*budget.deltas).find(container);
+  return it == (s.*budget.deltas).end() ? nullptr : &it->second;
+}
+
+const Interval* threshold_total(const StreamSummary& s, const std::string& device,
+                                const std::string& action) {
+  auto dit = s.threshold_totals.find(device);
+  if (dit == s.threshold_totals.end()) return nullptr;
+  auto ait = dit->second.find(action);
+  return ait == dit->second.end() ? nullptr : &ait->second;
+}
+
+/// What the streams put into one I3/I6 budget: the sum of their intervals,
+/// accumulated in stream order, and the contributors, listed in name order
+/// once there are two. The predicate and the renderer both derive it here.
+struct BudgetSum {
+  Interval total;
+  std::vector<std::size_t> contributors;
+};
+
+template <class IntervalOf>
+BudgetSum sum_budget(const std::vector<StreamSummary>& streams, IntervalOf interval_of) {
+  BudgetSum out;
+  for (std::size_t k = 0; k < streams.size(); ++k) {
+    const Interval* iv = interval_of(streams[k]);
+    if (iv == nullptr || !iv->set) continue;
+    out.total.accumulate(iv->lo, iv->hi);
+    out.contributors.push_back(k);
+  }
+  if (out.contributors.size() >= 2) {
+    std::stable_sort(out.contributors.begin(), out.contributors.end(),
+                     [&streams](std::size_t x, std::size_t y) {
+                       return streams[x].name < streams[y].name;
+                     });
+  }
+  return out;
+}
+
+const DeviceMeta& device_at(const EngineConfig& config, const std::string& id) {
+  const DeviceMeta* meta = config.find_device(id);
+  if (meta == nullptr) throw std::out_of_range("interference: no device '" + id + "'");
+  return *meta;
+}
+
+/// The second arm of an "armA+armB" subject whose first arm is `first`.
+std::string_view second_arm(const std::string& subject, const std::string& first) {
+  return std::string_view(subject).substr(first.size() + 1);
+}
+
+/// Concatenation with one allocation.
 std::string cat(std::initializer_list<std::string_view> parts) {
   std::size_t size = 0;
   for (std::string_view p : parts) size += p.size();
@@ -280,12 +353,22 @@ std::string cat(std::initializer_list<std::string_view> parts) {
   return out;
 }
 
-template <typename Names>
-std::string join(const Names& names) {
+std::string join(const std::set<std::string>& names) {
   std::string out;
   for (const std::string& s : names) {
     if (!out.empty()) out += ", ";
     out += s;
+  }
+  return out;
+}
+
+/// The names of `streams[k]` for each k, joined.
+std::string join_streams(const std::vector<StreamSummary>& streams,
+                         const std::vector<std::size_t>& indices) {
+  std::string out;
+  for (std::size_t k : indices) {
+    if (!out.empty()) out += ", ";
+    out += streams[k].name;
   }
   return out;
 }
@@ -325,6 +408,85 @@ std::pair<const char*, Severity> rule_of(ConflictKind kind) {
     case ConflictKind::TruncatedSummary: break;  // the planner's own edge, never found here
   }
   return {"", Severity::Info};
+}
+
+/// I3: the contributors' summed deltas overflow or overdraw `container`.
+std::string render_container_budget(const EngineConfig& config,
+                                    const std::vector<StreamSummary>& streams,
+                                    const std::string& container, const std::string& key) {
+  for (const ContainerBudget& budget : kContainerBudgets) {
+    if (key != budget.overflow_key && key != budget.overdraw_key) continue;
+    const DeviceMeta& meta = device_at(config, container);
+    double initial = initial_amount(meta, budget.initial_var);
+    BudgetSum sum = sum_budget(
+        streams, [&](const StreamSummary& s) { return container_delta(s, budget, container); });
+    std::string names = join_streams(streams, sum.contributors);
+    if (key == budget.overdraw_key) {
+      return cat({"shared container '", container, "': the summed draws of streams ", names,
+                  " can overdraw it by ", fmt_num(-(initial + sum.total.lo)), " ", budget.unit});
+    }
+    return cat({"shared container '", container, "': the summed deltas of streams ", names,
+                " reach ", fmt_num(initial + sum.total.hi), " ", budget.unit,
+                ", over its capacity ", fmt_num(meta.*budget.capacity), " ", budget.unit,
+                " — each stream alone may pass, the campaign cannot"});
+  }
+  throw std::out_of_range("interference: no container budget '" + key + "'");
+}
+
+/// I5, with the pair in either order: the declaring stream is the one whose
+/// `arm` excludes `box` (the predicate fires only when the other stream
+/// declares the box under no arm).
+std::string render_ignore_asymmetry(const StreamSummary& x, const StreamSummary& y,
+                                    const std::string& box, const std::string& arm) {
+  auto it = x.ignores.find(arm);
+  bool x_declares = it != x.ignores.end() && it->second.contains(box);
+  const StreamSummary& declaring = x_declares ? x : y;
+  const StreamSummary& other = x_declares ? y : x;
+  return cat({"stream '", declaring.name, "' declares a deliberate interaction of '", arm,
+              "' with '", box, "' (its box is excluded from collision checks) while stream '",
+              other.name, "' also uses '", box, "' without declaring one"});
+}
+
+/// I6: the contributors' cumulative total of `device`.`action` passes the
+/// per-command cap.
+std::string render_threshold_budget(const EngineConfig& config,
+                                    const std::vector<StreamSummary>& streams,
+                                    const std::string& device, const std::string& action) {
+  const ThresholdSpec* th = device_at(config, device).threshold_for(action);
+  if (th == nullptr) {
+    throw std::out_of_range("interference: no threshold on '" + device + "." + action + "'");
+  }
+  BudgetSum sum = sum_budget(
+      streams, [&](const StreamSummary& s) { return threshold_total(s, device, action); });
+  return cat({"campaign-wide ", device, ".", action, " total ", sum.total.format(),
+              " exceeds the per-command threshold ", fmt_num(th->max), " (", th->argument,
+              "): the rulebase caps single commands, not the cumulative budget of streams ",
+              join_streams(streams, sum.contributors)});
+}
+
+/// The devices and entities a finding's diagnostic names, unsorted.
+std::vector<std::string> diagnostic_subjects(const std::vector<StreamSummary>& streams,
+                                             const InterferenceFinding& f) {
+  std::vector<std::string> out{f.subject};
+  switch (f.kind) {
+    case ConflictKind::SharedDevice:
+    case ConflictKind::SetpointRace:
+    case ConflictKind::TruncatedSummary: break;
+    case ConflictKind::MultiplexToken:
+    case ConflictKind::EnvelopeOverlap: return {f.key, std::string(second_arm(f.subject, f.key))};
+    case ConflictKind::SharedEntity:
+      for (std::size_t k : f.streams) {
+        const std::set<std::string>& via = streams[k].entities.at(f.subject).via;
+        out.insert(out.end(), via.begin(), via.end());
+      }
+      break;
+    case ConflictKind::IgnoreAsymmetry: out.push_back(f.key); break;
+    case ConflictKind::ConsumableBudget:
+    case ConflictKind::ThresholdBudget:
+      for (std::size_t k : f.streams) out.push_back(streams[k].name);
+      break;
+  }
+  return out;
 }
 
 }  // namespace
@@ -414,8 +576,27 @@ std::string_view to_string(ConflictKind kind) {
 
 void find_interference(const core::EngineConfig& config,
                        const std::vector<StreamSummary>& streams,
-                       const std::function<void(InterferenceFinding&)>& on_finding) {
-  auto emit = [&on_finding](InterferenceFinding f) { on_finding(f); };
+                       const std::function<void(const InterferenceFinding&)>& on_finding) {
+  // One finding, overwritten by every firing, so its buffers are reused.
+  InterferenceFinding f;
+  auto emit = [&](ConflictKind kind, std::string_view subject, std::string_view key,
+                  bool speculative = false) {
+    f.kind = kind;
+    f.subject.assign(subject);
+    f.key.assign(key);
+    f.speculative = speculative;
+    on_finding(f);
+  };
+  auto emit_pair = [&](ConflictKind kind, std::size_t x, std::size_t y, std::string_view subject,
+                       std::string_view key = {}, bool speculative = false) {
+    f.streams.assign({x, y});
+    emit(kind, subject, key, speculative);
+  };
+  std::string arm_pair;  // the "armA+armB" subject of I1b and I2
+  auto arms = [&arm_pair](const std::string& arm_a,
+                          const std::string& arm_b) -> const std::string& {
+    return arm_pair.assign(arm_a).append("+").append(arm_b);
+  };
 
   // I5: stream `d` declares a deliberate interaction (collision checks
   // suppressed for that box) that stream `u`, which also uses the device,
@@ -428,17 +609,12 @@ void find_interference(const core::EngineConfig& config,
     }
   }
   auto ignore_asymmetry = [&](std::size_t d, std::size_t u) {
-    const StreamSummary& a = streams[d];
     const StreamSummary& b = streams[u];
-    for (const auto& [arm, names] : a.ignores) {
+    for (const auto& [arm, names] : streams[d].ignores) {
       for (const std::string& name : names) {
         if (declared[u].contains(name)) continue;
         if (!b.devices.contains(name) && !b.entities.contains(name)) continue;
-        emit({ConflictKind::IgnoreAsymmetry, {d, u}, name, {arm, name},
-                       cat({"stream '", a.name, "' declares a deliberate interaction of '", arm,
-                            "' with '", name,
-                            "' (its box is excluded from collision checks) while stream '",
-                            b.name, "' also uses '", name, "' without declaring one"})});
+        emit_pair(ConflictKind::IgnoreAsymmetry, d, u, name, arm);
       }
     }
   };
@@ -451,49 +627,28 @@ void find_interference(const core::EngineConfig& config,
       for (const auto& [device, fa] : a.devices) {
         auto it = b.devices.find(device);
         if (it == b.devices.end()) continue;
-        emit({ConflictKind::SharedDevice, {i, j}, device, {device},
-                       cat({"streams '", a.name, "' and '", b.name, "' both command device '",
-                            device, "' (", join_union(fa.actions, it->second.actions),
-                            "): the interleaving of their commands is unordered"}),
-                       fa.speculative || it->second.speculative});
+        emit_pair(ConflictKind::SharedDevice, i, j, device, {},
+                  fa.speculative || it->second.speculative);
       }
       // I1b: different arms race the time-multiplex exclusive-motion token.
       if (config.time_multiplex) {
         for (const auto& [arm_a, env_a] : a.arm_envelopes) {
           for (const auto& [arm_b, env_b] : b.arm_envelopes) {
             if (arm_a == arm_b) continue;
-            emit({ConflictKind::MultiplexToken, {i, j}, arm_a + "+" + arm_b,
-                           {arm_a, arm_b},
-                           cat({"streams '", a.name, "' and '", b.name,
-                                "' race the exclusive-motion token: '", arm_a, "' and '", arm_b,
-                                "' cannot both hold it, so one stream's motion is rejected (M1) "
-                                "under any interleaving where both arms are awake"})});
+            emit_pair(ConflictKind::MultiplexToken, i, j, arms(arm_a, arm_b), arm_a);
           }
         }
       }
       // I1c: both streams act on one shared entity.
       for (const auto& [entity, ta] : a.entities) {
-        auto it = b.entities.find(entity);
-        if (it == b.entities.end()) continue;
-        std::vector<std::string> subjects{entity};
-        subjects.insert(subjects.end(), ta.via.begin(), ta.via.end());
-        subjects.insert(subjects.end(), it->second.via.begin(), it->second.via.end());
-        emit({ConflictKind::SharedEntity, {i, j}, entity, std::move(subjects),
-                       cat({"streams '", a.name, "' and '", b.name, "' both act on '", entity,
-                            "' (via ", join(ta.via), " / ", join(it->second.via),
-                            "): its occupancy and contents depend on the interleaving"})});
+        if (b.entities.contains(entity)) emit_pair(ConflictKind::SharedEntity, i, j, entity);
       }
       // I2: two different arms' inflated occupancy envelopes intersect.
       for (const auto& [arm_a, env_a] : a.arm_envelopes) {
         for (const auto& [arm_b, env_b] : b.arm_envelopes) {
           if (arm_a == arm_b) continue;  // same arm: an I1a command race
           if (!env_a.intersects(env_b)) continue;
-          emit({ConflictKind::EnvelopeOverlap, {i, j}, arm_a + "+" + arm_b,
-                         {arm_a, arm_b},
-                         cat({"workspace envelopes of '", arm_a, "' (stream '", a.name,
-                              "') and '", arm_b, "' (stream '", b.name,
-                              "') overlap: concurrent motion can collide inside the shared "
-                              "region"})});
+          emit_pair(ConflictKind::EnvelopeOverlap, i, j, arms(arm_a, arm_b), arm_a);
         }
       }
       // I4: both streams write one setpoint with non-identical values.
@@ -504,11 +659,7 @@ void find_interference(const core::EngineConfig& config,
           auto vit = dit->second.find(variable);
           if (vit == dit->second.end()) continue;
           if (iv_a.same_as(vit->second)) continue;  // identical writes commute
-          emit({ConflictKind::SetpointRace, {i, j}, device, {device},
-                         cat({"conflicting setpoint writes to ", device, ".", variable,
-                              ": stream '", a.name, "' writes ", iv_a.format(), ", stream '",
-                              b.name, "' writes ", vit->second.format(),
-                              " — the final value depends on the interleaving"})});
+          emit_pair(ConflictKind::SetpointRace, i, j, device, variable);
         }
       }
       ignore_asymmetry(i, j);
@@ -516,64 +667,30 @@ void find_interference(const core::EngineConfig& config,
     }
   }
 
-  // Contributors of a violated budget, listed (and named) in name order.
-  auto by_name = [&streams](std::vector<std::size_t>& contributors) {
-    std::stable_sort(contributors.begin(), contributors.end(),
-                     [&streams](std::size_t x, std::size_t y) {
-                       return streams[x].name < streams[y].name;
-                     });
-    std::vector<std::string> names;
-    for (std::size_t k : contributors) names.push_back(streams[k].name);
-    return names;
-  };
-
   // I3: the *sum* of per-stream deltas overflows (or overdraws) a shared
   // container, even where each stream alone fits.
-  auto consumable_budget = [&](std::map<std::string, Interval> StreamSummary::*table,
-                               double DeviceMeta::*capacity_of, const char* initial_var,
-                               std::string_view unit) {
+  for (const ContainerBudget& budget : kContainerBudgets) {
     std::set<std::string> keys;
     for (const StreamSummary& s : streams) {
-      for (const auto& [key, iv] : s.*table) keys.insert(key);
+      for (const auto& [key, iv] : s.*budget.deltas) keys.insert(key);
     }
     for (const std::string& key : keys) {
       const DeviceMeta* meta = config.find_device(key);
       if (meta == nullptr) continue;  // delta attributed to a site: no capacity model
-      double capacity = meta->*capacity_of;
-      double initial = 0.0;
-      if (auto it = meta->initial_state.find(initial_var);
-          it != meta->initial_state.end() && it->second.is_number()) {
-        initial = it->second.as_double();
+      BudgetSum sum = sum_budget(
+          streams, [&](const StreamSummary& s) { return container_delta(s, budget, key); });
+      if (sum.contributors.size() < 2) continue;  // single-stream checks own this
+      double capacity = meta->*budget.capacity;
+      double initial = initial_amount(*meta, budget.initial_var);
+      f.streams = sum.contributors;
+      if (capacity > 0.0 && initial + sum.total.hi > capacity + core::kVolumeEpsilon) {
+        emit(ConflictKind::ConsumableBudget, key, budget.overflow_key);
       }
-      Interval total;
-      std::vector<std::size_t> contributors;
-      for (std::size_t k = 0; k < streams.size(); ++k) {
-        auto it = (streams[k].*table).find(key);
-        if (it == (streams[k].*table).end() || !it->second.set) continue;
-        total.accumulate(it->second.lo, it->second.hi);
-        contributors.push_back(k);
-      }
-      if (contributors.size() < 2) continue;  // single-stream checks own this
-      std::vector<std::string> names = by_name(contributors);
-      std::vector<std::string> subjects{key};
-      subjects.insert(subjects.end(), names.begin(), names.end());
-      if (capacity > 0.0 && initial + total.hi > capacity + core::kVolumeEpsilon) {
-        emit({ConflictKind::ConsumableBudget, contributors, key, subjects,
-                       cat({"shared container '", key, "': the summed deltas of streams ",
-                            join(names), " reach ", fmt_num(initial + total.hi), " ", unit,
-                            ", over its capacity ", fmt_num(capacity), " ", unit,
-                            " — each stream alone may pass, the campaign cannot"})});
-      }
-      if (initial + total.lo < -core::kVolumeEpsilon) {
-        emit({ConflictKind::ConsumableBudget, contributors, key, subjects,
-                       cat({"shared container '", key, "': the summed draws of streams ",
-                            join(names), " can overdraw it by ", fmt_num(-(initial + total.lo)),
-                            " ", unit})});
+      if (initial + sum.total.lo < -core::kVolumeEpsilon) {
+        emit(ConflictKind::ConsumableBudget, key, budget.overdraw_key);
       }
     }
-  };
-  consumable_budget(&StreamSummary::mass_delta_mg, &DeviceMeta::capacity_mg, "solidMg", "mg");
-  consumable_budget(&StreamSummary::volume_delta_ml, &DeviceMeta::capacity_ml, "liquidMl", "mL");
+  }
 
   // I6: the campaign-wide cumulative total of a thresholded additive
   // argument exceeds the per-command cap the rulebase enforces — a budget
@@ -588,29 +705,58 @@ void find_interference(const core::EngineConfig& config,
     const DeviceMeta* meta = config.find_device(device);
     const ThresholdSpec* th = meta != nullptr ? meta->threshold_for(action) : nullptr;
     if (th == nullptr) continue;
-    Interval total;
-    std::vector<std::size_t> contributors;
-    for (std::size_t k = 0; k < streams.size(); ++k) {
-      auto dit = streams[k].threshold_totals.find(device);
-      if (dit == streams[k].threshold_totals.end()) continue;
-      auto ait = dit->second.find(action);
-      if (ait == dit->second.end() || !ait->second.set) continue;
-      total.accumulate(ait->second.lo, ait->second.hi);
-      contributors.push_back(k);
-    }
-    if (contributors.size() < 2) continue;
-    if (total.hi <= th->max + core::kVolumeEpsilon) continue;
-    std::vector<std::string> names = by_name(contributors);
-    std::vector<std::string> subjects{device};
-    subjects.insert(subjects.end(), names.begin(), names.end());
-    emit({ConflictKind::ThresholdBudget, contributors, device, std::move(subjects),
-                   cat({"campaign-wide ", device, ".", action, " total ", total.format(),
-                        " exceeds the per-command threshold ", fmt_num(th->max), " (",
-                        th->argument,
-                        "): the rulebase caps single commands, not the cumulative budget of "
-                        "streams ",
-                        join(names)})});
+    BudgetSum sum = sum_budget(
+        streams, [&](const StreamSummary& s) { return threshold_total(s, device, action); });
+    if (sum.contributors.size() < 2) continue;
+    if (sum.total.hi <= th->max + core::kVolumeEpsilon) continue;
+    f.streams = sum.contributors;
+    emit(ConflictKind::ThresholdBudget, device, action);
   }
+}
+
+std::string render_finding(const core::EngineConfig& config,
+                           const std::vector<StreamSummary>& streams, ConflictKind kind,
+                           std::size_t a, std::size_t b, const std::string& subject,
+                           const std::string& key) {
+  const StreamSummary& sa = streams.at(a);
+  const StreamSummary& sb = streams.at(b);
+  switch (kind) {
+    case ConflictKind::SharedDevice:
+      return cat({"streams '", sa.name, "' and '", sb.name, "' both command device '", subject,
+                  "' (",
+                  join_union(sa.devices.at(subject).actions, sb.devices.at(subject).actions),
+                  "): the interleaving of their commands is unordered"});
+    case ConflictKind::MultiplexToken:
+      return cat({"streams '", sa.name, "' and '", sb.name,
+                  "' race the exclusive-motion token: '", key, "' and '",
+                  second_arm(subject, key),
+                  "' cannot both hold it, so one stream's motion is rejected (M1) "
+                  "under any interleaving where both arms are awake"});
+    case ConflictKind::SharedEntity:
+      return cat({"streams '", sa.name, "' and '", sb.name, "' both act on '", subject,
+                  "' (via ", join(sa.entities.at(subject).via), " / ",
+                  join(sb.entities.at(subject).via),
+                  "): its occupancy and contents depend on the interleaving"});
+    case ConflictKind::EnvelopeOverlap:
+      return cat({"workspace envelopes of '", key, "' (stream '", sa.name, "') and '",
+                  second_arm(subject, key), "' (stream '", sb.name,
+                  "') overlap: concurrent motion can collide inside the shared region"});
+    case ConflictKind::ConsumableBudget:
+      return render_container_budget(config, streams, subject, key);
+    case ConflictKind::SetpointRace:
+      return cat({"conflicting setpoint writes to ", subject, ".", key, ": stream '", sa.name,
+                  "' writes ", sa.setpoints.at(subject).at(key).format(), ", stream '",
+                  sb.name, "' writes ", sb.setpoints.at(subject).at(key).format(),
+                  " — the final value depends on the interleaving"});
+    case ConflictKind::IgnoreAsymmetry: return render_ignore_asymmetry(sa, sb, subject, key);
+    case ConflictKind::ThresholdBudget:
+      return render_threshold_budget(config, streams, subject, key);
+    case ConflictKind::TruncatedSummary:
+      return cat({"summary of '", subject,
+                  "' is truncated (analysis budget, Top-valued quantity, or unresolvable "
+                  "motion target): independence cannot be certified"});
+  }
+  return {};
 }
 
 AnalysisReport check_interference(const core::EngineConfig& config,
@@ -619,23 +765,25 @@ AnalysisReport check_interference(const core::EngineConfig& config,
   AnalysisReport report;
   for (const StreamSummary& s : streams) report.truncated = report.truncated || s.truncated;
   std::set<std::string> seen;
-  find_interference(config, streams, [&](InterferenceFinding& f) {
+  find_interference(config, streams, [&](const InterferenceFinding& f) {
     auto [rule, severity] = rule_of(f.kind);
-    std::sort(f.subjects.begin(), f.subjects.end());
-    f.subjects.erase(std::unique(f.subjects.begin(), f.subjects.end()), f.subjects.end());
+    std::string message =
+        render_finding(config, streams, f.kind, f.streams[0], f.streams[1], f.subject, f.key);
+    std::vector<std::string> subjects = diagnostic_subjects(streams, f);
+    std::sort(subjects.begin(), subjects.end());
+    subjects.erase(std::unique(subjects.begin(), subjects.end()), subjects.end());
     if (f.speculative) {
       severity = Severity::Warning;
-      f.message += " (may happen on some path)";
+      message += " (may happen on some path)";
     }
-    std::string key = std::string(rule) + "|" + f.message;
-    for (const std::string& s : f.subjects) key += "|" + s;
+    std::string key = std::string(rule) + "|" + message;
+    for (const std::string& s : subjects) key += "|" + s;
     if (!seen.insert(key).second) return;
     if (report.diagnostics.size() >= static_cast<std::size_t>(options.max_diagnostics)) {
       report.truncated = true;
       return;
     }
-    Diagnostic d{severity, rule, std::move(f.message), 0};
-    d.subjects = std::move(f.subjects);
+    Diagnostic d{severity, rule, std::move(message), 0, std::move(subjects), {}};
     for (std::size_t k : f.streams) d.streams.push_back(streams[k].name);
     report.diagnostics.push_back(std::move(d));
   });

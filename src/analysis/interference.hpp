@@ -31,7 +31,9 @@
 // The predicate has two consumers: check_interference turns each finding
 // into an I-diagnostic, and the shard planner (shard_plan.hpp) turns each
 // into conflict-edge evidence between the streams it names. Neither re-tests
-// a summary, so the analyzer and the planner cannot disagree on a pair.
+// a summary, so the analyzer and the planner cannot disagree on a pair. A
+// finding is structured data only; render_finding spells out its message
+// from the summaries and the config, and only what prints calls it.
 //
 // Soundness model: summaries are may-analyses over each stream in isolation
 // from the configured initial state. The checks therefore over-approximate
@@ -153,33 +155,58 @@ enum class ConflictKind {
 
 [[nodiscard]] std::string_view to_string(ConflictKind kind);
 
-/// One firing of the interference predicate.
+/// The I3 keys: which container budget the summed deltas break.
+inline constexpr std::string_view kMassOverflow = "mass-overflow";
+inline constexpr std::string_view kMassOverdraw = "mass-overdraw";
+inline constexpr std::string_view kVolumeOverflow = "volume-overflow";
+inline constexpr std::string_view kVolumeOverdraw = "volume-overdraw";
+
+/// One firing of the interference predicate, as data: no text. Its message
+/// is render_finding's, over the summaries the predicate ran on.
 struct InterferenceFinding {
   ConflictKind kind = ConflictKind::SharedDevice;
   /// Indices into the summary vector: the pair for I1/I2/I4/I5 (for I5 the
   /// declaring stream first), or every contributor of a violated budget
   /// (I3/I6) in name order.
   std::vector<std::size_t> streams;
-  std::string subject;                ///< the planner's edge subject
-  std::vector<std::string> subjects;  ///< the diagnostic's subjects, unsorted
-  std::string message;
+  std::string subject;  ///< the planner's edge subject
+  /// The one name a message needs beyond the kind, the streams and the
+  /// subject: I1b and I2 the first stream's arm (the subject is
+  /// "armA+armB"), I3 one of the keys above, I4 the setpoint variable, I5
+  /// the declaring arm (the subject is the box), I6 the action. Empty for
+  /// I1a and I1c.
+  std::string key;
   /// I1a only: either stream's access sits past an undecidable branch.
   bool speculative = false;
 };
 
 /// The I1..I6 predicate: hands `on_finding` each firing once, in this order:
 /// for each pair i < j, I1a, I1b, I1c, I2, I4, I5 declared by i, I5 declared
-/// by j; then I3 over mass, I3 over volume, and I6. The consumer may move
-/// from the finding; none is retained, so a large campaign's findings never
-/// sit in memory all at once.
+/// by j; then I3 over mass, I3 over volume, and I6. The finding is valid only
+/// during the call (the predicate reuses it), so a large campaign's findings
+/// never sit in memory all at once.
 void find_interference(const core::EngineConfig& config,
                        const std::vector<StreamSummary>& streams,
-                       const std::function<void(InterferenceFinding&)>& on_finding);
+                       const std::function<void(const InterferenceFinding&)>& on_finding);
+
+/// The one renderer of the predicate's text: a finding's message, exactly as
+/// check_interference reports it minus the speculative " (may happen on some
+/// path)" suffix, rebuilt from the summaries and the config the predicate
+/// ran on. `a` and `b` are the finding's pair in its order (I5 takes either
+/// order: the declaring stream is the one that declares the box), or any two
+/// contributors of an I3/I6 budget, whose full list is re-derived.
+/// TruncatedSummary, the planner's own evidence kind, renders its account of
+/// the truncated stream named by `subject`. Throws std::out_of_range when
+/// the summaries do not hold what the finding names.
+[[nodiscard]] std::string render_finding(const core::EngineConfig& config,
+                                         const std::vector<StreamSummary>& streams,
+                                         ConflictKind kind, std::size_t a, std::size_t b,
+                                         const std::string& subject, const std::string& key);
 
 /// Maps every finding to a diagnostic carrying the devices / entities
-/// involved in `subjects`. A speculative I1a is a warning. Any truncated
-/// summary marks the report truncated (the campaign verdict may be
-/// incomplete).
+/// involved in `subjects`, and its rendered message. A speculative I1a is a
+/// warning. Any truncated summary marks the report truncated (the campaign
+/// verdict may be incomplete).
 [[nodiscard]] AnalysisReport check_interference(const core::EngineConfig& config,
                                                 const std::vector<StreamSummary>& streams,
                                                 const AnalyzeOptions& options = {});

@@ -30,23 +30,18 @@ std::string join_names(const std::vector<std::string>& names, const std::vector<
   return out;
 }
 
-/// The conflict edges, shared by plan_shards and verify_plan: evidence for
-/// every conflicting pair, keyed (a, b) with a < b. A finding's message is
-/// formatted once, however many contributor pairs of a budget carry it.
-std::map<std::pair<std::size_t, std::size_t>, std::vector<ConflictEvidence>> derive_edges(
-    const EngineConfig& config, const std::vector<StreamSummary>& streams) {
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<ConflictEvidence>> edges;
-  find_interference(config, streams, [&edges](InterferenceFinding& f) {
+/// The conflict edges, shared by plan_shards and verify_plan: every
+/// conflicting pair (a < b), sorted by (a, b), with its evidence in the
+/// order it was found. Evidence is data, so nothing here is formatted.
+std::vector<ConflictEdge> derive_edges(const EngineConfig& config,
+                                       const std::vector<StreamSummary>& streams) {
+  std::map<std::pair<std::size_t, std::size_t>, std::vector<ConflictEvidence>> by_pair;
+  find_interference(config, streams, [&by_pair](const InterferenceFinding& f) {
     std::size_t n = f.streams.size();
     for (std::size_t x = 0; x < n; ++x) {
       for (std::size_t y = x + 1; y < n; ++y) {
-        std::vector<ConflictEvidence>& evidence =
-            edges[{std::min(f.streams[x], f.streams[y]), std::max(f.streams[x], f.streams[y])}];
-        if (x + 2 == n) {  // the last pair takes the text over
-          evidence.push_back({f.kind, std::move(f.subject), std::move(f.message)});
-        } else {
-          evidence.push_back({f.kind, f.subject, f.message});
-        }
+        by_pair[{std::min(f.streams[x], f.streams[y]), std::max(f.streams[x], f.streams[y])}]
+            .push_back({f.kind, f.subject, f.key});
       }
     }
   });
@@ -56,14 +51,34 @@ std::map<std::pair<std::size_t, std::size_t>, std::vector<ConflictEvidence>> der
     if (!streams[t].truncated) continue;
     for (std::size_t o = 0; o < streams.size(); ++o) {
       if (o == t) continue;
-      edges[{std::min(t, o), std::max(t, o)}].push_back(
-          {ConflictKind::TruncatedSummary, streams[t].name,
-           "summary of '" + streams[t].name +
-               "' is truncated (analysis budget, Top-valued quantity, or unresolvable "
-               "motion target): independence cannot be certified"});
+      by_pair[{std::min(t, o), std::max(t, o)}].push_back(
+          {ConflictKind::TruncatedSummary, streams[t].name, {}});
     }
   }
+  std::vector<ConflictEdge> edges;
+  edges.reserve(by_pair.size());
+  for (auto& [pair, evidence] : by_pair) {
+    edges.push_back({pair.first, pair.second, std::move(evidence)});
+  }
   return edges;
+}
+
+/// The edge between `a` and `b` in edges sorted by (a, b), or null.
+const ConflictEdge* find_edge(const std::vector<ConflictEdge>& edges, std::size_t a,
+                              std::size_t b) {
+  if (a > b) std::swap(a, b);
+  auto it = std::lower_bound(edges.begin(), edges.end(), std::pair(a, b),
+                             [](const ConflictEdge& e, std::pair<std::size_t, std::size_t> key) {
+                               return std::pair(e.a, e.b) < key;
+                             });
+  return it != edges.end() && it->a == a && it->b == b ? &*it : nullptr;
+}
+
+/// The text of `evidence` on `edge`: render_finding over the edge's pair.
+std::string render_evidence(const EngineConfig& config, const std::vector<StreamSummary>& streams,
+                            const ConflictEdge& edge, const ConflictEvidence& evidence) {
+  return render_finding(config, streams, evidence.kind, edge.a, edge.b, evidence.subject,
+                        evidence.key);
 }
 
 // ---------------------------------------------------------------------------
@@ -73,16 +88,15 @@ std::map<std::pair<std::size_t, std::size_t>, std::vector<ConflictEvidence>> der
 /// Global minimum edge cut of an undirected unit-weight graph over `nodes`
 /// (Stoer–Wagner). Returns {cut_weight, one side of the best cut}. Requires
 /// nodes.size() >= 2 and a connected input (a shard always is).
-std::pair<int, std::vector<std::size_t>> min_cut(
-    const std::vector<std::size_t>& nodes,
-    const std::set<std::pair<std::size_t, std::size_t>>& edge_set) {
+std::pair<int, std::vector<std::size_t>> min_cut(const std::vector<std::size_t>& nodes,
+                                                 const std::vector<ConflictEdge>& edges) {
   std::size_t n = nodes.size();
   std::map<std::size_t, std::size_t> local;  // global -> local
   for (std::size_t i = 0; i < n; ++i) local[nodes[i]] = i;
   std::vector<std::vector<int>> w(n, std::vector<int>(n, 0));
-  for (const auto& [a, b] : edge_set) {
-    auto ia = local.find(a);
-    auto ib = local.find(b);
+  for (const ConflictEdge& e : edges) {
+    auto ia = local.find(e.a);
+    auto ib = local.find(e.b);
     if (ia == local.end() || ib == local.end()) continue;
     w[ia->second][ib->second] += 1;
     w[ib->second][ia->second] += 1;
@@ -131,16 +145,15 @@ std::pair<int, std::vector<std::size_t>> min_cut(
 }
 
 /// Articulation vertices of the undirected graph over `nodes` (Tarjan).
-std::vector<std::size_t> articulation_points(
-    const std::vector<std::size_t>& nodes,
-    const std::set<std::pair<std::size_t, std::size_t>>& edge_set) {
+std::vector<std::size_t> articulation_points(const std::vector<std::size_t>& nodes,
+                                             const std::vector<ConflictEdge>& edges) {
   std::size_t n = nodes.size();
   std::map<std::size_t, std::size_t> local;
   for (std::size_t i = 0; i < n; ++i) local[nodes[i]] = i;
   std::vector<std::vector<std::size_t>> adj(n);
-  for (const auto& [a, b] : edge_set) {
-    auto ia = local.find(a);
-    auto ib = local.find(b);
+  for (const ConflictEdge& e : edges) {
+    auto ia = local.find(e.a);
+    auto ib = local.find(e.b);
     if (ia == local.end() || ib == local.end()) continue;
     adj[ia->second].push_back(ib->second);
     adj[ib->second].push_back(ia->second);
@@ -176,9 +189,9 @@ std::vector<std::size_t> articulation_points(
 }
 
 /// Connected components of `nodes` minus `removed` (for the S2 split count).
-std::vector<std::vector<std::size_t>> components_without(
-    const std::vector<std::size_t>& nodes,
-    const std::set<std::pair<std::size_t, std::size_t>>& edge_set, std::size_t removed) {
+std::vector<std::vector<std::size_t>> components_without(const std::vector<std::size_t>& nodes,
+                                                         const std::vector<ConflictEdge>& edges,
+                                                         std::size_t removed) {
   std::set<std::size_t> pending(nodes.begin(), nodes.end());
   pending.erase(removed);
   std::vector<std::vector<std::size_t>> out;
@@ -192,7 +205,7 @@ std::vector<std::vector<std::size_t>> components_without(
       comp.push_back(v);
       for (auto it = pending.begin(); it != pending.end();) {
         std::size_t u = *it;
-        if (edge_set.count({std::min(u, v), std::max(u, v)}) != 0) {
+        if (find_edge(edges, u, v) != nullptr) {
           stack.push_back(u);
           it = pending.erase(it);
         } else {
@@ -207,13 +220,18 @@ std::vector<std::vector<std::size_t>> components_without(
   return out;
 }
 
-std::string evidence_digest(const std::vector<const ConflictEvidence*>& evidence,
-                            std::size_t cap = 3) {
+/// A piece of evidence with the edge it sits on, which its text names.
+using EdgeEvidence = std::pair<const ConflictEdge*, const ConflictEvidence*>;
+
+/// The first `cap` pieces of evidence, rendered, and a count of the rest.
+std::string evidence_digest(const EngineConfig& config, const std::vector<StreamSummary>& streams,
+                            const std::vector<EdgeEvidence>& evidence, std::size_t cap = 3) {
   std::string out;
   for (std::size_t i = 0; i < evidence.size() && i < cap; ++i) {
+    const auto& [edge, ev] = evidence[i];
     if (!out.empty()) out += "; ";
-    out += std::string(to_string(evidence[i]->kind)) + " '" + evidence[i]->subject + "': " +
-           evidence[i]->detail;
+    out += std::string(to_string(ev->kind)) + " '" + ev->subject +
+           "': " + render_evidence(config, streams, *edge, *ev);
   }
   if (evidence.size() > cap) {
     out += "; (+" + std::to_string(evidence.size() - cap) + " more)";
@@ -256,11 +274,7 @@ bool ShardPlan::certified_independent(std::size_t a, std::size_t b) const {
 }
 
 const ConflictEdge* ShardPlan::edge_between(std::size_t a, std::size_t b) const {
-  if (a > b) std::swap(a, b);
-  for (const ConflictEdge& e : edges) {
-    if (e.a == a && e.b == b) return &e;
-  }
-  return nullptr;
+  return find_edge(edges, a, b);
 }
 
 // ---------------------------------------------------------------------------
@@ -275,12 +289,7 @@ ShardPlan plan_shards(const EngineConfig& config, const std::vector<StreamSummar
   for (const StreamSummary& s : streams) plan.truncated = plan.truncated || s.truncated;
   plan.diagnostics.truncated = plan.truncated;
 
-  auto edge_map = derive_edges(config, streams);
-  std::set<std::pair<std::size_t, std::size_t>> edge_set;
-  for (auto& [key, evidence] : edge_map) {
-    edge_set.insert(key);
-    plan.edges.push_back({key.first, key.second, std::move(evidence)});
-  }
+  plan.edges = derive_edges(config, streams);
 
   // Shards = connected components, by union-find, emitted in ascending order
   // of their smallest member.
@@ -290,9 +299,9 @@ ShardPlan plan_shards(const EngineConfig& config, const std::vector<StreamSummar
     while (parent[x] != x) x = parent[x] = parent[parent[x]];
     return x;
   };
-  for (const auto& [a, b] : edge_set) {
-    std::size_t ra = find(a);
-    std::size_t rb = find(b);
+  for (const ConflictEdge& e : plan.edges) {
+    std::size_t ra = find(e.a);
+    std::size_t rb = find(e.b);
     if (ra != rb) parent[std::max(ra, rb)] = std::min(ra, rb);
   }
   std::map<std::size_t, std::vector<std::size_t>> by_root;
@@ -345,18 +354,18 @@ ShardPlan plan_shards(const EngineConfig& config, const std::vector<StreamSummar
       options.max_shard_streams > 0 ? options.max_shard_streams : streams.size() - 1;
   for (const Shard& shard : plan.shards) {
     if (streams.size() < 2 || shard.streams.size() <= std::max<std::size_t>(bound, 1)) continue;
-    auto [cut_weight, side] = min_cut(shard.streams, edge_set);
+    auto [cut_weight, side] = min_cut(shard.streams, plan.edges);
     std::vector<std::size_t> other;
     std::set<std::size_t> side_set(side.begin(), side.end());
     for (std::size_t v : shard.streams) {
       if (!side_set.contains(v)) other.push_back(v);
     }
-    std::vector<const ConflictEvidence*> cut_evidence;
+    std::vector<EdgeEvidence> cut_evidence;
     std::vector<std::string> subjects;
     for (const ConflictEdge& e : plan.edges) {
       if (side_set.count(e.a) + side_set.count(e.b) != 1) continue;
       for (const ConflictEvidence& ev : e.evidence) {
-        cut_evidence.push_back(&ev);
+        cut_evidence.emplace_back(&e, &ev);
         subjects.push_back(ev.subject);
       }
     }
@@ -372,7 +381,7 @@ ShardPlan plan_shards(const EngineConfig& config, const std::vector<StreamSummar
              "-stream shard; the minimum conflict cut ({" +
              join_names(plan.stream_names, side) + "} | {" +
              join_names(plan.stream_names, other) + "}) severs " + std::to_string(cut_weight) +
-             " edge(s): " + evidence_digest(cut_evidence),
+             " edge(s): " + evidence_digest(config, streams, cut_evidence),
          std::move(subjects), std::move(names));
   }
 
@@ -380,14 +389,14 @@ ShardPlan plan_shards(const EngineConfig& config, const std::vector<StreamSummar
   // split the rest into independent groups.
   for (const Shard& shard : plan.shards) {
     if (shard.streams.size() < 3) continue;
-    for (std::size_t v : articulation_points(shard.streams, edge_set)) {
-      auto groups = components_without(shard.streams, edge_set, v);
-      std::vector<const ConflictEvidence*> incident;
+    for (std::size_t v : articulation_points(shard.streams, plan.edges)) {
+      auto groups = components_without(shard.streams, plan.edges, v);
+      std::vector<EdgeEvidence> incident;
       std::vector<std::string> subjects;
       for (const ConflictEdge& e : plan.edges) {
         if (e.a != v && e.b != v) continue;
         for (const ConflictEvidence& ev : e.evidence) {
-          incident.push_back(&ev);
+          incident.emplace_back(&e, &ev);
           subjects.push_back(ev.subject);
         }
       }
@@ -404,7 +413,7 @@ ShardPlan plan_shards(const EngineConfig& config, const std::vector<StreamSummar
            "single stream serializes the fleet: '" + plan.stream_names[v] +
                "' is the only link holding its " + std::to_string(shard.streams.size()) +
                "-stream shard together (without it: " + split +
-               "); its conflicts: " + evidence_digest(incident),
+               "); its conflicts: " + evidence_digest(config, streams, incident),
            std::move(subjects), std::move(names));
     }
   }
@@ -478,7 +487,7 @@ std::vector<std::string> verify_plan(const EngineConfig& config,
   // Cross-shard independence, re-derived from scratch. Coarser-than-maximal
   // plans (shards merged beyond necessity) pass: only cross-shard pairs are
   // safety-relevant.
-  auto edge_map = derive_edges(config, streams);
+  std::vector<ConflictEdge> edges = derive_edges(config, streams);
   std::set<std::pair<std::size_t, std::size_t>> certified;
   for (const IndependenceCertificate& c : plan.certificates) {
     if (c.a >= streams.size() || c.b >= streams.size() || owner[c.a] == owner[c.b]) {
@@ -495,10 +504,10 @@ std::vector<std::string> verify_plan(const EngineConfig& config,
   for (std::size_t i = 0; i < streams.size(); ++i) {
     for (std::size_t j = i + 1; j < streams.size(); ++j) {
       if (owner[i] == owner[j]) continue;
-      if (auto it = edge_map.find({i, j}); it != edge_map.end()) {
+      if (const ConflictEdge* edge = find_edge(edges, i, j)) {
         violations.push_back("streams '" + streams[i].name + "' and '" + streams[j].name +
                              "' are in different shards but conflict: " +
-                             it->second.front().detail);
+                             render_evidence(config, streams, *edge, edge->evidence.front()));
       }
       if (!certified.contains({i, j})) {
         violations.push_back("cross-shard pair ('" + streams[i].name + "', '" +
@@ -513,7 +522,8 @@ std::vector<std::string> verify_plan(const EngineConfig& config,
 // Serialization
 // ---------------------------------------------------------------------------
 
-json::Value plan_to_json(const ShardPlan& plan) {
+json::Value plan_to_json(const EngineConfig& config, const std::vector<StreamSummary>& streams,
+                         const ShardPlan& plan) {
   json::Object root;
   json::Array names;
   for (const std::string& n : plan.stream_names) names.emplace_back(n);
@@ -538,7 +548,7 @@ json::Value plan_to_json(const ShardPlan& plan) {
       json::Object eo;
       eo["kind"] = std::string(to_string(ev.kind));
       eo["subject"] = ev.subject;
-      eo["detail"] = ev.detail;
+      eo["detail"] = render_evidence(config, streams, e, ev);
       evidence.emplace_back(std::move(eo));
     }
     o["evidence"] = std::move(evidence);
@@ -573,7 +583,8 @@ json::Value plan_to_json(const ShardPlan& plan) {
   return json::Value(std::move(root));
 }
 
-std::string format_plan(const ShardPlan& plan) {
+std::string format_plan(const EngineConfig& config, const std::vector<StreamSummary>& streams,
+                        const ShardPlan& plan) {
   std::ostringstream os;
   os << "shard plan: " << plan.stream_names.size() << " stream(s) -> " << plan.shards.size()
      << " shard(s)\n";
@@ -587,7 +598,8 @@ std::string format_plan(const ShardPlan& plan) {
     const ConflictEdge& e = plan.edges[i];
     os << "  " << plan.stream_names[e.a] << " <-> " << plan.stream_names[e.b] << ":\n";
     for (const ConflictEvidence& ev : e.evidence) {
-      os << "    [" << to_string(ev.kind) << " '" << ev.subject << "'] " << ev.detail << "\n";
+      os << "    [" << to_string(ev.kind) << " '" << ev.subject << "'] "
+         << render_evidence(config, streams, e, ev) << "\n";
     }
   }
   if (plan.edges.size() > kMaxEdges) {

@@ -57,13 +57,14 @@ namespace rabit::analysis {
 // ---------------------------------------------------------------------------
 
 /// One concrete reason an edge exists: an interference finding that names
-/// both streams, or a truncated summary.
+/// both streams, or a truncated summary. Data only: render_finding, given
+/// the edge's pair, spells out its text.
 struct ConflictEvidence {
   ConflictKind kind = ConflictKind::SharedDevice;
-  std::string subject;  ///< device / entity / container / "armA+armB" pair
-  /// The finding's I-message, as check_interference reports it minus the
-  /// speculative suffix; for TruncatedSummary, the planner's own account.
-  std::string detail;
+  /// device / entity / container / "armA+armB" pair; for TruncatedSummary,
+  /// the truncated stream
+  std::string subject;
+  std::string key;  ///< the finding's InterferenceFinding::key
 };
 
 /// An undirected conflict-graph edge between streams `a` and `b` (indices
@@ -171,13 +172,18 @@ struct ShardPlan {
                                                    const std::vector<StreamSummary>& streams,
                                                    const ShardPlan& plan);
 
-/// Serializes the plan (the rabit_lint --shard-plan --json format). The
-/// embedded "diagnostics" array uses the exact per-diagnostic schema of
-/// report_to_json / diagnostic_to_json.
-[[nodiscard]] json::Value plan_to_json(const ShardPlan& plan);
+/// Serializes the plan (the rabit_lint --shard-plan --json format), each
+/// edge's evidence rendered from `config` and `streams`, which must be what
+/// the plan was made from. The embedded "diagnostics" array uses the exact
+/// per-diagnostic schema of report_to_json / diagnostic_to_json.
+[[nodiscard]] json::Value plan_to_json(const core::EngineConfig& config,
+                                       const std::vector<StreamSummary>& streams,
+                                       const ShardPlan& plan);
 
 /// Multi-line human-readable rendering (the rabit_lint --shard-plan text
-/// format).
-[[nodiscard]] std::string format_plan(const ShardPlan& plan);
+/// format), with the same inputs as plan_to_json.
+[[nodiscard]] std::string format_plan(const core::EngineConfig& config,
+                                      const std::vector<StreamSummary>& streams,
+                                      const ShardPlan& plan);
 
 }  // namespace rabit::analysis

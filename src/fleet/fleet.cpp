@@ -230,9 +230,11 @@ std::vector<Entry> make_schedule(const Streams& streams, unsigned seed) {
 /// the commands it steps, and with halt_on_alert off its alert at command k
 /// depends on commands 0..k only. So alerted streams with equal command
 /// lists share one replay, cut after the furthest alerted command among
-/// them. Returns the number of replays.
+/// them. The replays run on the worker pool, each writing only its own
+/// slot, and the flags are set after the join, so the report does not
+/// depend on the worker count. Returns the number of replays.
 std::size_t classify_against_solo(const CampaignSpec& spec, const Streams& streams,
-                                  CampaignReport& report) {
+                                  std::size_t workers, CampaignReport& report) {
   struct Replay {
     std::size_t stream = 0;  ///< whose command list it steps
     std::size_t length = 0;  ///< commands stepped: through the furthest alert
@@ -252,7 +254,8 @@ std::size_t classify_against_solo(const CampaignSpec& spec, const Streams& strea
     Replay& replay = replays[slot->second];
     replay.length = std::max(replay.length, a.command_index + 1);
   }
-  for (Replay& replay : replays) {
+  run_pool(replays.size(), workers, [&](std::size_t r) {
+    Replay& replay = replays[r];
     core::Lab solo(spec.variant, spec.seed, spec.deck);
     trace::Supervisor::Options solo_options;
     solo_options.halt_on_alert = false;
@@ -261,7 +264,7 @@ std::size_t classify_against_solo(const CampaignSpec& spec, const Streams& strea
              [&](const Entry& entry, const trace::SupervisedStep& step) {
                if (step.alert) replay.alerts.emplace(entry.second, step.alert->rule);
              });
-  }
+  });
   for (CampaignAlert& a : report.alerts) {
     a.cross_stream = !replays[replay_of[a.stream]].alerts.contains({a.command_index, a.alert.rule});
   }
@@ -554,7 +557,7 @@ CampaignReport run_plan(const CampaignSpec& spec, const ResolvedCampaign& resolv
   }
 
   Clock::time_point classify_start = Clock::now();
-  report.solo_replays = classify_against_solo(spec, streams, report);
+  report.solo_replays = classify_against_solo(spec, streams, options.workers, report);
   report.classify_s = seconds_since(classify_start);
   report.resolve_s = resolved.resolve_s;
   report.scripts_recorded = resolved.scripts_recorded;
@@ -681,13 +684,21 @@ CampaignSpec load_campaign(const json::Value& doc) {
   if (streams == nullptr || !streams->is_array()) {
     throw std::runtime_error("campaign: 'streams' must be an array");
   }
+  std::set<std::string, std::less<>> names;
   for (const json::Value& item : streams->as_array()) {
     if (!item.is_object()) throw std::runtime_error("campaign: each stream must be an object");
     CampaignStreamSpec stream;
-    if (const json::Value* name = item.find("name"); name != nullptr && name->is_string()) {
+    if (const json::Value* name = item.find("name")) {
+      if (!name->is_string()) {
+        throw std::runtime_error("campaign: stream #" + std::to_string(spec.streams.size()) +
+                                 ": 'name' must be a string");
+      }
       stream.name = name->as_string();
     } else {
       stream.name = "stream-" + std::to_string(spec.streams.size());
+    }
+    if (!names.insert(stream.name).second) {
+      throw std::runtime_error("campaign: stream '" + stream.name + "': the name is used twice");
     }
     if (const json::Value* script = item.find("script")) {
       if (!script->is_string()) {
@@ -712,7 +723,13 @@ CampaignSpec load_campaign(const json::Value& doc) {
         dev::Command cmd;
         cmd.device = device->as_string();
         cmd.action = action->as_string();
-        if (const json::Value* args = c.find("args")) cmd.args = *args;
+        if (const json::Value* args = c.find("args"); args != nullptr && !args->is_null()) {
+          if (!args->is_object()) {
+            throw std::runtime_error("campaign: stream '" + stream.name +
+                                     "': a command's 'args' must be an object");
+          }
+          cmd.args = *args;
+        }
         stream.commands.push_back(std::move(cmd));
       }
     }

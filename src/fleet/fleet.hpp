@@ -134,9 +134,10 @@ struct CampaignReport {
   double commands_per_s = 0.0;  ///< commands_checked / wall_s
   /// Wall-clock seconds of the other stages of the campaign call.
   /// resolve_s: the probe lab and script recording. plan_s: the shard
-  /// planner, 0 when the caller passes the plan. classify_s: the solo
-  /// replays. total_s: the whole call, resolve through classification, the
-  /// validation oracle excluded.
+  /// planner, 0 when the caller passes the plan. classify_s: solo
+  /// classification, whose replays run on the worker pool, so this is their
+  /// wall time, not their summed work. total_s: the whole call, resolve
+  /// through classification, the validation oracle excluded.
   double resolve_s = 0.0;
   double plan_s = 0.0;
   double classify_s = 0.0;
@@ -164,9 +165,11 @@ struct CampaignReport {
 
 /// Options for the plan-driven sharded campaign mode.
 struct ShardedCampaignOptions {
-  /// Worker threads across shards; clamped to the shard count, minimum 1.
-  /// Shards share no mutable lab state, so the report is identical for any
-  /// worker count.
+  /// Worker threads of the one pool the campaign runs on: first across
+  /// shards, then across solo replays, clamped each time to the number of
+  /// jobs, minimum 1. Shards share no mutable lab state, and each replay
+  /// writes only its own result, so the report is identical for any worker
+  /// count.
   std::size_t workers = 1;
   /// Debug validation oracle: also run the monolithic shared-lab campaign
   /// and record certificate_violations() of the pair into

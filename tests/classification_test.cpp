@@ -180,6 +180,56 @@ TEST(SoloClassification, MatchesTheFullReplayReferenceWithScriptStreams) {
   EXPECT_GT(report.cross_stream_alerts(), 0u);
 }
 
+TEST(SoloClassification, SameReportOnAnyWorkerCount) {
+  // The solo replays run on the worker pool: alerts, their messages and
+  // cross_stream flags, and the work counts must not depend on its size.
+  std::vector<std::pair<std::string, fleet::CampaignSpec>> campaigns;
+  campaigns.emplace_back("contended cycle", contended_cycle_campaign());
+  std::vector<scenario::CorpusEntry> entries = corpus();
+  for (const scenario::CorpusEntry& entry : entries) {
+    if (entry.name == "stress_64_streams") {
+      campaigns.emplace_back(entry.name, corpus_campaign(entry.spec));
+    }
+  }
+  for (const auto& file :
+       std::filesystem::directory_iterator(std::string(RABIT_SOURCE_DIR) + "/examples/campaigns")) {
+    std::ifstream in(file.path());
+    std::stringstream text;
+    text << in.rdbuf();
+    campaigns.emplace_back(file.path().filename().string(),
+                           fleet::load_campaign(json::parse(text.str())));
+  }
+  ASSERT_EQ(campaigns.size(), 5u);
+
+  using Alerts = std::vector<std::tuple<std::size_t, std::size_t, std::string, std::string, bool>>;
+  std::size_t replays = 0;
+  for (const auto& [name, spec] : campaigns) {
+    SCOPED_TRACE(name);
+    Alerts first_alerts;
+    fleet::CampaignReport first;
+    for (std::size_t workers : {1u, 2u, 4u, 8u}) {
+      fleet::ShardedCampaignOptions options;
+      options.workers = workers;
+      fleet::CampaignReport report = fleet::Fleet::run(spec, options);
+      Alerts alerts;
+      for (const fleet::CampaignAlert& a : report.alerts) {
+        alerts.emplace_back(a.stream, a.command_index, a.alert.rule, a.alert.message,
+                            a.cross_stream);
+      }
+      if (workers == 1) {
+        first_alerts = std::move(alerts);
+        first = std::move(report);
+        replays += first.solo_replays;
+        continue;
+      }
+      EXPECT_EQ(alerts, first_alerts) << "workers " << workers;
+      EXPECT_EQ(report.solo_replays, first.solo_replays) << "workers " << workers;
+      EXPECT_EQ(report.labs_built, first.labs_built) << "workers " << workers;
+    }
+  }
+  EXPECT_GT(replays, 0u);  // not vacuous: the pool has replays to run
+}
+
 json::Object one_arg(const char* key, json::Value value) {
   json::Object args;
   args[key] = std::move(value);

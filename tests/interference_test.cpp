@@ -494,4 +494,30 @@ TEST(FleetCampaign, LoadCampaignRejectsMalformedDocuments) {
                 json::parse(R"j({"seed": 4294967295, "streams": [{"script": "x()"}]})j"))
                 .seed,
             4294967295u);
+  // A stream's name must be a string and unique, defaulted names included,
+  // and a command's args an object: each error names the stream.
+  auto rejects = [](const std::string& doc, const std::string& stream) {
+    try {
+      static_cast<void>(fleet::load_campaign(json::parse(doc)));
+      ADD_FAILURE() << "accepted: " << doc;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(stream), std::string::npos) << e.what();
+    }
+  };
+  rejects(R"j({"streams": [{"script": "x()"}, {"name": 5, "script": "x()"}]})j", "#1");
+  for (const char* args : {"5", "[1, 2]", "\"x\""}) {
+    rejects(std::string(R"j({"streams": [{"name": "heat", "commands": [{"device": "hotplate",
+        "action": "set_temperature", "args": )j") + args + "}]}]}",
+            "'heat'");
+  }
+  rejects(R"j({"streams": [{"name": "a", "script": "x()"}, {"name": "a", "script": "y()"}]})j",
+          "'a'");
+  rejects(R"j({"streams": [{"script": "x()"}, {"name": "stream-0", "script": "y()"}]})j",
+          "'stream-0'");
+  // Absent or null args: a command without arguments.
+  fleet::CampaignSpec bare = fleet::load_campaign(json::parse(R"j({"streams": [{"commands": [
+      {"device": "hotplate", "action": "stop", "args": null},
+      {"device": "hotplate", "action": "stop"}]}]})j"));
+  ASSERT_EQ(bare.streams.front().commands.size(), 2u);
+  EXPECT_EQ(bare.streams.front().commands[0], bare.streams.front().commands[1]);
 }

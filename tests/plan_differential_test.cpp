@@ -9,7 +9,8 @@
 //
 // The same binary replaces the global operator new with a counting one and
 // holds the heap allocations of one plan_campaign_shards call on a fixed
-// 64-stream campaign to a budget, which may only tighten.
+// 64-stream campaign and on the contended cycle campaign to budgets, which
+// may only tighten.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -137,8 +138,9 @@ std::vector<ReferenceCertificate> reference_certificates(const core::EngineConfi
 
 /// plan_to_json of the per-stream plan with its certificates spelled by the
 /// reference.
-std::string reference_json(const ShardPlan& plan, const std::vector<ReferenceCertificate>& certs) {
-  json::Value doc = analysis::plan_to_json(plan);
+std::string reference_json(const core::EngineConfig& config, const std::vector<StreamSummary>& sums,
+                           const ShardPlan& plan, const std::vector<ReferenceCertificate>& certs) {
+  json::Value doc = analysis::plan_to_json(config, sums, plan);
   json::Array certificates;
   for (const ReferenceCertificate& c : certs) {
     json::Object o;
@@ -155,8 +157,9 @@ std::string reference_json(const ShardPlan& plan, const std::vector<ReferenceCer
 
 /// format_plan of the per-stream plan with its certificate section written
 /// by the reference (the original format: at most 20 pairs listed).
-std::string reference_text(const ShardPlan& plan, const std::vector<ReferenceCertificate>& certs) {
-  std::string text = analysis::format_plan(plan);
+std::string reference_text(const core::EngineConfig& config, const std::vector<StreamSummary>& sums,
+                           const ShardPlan& plan, const std::vector<ReferenceCertificate>& certs) {
+  std::string text = analysis::format_plan(config, sums, plan);
   std::ostringstream os;
   os << "certified independent pairs: " << certs.size() << "\n";
   constexpr std::size_t kMaxCerts = 20;
@@ -201,8 +204,9 @@ void expect_matches_reference(const core::EngineConfig& config,
   ShardPlan ref = analysis::plan_shards(config, sums);
   std::vector<ReferenceCertificate> certs = reference_certificates(config, sums, ref);
 
-  EXPECT_EQ(json::serialize(analysis::plan_to_json(plan)), reference_json(ref, certs));
-  EXPECT_EQ(analysis::format_plan(plan), reference_text(ref, certs));
+  EXPECT_EQ(json::serialize(analysis::plan_to_json(config, sums, plan)),
+            reference_json(config, sums, ref, certs));
+  EXPECT_EQ(analysis::format_plan(config, sums, plan), reference_text(config, sums, ref, certs));
   EXPECT_EQ(analysis::verify_plan(config, sums, plan), analysis::verify_plan(config, sums, ref));
   EXPECT_TRUE(analysis::verify_plan(config, sums, plan).empty());
   if (!plan.certificates.empty()) {
@@ -486,20 +490,39 @@ TEST(PlanDifferential, DuplicatedTruncatedStream) {
 // Work budget
 // ---------------------------------------------------------------------------
 
-TEST(PlanWorkBudget, AllocationsOfOnePlanOnA64StreamCampaign) {
-  core::EngineConfig config = testbed_config(core::Variant::ModifiedWithSim);
-  std::vector<CampaignStream> streams = sharded_streams(3);
-  (void)analysis::plan_campaign_shards(config, streams);  // function-local statics
-
+/// The heap allocations of one plan_campaign_shards call, after a first
+/// call has set up function-local statics.
+std::size_t allocations_of_one_plan(const core::EngineConfig& config,
+                                    const std::vector<CampaignStream>& streams, ShardPlan& plan) {
+  (void)analysis::plan_campaign_shards(config, streams);
   std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  ShardPlan plan = analysis::plan_campaign_shards(config, streams);
-  std::size_t made = g_allocations.load(std::memory_order_relaxed) - before;
+  plan = analysis::plan_campaign_shards(config, streams);
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
 
+TEST(PlanWorkBudget, AllocationsOfOnePlanOnA64StreamCampaign) {
+  ShardPlan plan;
+  std::size_t made = allocations_of_one_plan(testbed_config(core::Variant::ModifiedWithSim),
+                                             sharded_streams(3), plan);
   ASSERT_EQ(plan.shards.size(), 7u);
   ASSERT_GT(plan.certificates.size(), 1500u);
-  // The per-stream planner with string certificates made 31,741. A budget
+  // The per-stream planner with string certificates made 31,741, the
+  // planner that formatted every finding's text 5,240. A budget may only
+  // tighten.
+  constexpr std::size_t kBudget = 3668;
+  EXPECT_LE(made, kBudget);
+  std::printf("plan_campaign_shards allocations: %zu (budget %zu)\n", made, kBudget);
+}
+
+TEST(PlanWorkBudget, AllocationsOfOnePlanOnTheContendedCycleCampaign) {
+  Resolved campaign = resolve(contended_cycle_campaign());
+  ShardPlan plan;
+  std::size_t made = allocations_of_one_plan(campaign.config, campaign.streams, plan);
+  ASSERT_EQ(plan.shards.size(), 2u);
+  ASSERT_EQ(plan.edges.size(), 110u);
+  // The planner that formatted every finding's text made 5,520. A budget
   // may only tighten.
-  constexpr std::size_t kBudget = 5240;
+  constexpr std::size_t kBudget = 2856;
   EXPECT_LE(made, kBudget);
   std::printf("plan_campaign_shards allocations: %zu (budget %zu)\n", made, kBudget);
 }

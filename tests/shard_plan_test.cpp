@@ -300,7 +300,7 @@ TEST(ShardPlan, PlanToJsonCarriesSharedDiagnosticSchema) {
                                         device_stream("b", {"hotplate"}),
                                         device_stream("c", {"centrifuge"})};
   ShardPlan plan = analysis::plan_shards(config, streams);
-  json::Value doc = analysis::plan_to_json(plan);
+  json::Value doc = analysis::plan_to_json(config, streams, plan);
   ASSERT_TRUE(doc.is_object());
   EXPECT_EQ(doc.find("shard_count")->as_double(), 2.0);
   EXPECT_EQ(doc.find("streams")->as_array().size(), 3u);
@@ -325,7 +325,7 @@ TEST(ShardPlan, PlanToJsonCarriesSharedDiagnosticSchema) {
     EXPECT_TRUE(d.find("severity") != nullptr);
     EXPECT_TRUE(d.find("streams") != nullptr);
   }
-  std::string text = analysis::format_plan(plan);
+  std::string text = analysis::format_plan(config, streams, plan);
   EXPECT_NE(text.find("shard plan: 3 stream(s) -> 2 shard(s)"), std::string::npos);
   EXPECT_NE(text.find("certified independent pairs: 2"), std::string::npos);
 }
@@ -354,7 +354,8 @@ TEST(ShardPlan, ArmEnvelopesCoverCommandedAndParkedArms) {
   EXPECT_TRUE(plan.arm_envelopes.at("ned2").contains(ned2->position_lab()));
 
   // And the JSON rendering carries them for the lint consumer.
-  json::Value doc = analysis::plan_to_json(plan);
+  json::Value doc =
+      analysis::plan_to_json(config, analysis::summarize_campaign(config, streams), plan);
   const json::Value* envelopes = doc.find("arm_envelopes");
   ASSERT_NE(envelopes, nullptr);
   EXPECT_NE(envelopes->find("viperx"), nullptr);
@@ -529,15 +530,17 @@ void expect_one_predicate(const OnePredicateCase& c, std::set<ConflictKind>& kin
     for (const analysis::ConflictEvidence& ev : e.evidence) {
       if (ev.kind == ConflictKind::TruncatedSummary) continue;
       kinds.insert(ev.kind);
+      std::string detail = analysis::render_finding(c.config, c.summaries, ev.kind, e.a, e.b,
+                                                    ev.subject, ev.key);
       bool diagnosed = std::any_of(
           report.diagnostics.begin(), report.diagnostics.end(),
           [&](const analysis::Diagnostic& d) {
-            return d.rule == rule_for(ev.kind) && evidence_text(d) == ev.detail &&
+            return d.rule == rule_for(ev.kind) && evidence_text(d) == detail &&
                    names(d.streams, a) && names(d.streams, b);
           });
       EXPECT_TRUE(diagnosed) << c.name << ": no I-diagnostic for edge " << a << " <-> " << b
                              << " [" << analysis::to_string(ev.kind) << " '" << ev.subject
-                             << "'] " << ev.detail;
+                             << "'] " << detail;
     }
   }
 
@@ -552,7 +555,10 @@ void expect_one_predicate(const OnePredicateCase& c, std::set<ConflictKind>& kin
         bool edged = e != nullptr &&
                      std::any_of(e->evidence.begin(), e->evidence.end(),
                                  [&](const analysis::ConflictEvidence& ev) {
-                                   return rule_for(ev.kind) == d.rule && ev.detail == text;
+                                   return rule_for(ev.kind) == d.rule &&
+                                          analysis::render_finding(c.config, c.summaries, ev.kind,
+                                                                   e->a, e->b, ev.subject,
+                                                                   ev.key) == text;
                                  });
         EXPECT_TRUE(edged) << c.name << ": " << d.format() << " is no evidence between '"
                            << d.streams[x] << "' and '" << d.streams[y] << "'";

@@ -245,13 +245,13 @@ bool lint_fleet(const core::EngineConfig& config, const std::string& path,
     analysis::ShardPlan plan = analysis::plan_shards(config, summaries, plan_options);
     failed |= strict && plan.truncated;
     if (as_json) {
-      json::Value doc = analysis::plan_to_json(plan);
+      json::Value doc = analysis::plan_to_json(config, summaries, plan);
       json::Object wrapped;
       wrapped["subject"] = path + " · shard plan";
       for (const auto& [key, value] : doc.as_object()) wrapped[key] = value;
       std::printf("%s\n", json::serialize_pretty(json::Value(std::move(wrapped))).c_str());
     } else {
-      std::printf("%s · shard plan\n%s", path.c_str(), analysis::format_plan(plan).c_str());
+      std::printf("%s · shard plan\n%s", path.c_str(), analysis::format_plan(config, summaries, plan).c_str());
     }
   }
   return failed;
