@@ -61,12 +61,13 @@ struct Diagnostic {
   /// Devices / sites / entities this diagnostic is about, machine-readable.
   /// Populated by the interference family (I1..I6), where the differential
   /// sweep matches runtime alert devices against it; empty elsewhere.
-  std::vector<std::string> subjects;
+  /// (Both lists default to `{}`, so an initializer may end at `line`.)
+  std::vector<std::string> subjects{};
   /// Names of the campaign streams this diagnostic involves. Populated by
   /// the campaign-level families (I1..I6, S1..S3) so machine consumers can
   /// attribute a finding without parsing the message; empty for
   /// single-stream and config diagnostics.
-  std::vector<std::string> streams;
+  std::vector<std::string> streams{};
 
   [[nodiscard]] std::string format() const;  ///< "line 14: error G7 — ..."
 };

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -12,6 +13,7 @@
 #include <random>
 #include <set>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "core/lab.hpp"
@@ -655,8 +657,24 @@ std::vector<std::string> certificate_violations(const analysis::ShardPlan& plan,
   return out;
 }
 
+namespace {
+
+/// Throws on the first key of `object` not in `known`, the message starting
+/// with `where`: a misspelled key must not silently fall back to a default.
+void reject_unknown_keys(const json::Value& object, std::initializer_list<std::string_view> known,
+                         const std::string& where) {
+  for (const auto& [key, value] : object.as_object()) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw std::runtime_error(where + "unknown key '" + key + "'");
+    }
+  }
+}
+
+}  // namespace
+
 CampaignSpec load_campaign(const json::Value& doc) {
   if (!doc.is_object()) throw std::runtime_error("campaign: document must be a JSON object");
+  reject_unknown_keys(doc, {"seed", "variant", "halt_on_alert", "streams"}, "campaign: ");
   CampaignSpec spec;
   if (const json::Value* seed = doc.find("seed")) {
     // Exact integers in range only: casting anything else is undefined
@@ -697,8 +715,10 @@ CampaignSpec load_campaign(const json::Value& doc) {
     } else {
       stream.name = "stream-" + std::to_string(spec.streams.size());
     }
+    const std::string where = "campaign: stream '" + stream.name + "': ";
+    reject_unknown_keys(item, {"name", "script", "commands"}, where);
     if (!names.insert(stream.name).second) {
-      throw std::runtime_error("campaign: stream '" + stream.name + "': the name is used twice");
+      throw std::runtime_error(where + "the name is used twice");
     }
     if (const json::Value* script = item.find("script")) {
       if (!script->is_string()) {
@@ -720,6 +740,8 @@ CampaignSpec load_campaign(const json::Value& doc) {
           throw std::runtime_error("campaign: stream '" + stream.name +
                                    "': each command needs string 'device' and 'action'");
         }
+        reject_unknown_keys(c, {"device", "action", "args"},
+                            where + "command #" + std::to_string(stream.commands.size()) + ": ");
         dev::Command cmd;
         cmd.device = device->as_string();
         cmd.action = action->as_string();

@@ -81,96 +81,122 @@ constexpr int kGridCellsPerAxis = 8;
 
 }  // namespace
 
+template <typename F>
+void BroadPhaseGrid::for_each_cell(const CellRange& r, F&& f) const {
+  for (int z = r.z0; z <= r.z1; ++z) {
+    for (int y = r.y0; y <= r.y1; ++y) {
+      const std::size_t row = (static_cast<std::size_t>(z) * static_cast<std::size_t>(ny_) +
+                               static_cast<std::size_t>(y)) *
+                              static_cast<std::size_t>(nx_);
+      for (int x = r.x0; x <= r.x1; ++x) f(row + static_cast<std::size_t>(x));
+    }
+  }
+}
+
 void BroadPhaseGrid::rebuild(const WorldModel& world) {
-  cells_.clear();
-  oversize_.clear();
   box_count_ = world.boxes.size();
   nx_ = ny_ = nz_ = 0;
+  cell_start_.clear();
+  cell_boxes_.clear();
+  oversize_.clear();
+  placed_.clear();
   if (world.boxes.empty()) return;
+  oversize_.reserve(box_count_);
 
   geom::Aabb bounds = world.boxes.front().box;
   for (const NamedBox& b : world.boxes) bounds = bounds.united(b.box);
   // Pad slightly so boundary queries never fall outside the grid range.
   bounds = bounds.inflated(1e-6);
-  origin_ = bounds.min;
-  geom::Vec3 extent = bounds.size();
+  const geom::Vec3 extent = bounds.size();
 
+  // Bounds that overflow (finite boxes at +-1e308) or carry a NaN (seeded by
+  // the first box) leave no cell computable: a cell coordinate would be
+  // inf * 0 or NaN. Every box goes on the oversize list instead, which makes
+  // every query the full scan.
+  auto finite = [](const geom::Vec3& v) {
+    return std::isfinite(v.x) && std::isfinite(v.y) && std::isfinite(v.z);
+  };
+  if (!finite(bounds.min) || !finite(extent)) {
+    for (std::size_t i = 0; i < box_count_; ++i) {
+      oversize_.push_back(static_cast<std::uint32_t>(i));
+    }
+    return;
+  }
+  origin_ = bounds.min;
   auto axis_cells = [](double e) { return e <= 0 ? 1 : kGridCellsPerAxis; };
+  auto inverse_cell = [](double e, int n) { return e > 0 ? 1.0 / (e / n) : 1.0; };
   nx_ = axis_cells(extent.x);
   ny_ = axis_cells(extent.y);
   nz_ = axis_cells(extent.z);
-  cell_size_ = geom::Vec3(extent.x > 0 ? extent.x / nx_ : 1.0,
-                          extent.y > 0 ? extent.y / ny_ : 1.0,
-                          extent.z > 0 ? extent.z / nz_ : 1.0);
-  inv_cell_ = geom::Vec3(1.0 / cell_size_.x, 1.0 / cell_size_.y, 1.0 / cell_size_.z);
-  cells_.assign(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_) *
-                    static_cast<std::size_t>(nz_),
-                {});
+  inv_cell_ = geom::Vec3(inverse_cell(extent.x, nx_), inverse_cell(extent.y, ny_),
+                         inverse_cell(extent.z, nz_));
+  const std::size_t total_cells = static_cast<std::size_t>(nx_) *
+                                  static_cast<std::size_t>(ny_) * static_cast<std::size_t>(nz_);
 
-  const std::size_t total_cells = cells_.size();
-  for (std::size_t i = 0; i < world.boxes.size(); ++i) {
-    int x0, x1, y0, y1, z0, z1;
-    cell_range(world.boxes[i].box, x0, x1, y0, y1, z0, z1);
-    std::size_t covered = static_cast<std::size_t>(x1 - x0 + 1) *
-                          static_cast<std::size_t>(y1 - y0 + 1) *
-                          static_cast<std::size_t>(z1 - z0 + 1);
+  // Counting pass: each box's cell range, computed once and kept for the
+  // fill pass; cell_start_[c] counts the boxes of cell c.
+  cell_start_.assign(total_cells + 1, 0);
+  placed_.reserve(box_count_);
+  for (std::size_t i = 0; i < box_count_; ++i) {
+    const CellRange r = cell_range(world.boxes[i].box);
+    const std::size_t covered = static_cast<std::size_t>(r.x1 - r.x0 + 1) *
+                                static_cast<std::size_t>(r.y1 - r.y0 + 1) *
+                                static_cast<std::size_t>(r.z1 - r.z0 + 1);
     // Room-scale boxes (ground plane, walls) would land in nearly every
     // cell; keeping them in a flat always-checked list is cheaper.
     if (covered * 2 > total_cells) {
       oversize_.push_back(static_cast<std::uint32_t>(i));
       continue;
     }
-    for (int z = z0; z <= z1; ++z) {
-      for (int y = y0; y <= y1; ++y) {
-        for (int x = x0; x <= x1; ++x) {
-          cells_[cell_index(x, y, z)].push_back(static_cast<std::uint32_t>(i));
-        }
-      }
-    }
+    placed_.push_back(Placed{static_cast<std::uint32_t>(i), r});
+    for_each_cell(r, [&](std::size_t c) { ++cell_start_[c]; });
+  }
+  // Running sum: cell_start_[c] becomes the end of cell c.
+  std::uint32_t end = 0;
+  for (std::size_t c = 0; c < total_cells; ++c) {
+    end += cell_start_[c];
+    cell_start_[c] = end;
+  }
+  cell_start_[total_cells] = end;
+
+  // Fill pass, last box first: each cell fills from its end down, so its
+  // indices end up ascending and cell_start_[c] moves back to its start.
+  cell_boxes_.resize(end);
+  for (auto p = placed_.rbegin(); p != placed_.rend(); ++p) {
+    for_each_cell(p->range, [&](std::size_t c) { cell_boxes_[--cell_start_[c]] = p->box; });
   }
 }
 
-void BroadPhaseGrid::cell_range(const geom::Aabb& box, int& x0, int& x1, int& y0, int& y1,
-                                int& z0, int& z1) const {
+BroadPhaseGrid::CellRange BroadPhaseGrid::cell_range(const geom::Aabb& box) const {
   // A box with an infinite or NaN coordinate spans every cell: the query
   // becomes a full scan, never a silent miss (and NaN is never cast to int).
   for (double v : {box.min.x, box.min.y, box.min.z, box.max.x, box.max.y, box.max.z}) {
-    if (std::isfinite(v)) continue;
-    x0 = y0 = z0 = 0;
-    x1 = nx_ - 1;
-    y1 = ny_ - 1;
-    z1 = nz_ - 1;
-    return;
+    if (!std::isfinite(v)) return CellRange{0, nx_ - 1, 0, ny_ - 1, 0, nz_ - 1};
   }
+  // With finite bounds and a finite box, v is finite or an overflowed
+  // +-inf, never NaN. Truncation is the floor on [0, n), and the clamp maps
+  // every negative v to cell 0 either way.
   auto clamp_cell = [](double v, int n) {
     if (v < 0) return 0;
     if (v >= n) return n - 1;
     return static_cast<int>(v);
   };
-  x0 = clamp_cell(std::floor((box.min.x - origin_.x) * inv_cell_.x), nx_);
-  x1 = clamp_cell(std::floor((box.max.x - origin_.x) * inv_cell_.x), nx_);
-  y0 = clamp_cell(std::floor((box.min.y - origin_.y) * inv_cell_.y), ny_);
-  y1 = clamp_cell(std::floor((box.max.y - origin_.y) * inv_cell_.y), ny_);
-  z0 = clamp_cell(std::floor((box.min.z - origin_.z) * inv_cell_.z), nz_);
-  z1 = clamp_cell(std::floor((box.max.z - origin_.z) * inv_cell_.z), nz_);
+  return CellRange{clamp_cell((box.min.x - origin_.x) * inv_cell_.x, nx_),
+                   clamp_cell((box.max.x - origin_.x) * inv_cell_.x, nx_),
+                   clamp_cell((box.min.y - origin_.y) * inv_cell_.y, ny_),
+                   clamp_cell((box.max.y - origin_.y) * inv_cell_.y, ny_),
+                   clamp_cell((box.min.z - origin_.z) * inv_cell_.z, nz_),
+                   clamp_cell((box.max.z - origin_.z) * inv_cell_.z, nz_)};
 }
 
 void BroadPhaseGrid::candidates(const geom::Aabb& query, std::vector<std::size_t>& out) const {
-  out.clear();
-  if (box_count_ == 0) return;
-  out.insert(out.end(), oversize_.begin(), oversize_.end());
-  if (!cells_.empty()) {
-    int x0, x1, y0, y1, z0, z1;
-    cell_range(query, x0, x1, y0, y1, z0, z1);
-    for (int z = z0; z <= z1; ++z) {
-      for (int y = y0; y <= y1; ++y) {
-        for (int x = x0; x <= x1; ++x) {
-          const std::vector<std::uint32_t>& cell = cells_[cell_index(x, y, z)];
-          out.insert(out.end(), cell.begin(), cell.end());
-        }
-      }
-    }
-  }
+  out.assign(oversize_.begin(), oversize_.end());
+  // With no box in the cells, the oversize list (ascending) is the answer.
+  if (cell_boxes_.empty()) return;
+  for_each_cell(cell_range(query), [&](std::size_t c) {
+    out.insert(out.end(), cell_boxes_.begin() + cell_start_[c],
+               cell_boxes_.begin() + cell_start_[c + 1]);
+  });
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
 }

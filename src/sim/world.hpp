@@ -91,6 +91,12 @@ struct WorldModel {
 /// in ascending box-index order, so narrow-phase iteration visits boxes in
 /// exactly the order a full scan would — verdicts stay byte-identical.
 ///
+/// The cells are one flat array: cell c holds the ascending box indices
+/// `cell_boxes_[cell_start_[c], cell_start_[c + 1])`, laid out by a counting
+/// pass and a fill pass. A world whose bounds overflow or carry a NaN has no
+/// computable cells; every box is then on the oversize list, so every query
+/// is the full scan.
+///
 /// The grid snapshots the world at build time; rebuild() after the world's
 /// epoch changes. Queries are const and touch no mutable state, so a built
 /// grid is safe to share across threads.
@@ -99,6 +105,8 @@ class BroadPhaseGrid {
   BroadPhaseGrid() = default;
   explicit BroadPhaseGrid(const WorldModel& world) { rebuild(world); }
 
+  /// Rebuilds into the grid's own buffers: rebuilding over a world no larger
+  /// than one the grid already held allocates nothing.
   void rebuild(const WorldModel& world);
 
   /// Number of boxes indexed at build time (sanity check against the world).
@@ -109,25 +117,31 @@ class BroadPhaseGrid {
   void candidates(const geom::Aabb& query, std::vector<std::size_t>& out) const;
 
  private:
-  [[nodiscard]] std::size_t cell_index(int x, int y, int z) const {
-    return (static_cast<std::size_t>(z) * static_cast<std::size_t>(ny_) +
-            static_cast<std::size_t>(y)) *
-               static_cast<std::size_t>(nx_) +
-           static_cast<std::size_t>(x);
-  }
-  void cell_range(const geom::Aabb& box, int& x0, int& x1, int& y0, int& y1, int& z0,
-                  int& z1) const;
+  /// Inclusive cell coordinates a box covers on each axis.
+  struct CellRange {
+    int x0 = 0, x1 = 0, y0 = 0, y1 = 0, z0 = 0, z1 = 0;
+  };
+  /// A box kept in the cells, with the range the counting pass computed.
+  struct Placed {
+    std::uint32_t box = 0;
+    CellRange range;
+  };
+
+  [[nodiscard]] CellRange cell_range(const geom::Aabb& box) const;
+  /// Calls `f(cell index)` for every cell of `r`.
+  template <typename F>
+  void for_each_cell(const CellRange& r, F&& f) const;
 
   geom::Vec3 origin_;
-  geom::Vec3 inv_cell_;             ///< 1 / cell size, per axis
-  geom::Vec3 cell_size_;
+  geom::Vec3 inv_cell_;  ///< 1 / cell size, per axis
   int nx_ = 0, ny_ = 0, nz_ = 0;
-  std::vector<std::vector<std::uint32_t>> cells_;
   std::size_t box_count_ = 0;
-  /// Boxes with no spatial extent overlap possible are still kept in an
-  /// "oversize" list when they span most of the grid (cheaper than flooding
-  /// every cell with the ground plane / wall indices).
+  std::vector<std::uint32_t> cell_start_;  ///< one per cell, plus the total
+  std::vector<std::uint32_t> cell_boxes_;
+  /// Boxes that span more than half the grid (ground plane, walls), checked
+  /// by every query instead of flooding the cells.
   std::vector<std::uint32_t> oversize_;
+  std::vector<Placed> placed_;  ///< rebuild's working list, kept for its capacity
 };
 
 /// Most polling samples one straight leg may take in check_path and

@@ -155,7 +155,7 @@ class Supervisor {
     /// escalates to quarantine + safe state before halting. When unset, the
     /// same ladder runs with no retry and no re-poll budget: the paper's
     /// alert-and-stop, with no escalation.
-    std::optional<recovery::RecoveryPolicy> recovery;
+    std::optional<recovery::RecoveryPolicy> recovery{};
     /// When set (and an engine with a V3 simulator is attached), every
     /// motion command is screened by the runtime-assurance decision module
     /// BEFORE execution: if the planned path would dip below the barrier
@@ -164,7 +164,7 @@ class Supervisor {
     /// recorded as Outcome::Demoted with a structured AssuranceEvent. The
     /// ladder becomes predict → demote-to-safe → retry/re-poll → quarantine
     /// → safe-state → halt.
-    std::optional<assurance::AssuranceConfig> assurance;
+    std::optional<assurance::AssuranceConfig> assurance{};
     /// Observability (all non-owning; null = disabled, a single branch per
     /// hook). The sink receives one SpanRecord per intercepted command —
     /// phase timeline (canonicalize → precondition → assurance →
@@ -180,7 +180,7 @@ class Supervisor {
     obs::Registry* obs_metrics = nullptr;
     /// Stream label stamped on every span/rung (each campaign shard sets
     /// it to "shard-<k>"); empty for single-stream runs.
-    std::string obs_stream;
+    std::string obs_stream{};
   };
 
   Supervisor(core::RabitEngine* engine, sim::LabBackend* backend)

@@ -6,6 +6,8 @@
 // first-match scans over a freely editable config.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 #include <random>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "core/engine.hpp"
 #include "core/lab.hpp"
 #include "core/rules.hpp"
+#include "json/json.hpp"
 #include "sim/deck.hpp"
 #include "sim/extended_sim.hpp"
 #include "trace/trace.hpp"
@@ -271,6 +274,280 @@ TEST(BroadPhase, NonFiniteQueryBoxReturnsFullScanCandidates) {
     grid.candidates(query, out);
     EXPECT_EQ(out, every_box);
   }
+}
+
+// --- the flat grid against the per-cell grid it replaced ----------------------
+
+/// The broad phase as it was before the flat layout, kept verbatim as the
+/// reference: one std::vector per cell, std::floor before the clamp.
+/// Worlds whose bounds are not finite are outside its domain (it cast NaN
+/// cell coordinates to int); the tests below never give it one.
+class PerCellReferenceGrid {
+ public:
+  explicit PerCellReferenceGrid(const sim::WorldModel& world) {
+    box_count_ = world.boxes.size();
+    if (world.boxes.empty()) return;
+    Aabb bounds = world.boxes.front().box;
+    for (const sim::NamedBox& b : world.boxes) bounds = bounds.united(b.box);
+    bounds = bounds.inflated(1e-6);
+    origin_ = bounds.min;
+    Vec3 extent = bounds.size();
+    auto axis_cells = [](double e) { return e <= 0 ? 1 : 8; };
+    nx_ = axis_cells(extent.x);
+    ny_ = axis_cells(extent.y);
+    nz_ = axis_cells(extent.z);
+    Vec3 cell_size(extent.x > 0 ? extent.x / nx_ : 1.0, extent.y > 0 ? extent.y / ny_ : 1.0,
+                   extent.z > 0 ? extent.z / nz_ : 1.0);
+    inv_cell_ = Vec3(1.0 / cell_size.x, 1.0 / cell_size.y, 1.0 / cell_size.z);
+    cells_.assign(static_cast<std::size_t>(nx_ * ny_ * nz_), {});
+    for (std::size_t i = 0; i < world.boxes.size(); ++i) {
+      int x0, x1, y0, y1, z0, z1;
+      cell_range(world.boxes[i].box, x0, x1, y0, y1, z0, z1);
+      auto covered = static_cast<std::size_t>((x1 - x0 + 1) * (y1 - y0 + 1) * (z1 - z0 + 1));
+      if (covered * 2 > cells_.size()) {
+        oversize_.push_back(static_cast<std::uint32_t>(i));
+        continue;
+      }
+      for (int z = z0; z <= z1; ++z) {
+        for (int y = y0; y <= y1; ++y) {
+          for (int x = x0; x <= x1; ++x) {
+            cells_[cell_index(x, y, z)].push_back(static_cast<std::uint32_t>(i));
+          }
+        }
+      }
+    }
+  }
+
+  void candidates(const Aabb& query, std::vector<std::size_t>& out) const {
+    out.clear();
+    if (box_count_ == 0) return;
+    out.insert(out.end(), oversize_.begin(), oversize_.end());
+    if (!cells_.empty()) {
+      int x0, x1, y0, y1, z0, z1;
+      cell_range(query, x0, x1, y0, y1, z0, z1);
+      for (int z = z0; z <= z1; ++z) {
+        for (int y = y0; y <= y1; ++y) {
+          for (int x = x0; x <= x1; ++x) {
+            const std::vector<std::uint32_t>& cell = cells_[cell_index(x, y, z)];
+            out.insert(out.end(), cell.begin(), cell.end());
+          }
+        }
+      }
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+  }
+
+ private:
+  [[nodiscard]] std::size_t cell_index(int x, int y, int z) const {
+    return static_cast<std::size_t>((z * ny_ + y) * nx_ + x);
+  }
+  void cell_range(const Aabb& box, int& x0, int& x1, int& y0, int& y1, int& z0, int& z1) const {
+    for (double v : {box.min.x, box.min.y, box.min.z, box.max.x, box.max.y, box.max.z}) {
+      if (std::isfinite(v)) continue;
+      x0 = y0 = z0 = 0;
+      x1 = nx_ - 1;
+      y1 = ny_ - 1;
+      z1 = nz_ - 1;
+      return;
+    }
+    auto clamp_cell = [](double v, int n) {
+      if (v < 0) return 0;
+      if (v >= n) return n - 1;
+      return static_cast<int>(v);
+    };
+    x0 = clamp_cell(std::floor((box.min.x - origin_.x) * inv_cell_.x), nx_);
+    x1 = clamp_cell(std::floor((box.max.x - origin_.x) * inv_cell_.x), nx_);
+    y0 = clamp_cell(std::floor((box.min.y - origin_.y) * inv_cell_.y), ny_);
+    y1 = clamp_cell(std::floor((box.max.y - origin_.y) * inv_cell_.y), ny_);
+    z0 = clamp_cell(std::floor((box.min.z - origin_.z) * inv_cell_.z), nz_);
+    z1 = clamp_cell(std::floor((box.max.z - origin_.z) * inv_cell_.z), nz_);
+  }
+
+  Vec3 origin_;
+  Vec3 inv_cell_;
+  int nx_ = 0, ny_ = 0, nz_ = 0;
+  std::vector<std::vector<std::uint32_t>> cells_;
+  std::size_t box_count_ = 0;
+  std::vector<std::uint32_t> oversize_;
+};
+
+/// Compares `grid` (already built over `world`) with the reference on
+/// `queries` random boxes: every other one starts inside a random box of
+/// the world (on its faces when the box is flat), the rest anywhere around
+/// the world's bounds. A quarter are points, half are up to a tenth of the
+/// world across and a quarter up to one and a half worlds. Returns how many
+/// queries differed; `nonempty` counts those with at least one candidate.
+std::size_t differing_candidates(const sim::BroadPhaseGrid& grid, const sim::WorldModel& world,
+                                 std::mt19937& rng, int queries, int& nonempty) {
+  PerCellReferenceGrid reference(world);
+  Aabb bounds(Vec3(-1, -1, -1), Vec3(1, 1, 1));
+  if (!world.boxes.empty()) {
+    bounds = world.boxes.front().box;
+    for (const sim::NamedBox& b : world.boxes) bounds = bounds.united(b.box);
+  }
+  const Vec3 extent = bounds.size();
+  const Vec3 pad(0.25 * extent.x + 0.1, 0.25 * extent.y + 0.1, 0.25 * extent.z + 0.1);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  auto within = [&](const Vec3& lo, const Vec3& span) {
+    return Vec3(lo.x + unit(rng) * span.x, lo.y + unit(rng) * span.y, lo.z + unit(rng) * span.z);
+  };
+  std::size_t differing = 0;
+  std::vector<std::size_t> got;
+  std::vector<std::size_t> want;
+  for (int q = 0; q < queries; ++q) {
+    Vec3 corner;
+    if (q % 2 == 1 && !world.boxes.empty()) {
+      const Aabb& b = world.boxes[rng() % world.boxes.size()].box;
+      corner = within(b.min, b.size());
+    } else {
+      corner = within(bounds.min - pad, extent + pad * 2.0);
+    }
+    const double scale = q % 4 == 0 ? 0.0 : q % 4 == 3 ? 1.5 : 0.1;
+    const Vec3 reach = (extent + Vec3(0.1, 0.1, 0.1)) * scale;
+    const Aabb query(corner, corner + within(Vec3(0, 0, 0), reach));
+    grid.candidates(query, got);
+    reference.candidates(query, want);
+    if (got != want) ++differing;
+    if (!want.empty()) ++nonempty;
+  }
+  return differing;
+}
+
+/// The shelf lab's simulator world: the V3 testbed deck, its parked arms'
+/// sleep boxes and a 400-box shelf rack (413 boxes).
+sim::WorldModel shelf_lab_world() {
+  Lab lab(Variant::ModifiedWithSim);
+  sim::add_shelf_rack(lab.simulator->world(), 400);
+  return lab.simulator->world();
+}
+
+/// The testbed deck's ground truth, as the backend keeps it for the ViperX.
+sim::WorldModel testbed_ground_truth() {
+  sim::LabBackend backend(sim::testbed_profile());
+  sim::build_hein_testbed_deck(backend);
+  return backend.ground_truth_world(ids::kViperX);
+}
+
+TEST(BroadPhase, FlatGridMatchesPerCellReference) {
+  std::mt19937 rng(20240806);
+  sim::WorldModel seeded = seeded_world(rng);
+  // Every box on one plane. At z = 0.3 the padding leaves that axis 2e-6 m
+  // deep, still cut into 8 cells; at z = 1e11 the padding rounds away and
+  // the axis has a single cell.
+  std::uniform_real_distribution<double> pos(-1.0, 1.0);
+  auto flat_world = [&](double z) {
+    sim::WorldModel world;
+    for (int i = 0; i < 60; ++i) {
+      world.add_box("flat_" + std::to_string(i),
+                    Aabb::from_center(Vec3(pos(rng), pos(rng), z), Vec3(0.1, 0.2, 0.0)),
+                    sim::ObstacleKind::Equipment);
+    }
+    return world;
+  };
+  const sim::WorldModel thin = flat_world(0.3);
+  const sim::WorldModel one_cell_deep = flat_world(1e11);
+  sim::WorldModel one_box;
+  one_box.add_box("only", Aabb(Vec3(0.1, 0.2, 0.3), Vec3(0.4, 0.5, 0.6)),
+                  sim::ObstacleKind::Equipment);
+  const sim::WorldModel shelf = shelf_lab_world();
+  ASSERT_EQ(shelf.boxes.size(), 413u);
+  const sim::WorldModel ground_truth = testbed_ground_truth();
+  ASSERT_EQ(ground_truth.boxes.size(), 11u);
+  const sim::WorldModel empty;
+
+  const std::vector<std::pair<const char*, const sim::WorldModel*>> worlds = {
+      {"seeded", &seeded},   {"flat, thin", &thin}, {"flat, one cell deep", &one_cell_deep},
+      {"empty", &empty},     {"one box", &one_box}, {"shelf lab", &shelf},
+      {"testbed ground truth", &ground_truth}};
+  for (const auto& [name, world] : worlds) {
+    sim::BroadPhaseGrid grid(*world);
+    int nonempty = 0;
+    EXPECT_EQ(differing_candidates(grid, *world, rng, 1500, nonempty), 0u) << name;
+    // Queries met boxes often enough for the comparison to mean something.
+    if (!world->boxes.empty()) {
+      EXPECT_GT(nonempty, 500) << name;
+    }
+  }
+}
+
+TEST(BroadPhase, InPlaceRebuildMatchesPerCellReference) {
+  // One grid object, rebuilt over a larger world and then a smaller one:
+  // no cell may keep an index from the world before.
+  std::mt19937 rng(11);
+  const sim::WorldModel ground_truth = testbed_ground_truth();
+  const sim::WorldModel shelf = shelf_lab_world();
+  const sim::WorldModel seeded = seeded_world(rng);
+  sim::BroadPhaseGrid grid(ground_truth);
+  for (const sim::WorldModel* world : {&shelf, &seeded, &ground_truth, &shelf}) {
+    grid.rebuild(*world);
+    ASSERT_EQ(grid.box_count(), world->boxes.size());
+    int nonempty = 0;
+    EXPECT_EQ(differing_candidates(grid, *world, rng, 1000, nonempty), 0u)
+        << world->boxes.size() << " boxes";
+  }
+}
+
+// --- worlds whose bounds are not finite -------------------------------------
+
+/// Every box index of `world`, ascending: the full scan's candidate list.
+std::vector<std::size_t> every_box(const sim::WorldModel& world) {
+  std::vector<std::size_t> all(world.boxes.size());
+  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+  return all;
+}
+
+/// Paths through `world` must get the verdict of check_path without a grid,
+/// through `grid` and through an ExtendedSimulator over the same world.
+void expect_full_scan_verdicts(const sim::WorldModel& world, const sim::BroadPhaseGrid& grid) {
+  sim::ExtendedSimulator simulator(world);
+  const std::vector<std::pair<Vec3, Vec3>> paths = {
+      {Vec3(-1, 0, 0), Vec3(1, 0, 0)},  // through the ordinary box
+      {Vec3(0, 2, 0), Vec3(0, 3, 0)},   // clear
+      {Vec3(0.5, 0.5, 2), Vec3(-0.5, -0.5, 2)}};
+  int hits = 0;
+  for (int p = 0; p < static_cast<int>(paths.size()); ++p) {
+    const auto& [start, goal] = paths[static_cast<std::size_t>(p)];
+    auto full = sim::check_path(world, start, goal, 0.05);
+    expect_same_hit(sim::check_path(world, start, goal, 0.05, {}, &grid), full, p);
+    expect_same_hit(simulator.sweep({start, goal}, 0.05, {}).hit, full, p);
+    hits += full ? 1 : 0;
+  }
+  EXPECT_EQ(hits, 1);
+}
+
+TEST(BroadPhase, OverflowingBoundsFallBackToFullScan) {
+  // Finite boxes at x = +-1e308: the union's extent is infinite, so no cell
+  // size exists (a cell coordinate would be inf * 0 = NaN).
+  const json::Value config = json::parse(R"({"objects": [
+      {"name": "far_west", "center": [-1e308, 0, 0], "size": [1, 1, 1]},
+      {"name": "far_east", "center": [1e308, 0, 0], "size": [1, 1, 1]},
+      {"name": "block", "center": [0, 0, 0], "size": [0.2, 0.2, 0.2]}]})");
+  const sim::WorldModel world = sim::ExtendedSimulator::world_from_json(config);
+  sim::BroadPhaseGrid grid(world);
+  std::vector<std::size_t> out;
+  for (const Aabb& query : {Aabb(Vec3(-0.1, -0.1, -0.1), Vec3(0.1, 0.1, 0.1)),
+                            Aabb(Vec3(1e308, 0, 0), Vec3(1e308, 0, 0)),
+                            Aabb(Vec3(5, 5, 5), Vec3(6, 6, 6))}) {
+    grid.candidates(query, out);
+    EXPECT_EQ(out, every_box(world));
+  }
+  expect_full_scan_verdicts(world, grid);
+}
+
+TEST(BroadPhase, NaNFirstBoxFallsBackToFullScan) {
+  // The first box seeds the bounds, so its NaN survives every union.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  sim::WorldModel world;
+  world.add_box("nan", Aabb(Vec3(kNaN, 0, 0), Vec3(kNaN, 1, 1)), sim::ObstacleKind::Equipment);
+  world.add_box("block", Aabb::from_center(Vec3(0, 0, 0), Vec3(0.2, 0.2, 0.2)),
+                sim::ObstacleKind::Equipment);
+  world.add_box("shelf", Aabb(Vec3(3, 3, 0), Vec3(3.5, 3.5, 0.5)), sim::ObstacleKind::Equipment);
+  sim::BroadPhaseGrid grid(world);
+  std::vector<std::size_t> out;
+  grid.candidates(Aabb(Vec3(-0.1, -0.1, -0.1), Vec3(0.1, 0.1, 0.1)), out);
+  EXPECT_EQ(out, every_box(world));
+  expect_full_scan_verdicts(world, grid);
 }
 
 TEST(BroadPhase, StaleGridFallsBackToFullScan) {

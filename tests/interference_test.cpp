@@ -514,6 +514,15 @@ TEST(FleetCampaign, LoadCampaignRejectsMalformedDocuments) {
           "'a'");
   rejects(R"j({"streams": [{"script": "x()"}, {"name": "stream-0", "script": "y()"}]})j",
           "'stream-0'");
+  // Unknown keys at any level: a misspelled key must not fall back to its
+  // default (seed 42, a command without arguments). Each error names the
+  // key, and the stream where there is one.
+  rejects(R"j({"sead": 7, "streams": [{"script": "x()"}]})j", "'sead'");
+  const std::string misspelled_args = R"j({"streams": [{"name": "heat", "commands": [{"device":
+      "hotplate", "action": "set_temperature", "arg": {"celsius": 500}}]}]})j";
+  rejects(misspelled_args, "'heat'");
+  rejects(misspelled_args, "'arg'");
+  rejects(R"j({"streams": [{"name": "heat", "scirpt": "x()", "script": "x()"}]})j", "'scirpt'");
   // Absent or null args: a command without arguments.
   fleet::CampaignSpec bare = fleet::load_campaign(json::parse(R"j({"streams": [{"commands": [
       {"device": "hotplate", "action": "stop", "args": null},

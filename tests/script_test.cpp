@@ -112,14 +112,14 @@ TEST(Parser, Errors) {
 
 TEST(Parser, ErrorPositions) {
   try {
-    parse("let x = 1\nif x { }");
+    (void)parse("let x = 1\nif x { }");
     FAIL() << "expected ScriptError";
   } catch (const ScriptError& e) {
     EXPECT_EQ(e.line(), 2);
     EXPECT_EQ(e.column(), 4);  // expected '(' at the condition identifier
   }
   try {
-    parse("let ok = 1\nlet = 3");
+    (void)parse("let ok = 1\nlet = 3");
     FAIL() << "expected ScriptError";
   } catch (const ScriptError& e) {
     EXPECT_EQ(e.line(), 2);
