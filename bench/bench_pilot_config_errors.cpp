@@ -70,7 +70,7 @@ std::string inject(const std::string& text, MistakeKind kind, std::mt19937& rng)
       // Flip the sign of one site z coordinate (the documented P mistake).
       auto hits = find_all("\"z\": 0.1");
       if (hits.empty()) break;
-      out.insert(pick(hits) + 5, "-");
+      out.insert(out.begin() + static_cast<std::ptrdiff_t>(pick(hits) + 5), '-');
       break;
     }
     case MistakeKind::DigitSlip: {
@@ -99,7 +99,7 @@ std::string inject(const std::string& text, MistakeKind kind, std::mt19937& rng)
     case MistakeKind::SyntaxError: {
       auto hits = find_all("},");
       if (hits.empty()) break;
-      out.insert(pick(hits) + 2, ",");  // double comma
+      out.insert(out.begin() + static_cast<std::ptrdiff_t>(pick(hits) + 2), ',');  // double comma
       break;
     }
     case MistakeKind::BadEnum: {

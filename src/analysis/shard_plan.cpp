@@ -403,7 +403,7 @@ ShardPlan plan_shards(const EngineConfig& config, const std::vector<StreamSummar
       std::string split;
       for (const auto& g : groups) {
         if (!split.empty()) split += " | ";
-        split += "{" + join_names(plan.stream_names, g) + "}";
+        split.append("{").append(join_names(plan.stream_names, g)).append("}");
       }
       std::vector<std::string> names{plan.stream_names[v]};
       for (std::size_t m : shard.streams) {

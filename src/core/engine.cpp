@@ -15,9 +15,10 @@ std::string_view to_string(AlertKind k) {
 }
 
 std::string Alert::describe() const {
-  std::string out = "[" + std::string(to_string(kind)) + "]";
-  if (!rule.empty()) out += " rule " + rule;
-  out += ": " + message + " (command: " + command.describe() + ")";
+  std::string out = "[";
+  out.append(to_string(kind)).append("]");
+  if (!rule.empty()) out.append(" rule ").append(rule);
+  out.append(": ").append(message).append(" (command: ").append(command.describe()).append(")");
   return out;
 }
 

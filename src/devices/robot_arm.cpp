@@ -28,6 +28,7 @@ RobotArmDevice::RobotArmDevice(std::string id, kin::ArmModel model, MotionPolicy
       model_(std::move(model)),
       policy_(policy),
       joints_(kin::home_configuration()),
+      tip_lab_(model_.forward(joints_)),
       home_joints_(kin::home_configuration()),
       sleep_joints_(kin::sleep_configuration()) {
   set_var("position", position_to_json(position_local()));
@@ -58,9 +59,7 @@ geom::Vec3 RobotArmDevice::to_local(const geom::Vec3& lab) const {
   return model_.base().inverse().apply(lab);
 }
 
-geom::Vec3 RobotArmDevice::position_local() const { return to_local(model_.forward(joints_)); }
-
-geom::Vec3 RobotArmDevice::position_lab() const { return model_.forward(joints_); }
+geom::Vec3 RobotArmDevice::position_local() const { return to_local(tip_lab_); }
 
 MotionPlan RobotArmDevice::plan_move(const geom::Vec3& target_local, std::size_t samples) const {
   MotionPlan plan;
@@ -93,6 +92,7 @@ MotionPlan RobotArmDevice::plan_pose(std::string_view pose_name, std::size_t sam
 void RobotArmDevice::commit_move(const MotionPlan& plan, std::string_view pose_name) {
   if (plan.skipped || !plan.trajectory) return;  // nothing physically happened
   joints_ = plan.trajectory->goal();
+  tip_lab_ = model_.forward(joints_);
   var("position") = position_to_json(position_local());
   var("pose") = std::string(pose_name);
 }

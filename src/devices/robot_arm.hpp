@@ -46,8 +46,9 @@ class RobotArmDevice : public Device {
 
   /// Current end-effector position in the arm frame.
   [[nodiscard]] geom::Vec3 position_local() const;
-  /// Current end-effector position in the lab frame.
-  [[nodiscard]] geom::Vec3 position_lab() const;
+  /// Current end-effector position in the lab frame: forward kinematics of
+  /// the joints, kept from the last commit_move().
+  [[nodiscard]] geom::Vec3 position_lab() const { return tip_lab_; }
 
   /// Plans a move to `target_local` (arm frame). Unreachable targets follow
   /// the motion policy: either a skipped plan or a DeviceError.
@@ -61,8 +62,8 @@ class RobotArmDevice : public Device {
   void set_named_pose(std::string_view pose_name, const kin::JointVector& joints);
   [[nodiscard]] const kin::JointVector& named_pose(std::string_view pose_name) const;
 
-  /// Applies a plan: updates joints and the reported position. The named
-  /// pose becomes "custom" unless `pose_name` is given.
+  /// Applies a plan: updates joints, the kept tip and the reported
+  /// position. The named pose becomes "custom" unless `pose_name` is given.
   void commit_move(const MotionPlan& plan, std::string_view pose_name = "custom");
 
   /// Gripper state.
@@ -95,6 +96,7 @@ class RobotArmDevice : public Device {
   kin::ArmModel model_;
   MotionPolicy policy_;
   kin::JointVector joints_;
+  geom::Vec3 tip_lab_;  ///< model_.forward(joints_); joints_ change only in commit_move
   kin::JointVector home_joints_;
   kin::JointVector sleep_joints_;
   double held_drop_ = 0.07;  ///< a vial hangs ~7 cm below the gripper

@@ -148,18 +148,30 @@ void LabBackend::add_arm_segments(WorldModel& world, std::string_view moving_arm
   }
 }
 
+std::uint64_t LabBackend::other_arms_revision(const dev::Device& moving) const {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < registry_.size(); ++i) {
+    const dev::Device& d = registry_.device(i);
+    if (&d != &moving && d.category() == DeviceCategory::RobotArm) sum += d.revision();
+  }
+  return sum;
+}
+
 const WorldModel& LabBackend::ground_truth_for(const dev::RobotArmDevice& moving) {
+  const std::uint64_t others = other_arms_revision(moving);
   if (kept_.devices != registry_.size() || kept_.statics != static_.size()) {
     kept_.world = ground_truth_world(moving.id());
     kept_.grid.rebuild(kept_.world);
     kept_.devices = registry_.size();
     kept_.statics = static_.size();
     ++kept_.builds;
-  } else {
+  } else if (kept_.moving != &moving || kept_.others_revision != others) {
     kept_.world.arm_segments.clear();
     add_arm_segments(kept_.world, moving.id());
     kept_.world.bump_epoch();
   }
+  kept_.moving = &moving;
+  kept_.others_revision = others;
   return kept_.world;
 }
 
@@ -349,7 +361,7 @@ void LabBackend::perform_motion(dev::RobotArmDevice& a, const dev::MotionPlan& p
   maybe_ignore(site_near(goal, kSiteTolerance));
 
   std::optional<CollisionReport> hit =
-      check_path(world, start, goal, a.held_clearance(), options, &kept_.grid);
+      check_path(world, start, goal, a.held_clearance(), options, &kept_.grid, &kept_.narrow);
   if (hit) {
     record_collision(a, *hit, r);
     if (hit->via_held_object && !a.holding().empty()) {

@@ -104,9 +104,11 @@ class LabBackend {
   /// phase (both empty before the first move). Arm moves keep it rather
   /// than build it: it is rebuilt with ground_truth_world() only when the
   /// registry or the static obstacles grew, since footprints and shapes are
-  /// fixed at construction and neither list shrinks; each move refreshes
-  /// only the other arms' link segments. Robot arms have no footprint, so
-  /// the boxes are the same whichever arm moves.
+  /// fixed at construction and neither list shrinks. A move refreshes only
+  /// the other arms' link segments, and only when the moving arm differs
+  /// from the last move's or another arm's revision() moved since then
+  /// (every joint change goes through commit_move(), which bumps it). Robot
+  /// arms have no footprint, so the boxes are the same whichever arm moves.
   [[nodiscard]] const WorldModel& kept_ground_truth() const { return kept_.world; }
   [[nodiscard]] const BroadPhaseGrid& kept_ground_truth_grid() const { return kept_.grid; }
   /// Ground-truth worlds built for arm moves so far.
@@ -188,6 +190,9 @@ class LabBackend {
 
   /// The kept ground truth, brought up to date for a move of `moving`.
   const WorldModel& ground_truth_for(const dev::RobotArmDevice& moving);
+  /// The sum of every robot arm's revision() but `moving`'s. Revisions only
+  /// grow, so the sum moves whenever one of them does.
+  [[nodiscard]] std::uint64_t other_arms_revision(const dev::Device& moving) const;
   /// Appends every arm's current links but `moving_arm`'s to `world`.
   void add_arm_segments(WorldModel& world, std::string_view moving_arm) const;
 
@@ -221,9 +226,14 @@ class LabBackend {
   struct KeptGroundTruth {
     WorldModel world;
     BroadPhaseGrid grid;
+    NarrowList narrow;  ///< check_path's per-leg buffers
     std::size_t devices = 0;  ///< registry_.size() at the last build
     std::size_t statics = 0;  ///< static_.size() at the last build
     std::size_t builds = 0;
+    /// The arm the link segments were last refreshed for, and
+    /// other_arms_revision() at that refresh.
+    const dev::RobotArmDevice* moving = nullptr;
+    std::uint64_t others_revision = 0;
   };
   KeptGroundTruth kept_;
 };

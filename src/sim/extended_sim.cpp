@@ -51,15 +51,18 @@ WorldModel ExtendedSimulator::world_from_json(const json::Value& config) {
     if (name == nullptr || !name->is_string() || center == nullptr || size == nullptr) {
       throw std::runtime_error("ExtendedSimulator: object needs name/center/size");
     }
+    const geom::Vec3 middle = vec3_from_json(*center, "center");
+    const geom::Vec3 extent = vec3_from_json(*size, "size");
+    if (extent.x < 0 || extent.y < 0 || extent.z < 0) {
+      throw std::runtime_error("ExtendedSimulator: object '" + name->as_string() +
+                               "' has a negative size");
+    }
     std::string kind_name = obj.get_or("kind", std::string("equipment"));
     std::optional<ObstacleKind> kind = parse_obstacle_kind(kind_name);
     if (!kind) {
       throw std::runtime_error("ExtendedSimulator: unknown obstacle kind '" + kind_name + "'");
     }
-    world.add_box(name->as_string(),
-                  geom::Aabb::from_center(vec3_from_json(*center, "center"),
-                                          vec3_from_json(*size, "size")),
-                  *kind);
+    world.add_box(name->as_string(), geom::Aabb::from_center(middle, extent), *kind);
   }
   return world;
 }
@@ -74,11 +77,6 @@ std::uint64_t ExtendedSimulator::world_revision() const {
 std::optional<CollisionReport> ExtendedSimulator::check_leg(
     const geom::Vec3& start, const geom::Vec3& goal, double held_clearance,
     const std::vector<std::string>& ignore, double inflate) {
-  PathCheckOptions opts;
-  opts.step = kPollingStep_m;
-  opts.ignore = ignore;
-  opts.inflate = inflate;
-
   std::uint64_t revision = world_revision();
   if (revision != cache_revision_) {
     grid_.rebuild(world_);
@@ -92,8 +90,11 @@ std::optional<CollisionReport> ExtendedSimulator::check_leg(
     return it->second;
   }
   ++narrow_runs_;
+  leg_options_.step = kPollingStep_m;
+  leg_options_.ignore = ignore;
+  leg_options_.inflate = inflate;
   std::optional<CollisionReport> verdict =
-      check_path(world_, start, goal, held_clearance, opts, &grid_);
+      check_path(world_, start, goal, held_clearance, leg_options_, &grid_, &narrow_);
   if (verdicts_.size() >= kVerdictCacheCapacity) verdicts_.clear();
   verdicts_.emplace(std::move(key), verdict);
   return verdict;

@@ -160,6 +160,10 @@ class ExtendedSimulator {
   double modeled_latency_s_ = 0.0;
 
   BroadPhaseGrid grid_;
+  /// check_path's per-leg buffers: its options (the ignore list's capacity
+  /// is reused) and its narrow list.
+  PathCheckOptions leg_options_;
+  NarrowList narrow_;
   std::uint64_t cache_revision_ = ~0ULL;
   std::unordered_map<VerdictKey, std::optional<CollisionReport>, VerdictKeyHash> verdicts_;
 };

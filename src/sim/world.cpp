@@ -245,52 +245,112 @@ std::optional<std::size_t> leg_samples(double length, double step) {
   return static_cast<std::size_t>(steps) + 1;
 }
 
-/// Checks a single tip sample against the world. When `candidates` is
-/// non-null, only those box indices (ascending — same visit order as the
-/// full scan) are narrow-phase tested.
-std::optional<CollisionReport> check_sample(const WorldModel& world, const geom::Vec3& tip,
-                                            double held_clearance,
-                                            const PathCheckOptions& options,
-                                            const std::vector<std::size_t>* candidates) {
-  // The volume occupied by a held object: a slim box hanging below the tip.
-  std::optional<geom::Aabb> held_box;
-  if (held_clearance > 0) {
-    held_box = geom::Aabb(
-        tip - geom::Vec3(options.held_half_width, options.held_half_width, held_clearance),
-        tip + geom::Vec3(options.held_half_width, options.held_half_width, 0.0));
+/// The largest coordinate magnitude of `box` (a NaN coordinate is skipped).
+double magnitude(const geom::Aabb& box) {
+  double m = 0.0;
+  for (double v : {box.min.x, box.min.y, box.min.z, box.max.x, box.max.y, box.max.z}) {
+    m = std::max(m, std::abs(v));
   }
+  return m;
+}
 
-  const std::size_t count = candidates != nullptr ? candidates->size() : world.boxes.size();
-  for (std::size_t c = 0; c < count; ++c) {
-    const NamedBox& b = world.boxes[candidates != nullptr ? (*candidates)[c] : c];
-    if (b.kind == ObstacleKind::SoftWall && !options.include_soft_walls) continue;
-    if (is_ignored(options, b.name)) continue;
+/// The axis-aligned hull of every sample volume on the leg a -> b: both end
+/// volumes, padded by an absolute and a magnitude-relative epsilon. The pad
+/// covers lerp()'s rounding past an end (a few ulps of the largest
+/// coordinate) and keeps a positive gap clear of underflow.
+geom::Aabb leg_hull(const geom::Vec3& a, const geom::Vec3& b, double held_clearance,
+                    const PathCheckOptions& options) {
+  const geom::Aabb hull = sample_volume(a, held_clearance, options)
+                              .united(sample_volume(b, held_clearance, options));
+  return hull.inflated(geom::kEpsilon * (1.0 + magnitude(hull)));
+}
+
+/// Fills `list` with the obstacles a sample volume inside `hull` can hit, in
+/// world order: the boxes among `candidates` (every box when null), then
+/// the arm segments. Each entry is dropped only when no sample can hit it,
+/// so testing the list is testing the world:
+///  * a cuboid test shape is tested with the comparisons intersects()
+///    makes, and every sample volume lies inside `hull`;
+///  * a solid can reach a few ulps past its bounding box (its formulas
+///    round), which a magnitude-relative pad covers;
+///  * a segment is hit only within its clearance, plus geom::distance's
+///    rounding, which the same kind of pad covers.
+/// NaN bounds meet nothing, and are never hit either.
+void build_narrow_list(const WorldModel& world, const geom::Aabb& hull,
+                       const PathCheckOptions& options,
+                       const std::vector<std::size_t>* candidates, NarrowList& list) {
+  list.boxes.clear();
+  list.segments.clear();
+  auto consider = [&](const NamedBox& b) {
+    if (b.kind == ObstacleKind::SoftWall && !options.include_soft_walls) return;
+    if (is_ignored(options, b.name)) return;
     // RTA fast path: inflate by the requested margin (bounding cuboid for
     // solids — conservative), except Ground (see PathCheckOptions::inflate).
-    double infl = b.kind != ObstacleKind::Ground ? options.inflate : 0.0;
-    bool tip_hit = infl > 0 ? b.box.inflated(infl).contains(tip) : b.contains(tip);
-    if (tip_hit) {
-      return CollisionReport{b.name, b.kind, tip, /*via_held_object=*/false,
-                             /*arm_vs_arm=*/false};
+    // A NaN or non-positive margin tests the box or solid as it is.
+    const double infl = b.kind != ObstacleKind::Ground ? options.inflate : 0.0;
+    NarrowList::Box entry{&b, b.box, nullptr};
+    geom::Aabb reach = b.box;
+    if (infl > 0) {
+      entry.shape = b.box.inflated(infl);
+      reach = entry.shape;
+    } else if (b.solid) {
+      entry.solid = &*b.solid;
+      const geom::Aabb& bounds = b.solid->bounding_box();
+      reach = bounds.inflated(geom::kEpsilon * (1.0 + magnitude(bounds)));
     }
-    bool held_hit = held_box && (infl > 0 ? b.box.inflated(infl).intersects(*held_box)
-                                          : b.intersects(*held_box));
-    if (held_hit) {
-      return CollisionReport{b.name, b.kind, tip, /*via_held_object=*/true,
-                             /*arm_vs_arm=*/false};
-    }
+    if (reach.intersects(hull)) list.boxes.push_back(entry);
+  };
+  if (candidates != nullptr) {
+    for (std::size_t i : *candidates) consider(world.boxes[i]);
+  } else {
+    for (const NamedBox& b : world.boxes) consider(b);
   }
 
   for (const ArmSegmentObstacle& seg : world.arm_segments) {
     if (is_ignored(options, seg.arm_id)) continue;
-    double clearance_needed = seg.radius + options.moving_arm_radius + options.inflate;
-    if (geom::distance(seg.segment, tip) < clearance_needed) {
+    const double clearance = seg.radius + options.moving_arm_radius + options.inflate;
+    const geom::Aabb span =
+        geom::Aabb(seg.segment.a, seg.segment.a).united(geom::Aabb(seg.segment.b, seg.segment.b));
+    const double pad = geom::kEpsilon * (1.0 + magnitude(span) + std::abs(clearance));
+    if (span.inflated(clearance + pad).intersects(hull)) {
+      list.segments.push_back(NarrowList::Segment{&seg, clearance});
+    }
+  }
+}
+
+/// Tests one tip sample against a leg's narrow list: boxes first (tip, then
+/// the held volume), then arm segments (tip, then the held object's
+/// bottom), the first hit wins.
+std::optional<CollisionReport> test_sample(const NarrowList& list, const geom::Vec3& tip,
+                                           double held_clearance,
+                                           const PathCheckOptions& options) {
+  // The volume occupied by a held object: a slim box hanging below the tip.
+  std::optional<geom::Aabb> held_box;
+  if (held_clearance > 0) held_box = sample_volume(tip, held_clearance, options);
+
+  for (const NarrowList::Box& e : list.boxes) {
+    const bool tip_hit = e.solid != nullptr ? e.solid->contains(tip) : e.shape.contains(tip);
+    if (tip_hit) {
+      return CollisionReport{e.box->name, e.box->kind, tip, /*via_held_object=*/false,
+                             /*arm_vs_arm=*/false};
+    }
+    const bool held_hit = held_box && (e.solid != nullptr ? e.solid->intersects_box(*held_box)
+                                                          : e.shape.intersects(*held_box));
+    if (held_hit) {
+      return CollisionReport{e.box->name, e.box->kind, tip, /*via_held_object=*/true,
+                             /*arm_vs_arm=*/false};
+    }
+  }
+
+  for (const NarrowList::Segment& s : list.segments) {
+    const ArmSegmentObstacle& seg = *s.segment;
+    if (geom::distance(seg.segment, tip) < s.clearance) {
       return CollisionReport{seg.arm_id, ObstacleKind::Equipment, tip,
                              /*via_held_object=*/false, /*arm_vs_arm=*/true};
     }
     if (held_box) {
       geom::Vec3 held_bottom = tip - geom::Vec3(0, 0, held_clearance);
-      if (geom::distance(seg.segment, held_bottom) < clearance_needed) {
+      if (geom::distance(seg.segment, held_bottom) < s.clearance) {
         return CollisionReport{seg.arm_id, ObstacleKind::Equipment, held_bottom,
                                /*via_held_object=*/true, /*arm_vs_arm=*/true};
       }
@@ -304,7 +364,7 @@ std::optional<CollisionReport> check_sample(const WorldModel& world, const geom:
 std::optional<CollisionReport> check_path(const WorldModel& world, const geom::Vec3& start,
                                           const geom::Vec3& goal, double held_clearance,
                                           const PathCheckOptions& options,
-                                          const BroadPhaseGrid* grid) {
+                                          const BroadPhaseGrid* grid, NarrowList* narrow) {
   if (options.step <= 0) throw std::invalid_argument("check_path: step must be positive");
   const std::optional<std::size_t> samples = leg_samples(start.distance_to(goal), options.step);
   if (!samples) {
@@ -314,28 +374,28 @@ std::optional<CollisionReport> check_path(const WorldModel& world, const geom::V
     return unpolled;
   }
 
-  // Broad phase: one swept-volume query covers every sample on the segment,
-  // so the per-sample narrow phase only sees boxes near the motion. A grid
-  // built for a different world (box count mismatch) is ignored — a wrong
-  // candidate set would silently change verdicts.
-  std::vector<std::size_t> candidate_storage;
-  const std::vector<std::size_t>* candidates = nullptr;
-  if (grid != nullptr && grid->box_count() == world.boxes.size()) {
-    geom::Aabb swept = geom::Aabb(start, start).united(geom::Aabb(goal, goal));
-    swept = swept.united(sample_volume(start, held_clearance, options))
-                .united(sample_volume(goal, held_clearance, options))
-                .inflated(geom::kEpsilon + options.inflate);
-    grid->candidates(swept, candidate_storage);
-    candidates = &candidate_storage;
+  // Every sample volume of the leg lies inside the hull. The broad phase
+  // asks the grid for the boxes near it, grown by the inflation their test
+  // shapes get. A grid built for a different world (box count mismatch) is
+  // ignored — a wrong candidate set would silently change verdicts.
+  NarrowList local;
+  NarrowList& list = narrow != nullptr ? *narrow : local;
+  const geom::Aabb hull = leg_hull(start, goal, held_clearance, options);
+  const bool use_grid = grid != nullptr && grid->box_count() == world.boxes.size();
+  if (use_grid) {
+    grid->candidates(options.inflate > 0 ? hull.inflated(options.inflate) : hull,
+                     list.candidates);
   }
+  build_narrow_list(world, hull, options, use_grid ? &list.candidates : nullptr, list);
 
-  for (std::size_t i = 0; i <= *samples; ++i) {
+  // Sample 0, the departure point itself, is skipped: the arm is allowed to
+  // *leave* a spot that brushes an obstacle boundary (e.g. lifting out of a
+  // grid slot).
+  for (std::size_t i = 1; i <= *samples; ++i) {
     double t = static_cast<double>(i) / static_cast<double>(*samples);
-    geom::Vec3 tip = geom::lerp(start, goal, t);
-    // Skip the departure point itself: the arm is allowed to *leave* a spot
-    // that brushes an obstacle boundary (e.g. lifting out of a grid slot).
-    if (i == 0) continue;
-    if (auto hit = check_sample(world, tip, held_clearance, options, candidates)) return hit;
+    if (auto hit = test_sample(list, geom::lerp(start, goal, t), held_clearance, options)) {
+      return hit;
+    }
   }
   return std::nullopt;
 }
@@ -343,7 +403,10 @@ std::optional<CollisionReport> check_path(const WorldModel& world, const geom::V
 std::optional<CollisionReport> check_point(const WorldModel& world, const geom::Vec3& point,
                                            double held_clearance,
                                            const PathCheckOptions& options) {
-  return check_sample(world, point, held_clearance, options, nullptr);
+  NarrowList list;
+  build_narrow_list(world, leg_hull(point, point, held_clearance, options), options, nullptr,
+                    list);
+  return test_sample(list, point, held_clearance, options);
 }
 
 // ---------------------------------------------------------------------------
@@ -392,21 +455,6 @@ ClearanceBounds clearance_bounds(const geom::Aabb& box, const geom::Aabb& w) {
                        max_keeping_nan(box.max.y - w.min.y, w.max.y - box.min.y),
                        max_keeping_nan(box.max.z - w.min.z, w.max.z - box.min.z));
   return {max_keeping_nan(max_keeping_nan(gx, gy), gz), far.norm()};
-}
-
-/// The axis-aligned hull of every sample volume on the leg a -> b: both end
-/// volumes, padded by an absolute and a magnitude-relative epsilon. The pad
-/// covers lerp()'s rounding past an end (a few ulps of the largest
-/// coordinate) and keeps a positive gap clear of underflow.
-geom::Aabb leg_hull(const geom::Vec3& a, const geom::Vec3& b, double held_clearance,
-                    const PathCheckOptions& options) {
-  const geom::Aabb hull = sample_volume(a, held_clearance, options)
-                              .united(sample_volume(b, held_clearance, options));
-  double magnitude = 0.0;
-  for (double v : {hull.min.x, hull.min.y, hull.min.z, hull.max.x, hull.max.y, hull.max.z}) {
-    magnitude = std::max(magnitude, std::abs(v));
-  }
-  return hull.inflated(geom::kEpsilon * (1.0 + magnitude));
 }
 
 }  // namespace

@@ -182,27 +182,57 @@ struct PathCheckOptions {
   double inflate = 0.0;
 };
 
+/// A leg's narrow list: the obstacles check_path tests every sample of one
+/// leg against, in the full scan's order, each with its test shape fixed
+/// for the leg. check_path refills it at every call. A caller that sweeps
+/// many legs keeps one and passes it in, so that the buffers' capacity is
+/// reused; it carries nothing from one call to the next, and serves one
+/// thread at a time.
+struct NarrowList {
+  /// A box and the shape a sample is tested against: the refined `solid`
+  /// when set, else the AABB `shape` (the box, or its cuboid grown by
+  /// PathCheckOptions::inflate).
+  struct Box {
+    const NamedBox* box = nullptr;
+    geom::Aabb shape;
+    const geom::Solid* solid = nullptr;
+  };
+  /// Another arm's link and the distance a sample must keep from it.
+  struct Segment {
+    const ArmSegmentObstacle* segment = nullptr;
+    double clearance = 0.0;
+  };
+  std::vector<std::size_t> candidates;  ///< the broad phase's answer for the leg
+  std::vector<Box> boxes;
+  std::vector<Segment> segments;
+};
+
 /// Sweeps a straight tip path from `start` to `goal` (lab frame) through the
 /// world. `held_clearance` extends the checked volume below the tip by the
 /// held object's length (the Bug D fix: arm dimensions change when holding).
 /// Returns the first collision, or nullopt for a clear path. A path too long
 /// to poll (see kMaxLegSamples) is reported as a collision at `goal`.
 ///
-/// When `grid` is a broad phase built from this world (same box count), only
-/// boxes whose AABB overlaps the swept volume are narrow-phase tested; a
-/// mismatched or null grid falls back to the full scan. Either way the
-/// verdict is identical.
+/// The leg's narrow list is built once: the non-ignored obstacles whose
+/// test shape meets the leg's padded hull. Every sample is tested against
+/// it alone, in world order, so the verdict is the full per-sample scan's,
+/// bit for bit. When `grid` is a broad phase built from this world (same
+/// box count), the list is built from its candidates; a mismatched or null
+/// grid falls back to every box. `narrow`, when given, holds the list's
+/// buffers.
 [[nodiscard]] std::optional<CollisionReport> check_path(const WorldModel& world,
                                                         const geom::Vec3& start,
                                                         const geom::Vec3& goal,
                                                         double held_clearance,
                                                         const PathCheckOptions& options = {},
-                                                        const BroadPhaseGrid* grid = nullptr);
+                                                        const BroadPhaseGrid* grid = nullptr,
+                                                        NarrowList* narrow = nullptr);
 
 /// Point-in-world query with the same held-object semantics: the first box
 /// (then arm segment) that contains `point` or meets the held volume below
-/// it. RABIT's own target check (core::check_target_location, paper §II-B
-/// lines 8-10) walks its configured world in place with these semantics.
+/// it, tested as check_path tests one sample. RABIT's own target check
+/// (core::check_target_location, paper §II-B lines 8-10) walks its
+/// configured world in place with these semantics.
 [[nodiscard]] std::optional<CollisionReport> check_point(const WorldModel& world,
                                                          const geom::Vec3& point,
                                                          double held_clearance,

@@ -2,10 +2,10 @@
 // operator new. A fresh V3 lab's first motion step builds both broad phases
 // (the simulator's over its configured world, the backend's over the ground
 // truth); it sets the tail of a supervised session, so its allocations are
-// pinned here alongside the grids' own and a whole session's, untraced and
-// traced. The counts are exact for a given standard library (these were
-// counted with GCC 12.2's libstdc++, the same in Release, ASan+UBSan and
-// TSan); a budget may only tighten.
+// pinned here alongside the grids' own, the lab's later motion steps' and a
+// whole session's, untraced and traced. The counts are exact for a given
+// standard library (these were counted with GCC 12.2's libstdc++, the same
+// in Release, ASan+UBSan and TSan); a budget may only tighten.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -151,7 +151,7 @@ TEST(AllocationBudget, FirstMotionStepOfAFreshShelfLab) {
   }
   ASSERT_GT(lab.simulator->checks_performed(), 0u);
   ASSERT_EQ(lab.backend.ground_truth_builds(), 1u);
-  // Later motion steps of the same lab, for scale.
+  // The later motion steps of the same lab.
   std::size_t later = 0;
   std::size_t later_motions = 0;
   for (; step < session.size(); ++step) {
@@ -161,12 +161,16 @@ TEST(AllocationBudget, FirstMotionStepOfAFreshShelfLab) {
     later += step_made;
     ++later_motions;
   }
-  ASSERT_GT(later_motions, 0u);
-  std::printf("later motion steps: %zu allocations over %zu steps\n", later, later_motions);
+  ASSERT_EQ(later_motions, 13u);
   // With the per-cell grids: 917.
   constexpr std::size_t kBudget = 47;
   EXPECT_LE(made, kBudget);
   report("first motion step, fresh shelf lab", made, kBudget);
+  // With a check_path that allocated its candidates per leg and a ground
+  // truth that refreshed the other arms' links at every move: 387.
+  constexpr std::size_t kLaterBudget = 310;
+  EXPECT_LE(later, kLaterBudget);
+  report("13 later motion steps, same lab", later, kLaterBudget);
 }
 
 /// Allocations of a whole supervised session on a fresh shelf lab (the lab
@@ -190,16 +194,18 @@ std::size_t session_allocations(bool traced) {
 
 TEST(AllocationBudget, WholeSessionUntraced) {
   std::size_t made = session_allocations(false);
-  // With the per-cell grids: 1,522.
-  constexpr std::size_t kBudget = 652;
+  // With the per-cell grids: 1,522; with per-leg candidates and a ground
+  // truth refreshed at every move: 652.
+  constexpr std::size_t kBudget = 575;
   EXPECT_LE(made, kBudget);
   report("whole session, untraced", made, kBudget);
 }
 
 TEST(AllocationBudget, WholeSessionTraced) {
   std::size_t made = session_allocations(true);
-  // With the per-cell grids: 1,744.
-  constexpr std::size_t kBudget = 874;
+  // With the per-cell grids: 1,744; with per-leg candidates and a ground
+  // truth refreshed at every move: 874.
+  constexpr std::size_t kBudget = 797;
   EXPECT_LE(made, kBudget);
   report("whole session, traced", made, kBudget);
 }

@@ -556,9 +556,10 @@ void compare_kept(const sim::LabBackend& backend, const dev::RobotArmDevice& arm
 }
 
 /// Steps `workflow` through `lab` without halting on alerts and compares
-/// the kept world after every step that moved an arm. Every motion of a
-/// step is made by the commanded arm (no recovery policy, so no safe-state
-/// sequence; an assurance demotion moves the commanded arm).
+/// the kept world after every step that moved an arm, and every arm's kept
+/// tip with forward kinematics of its joints after every step. Every motion
+/// of a step is made by the commanded arm (no recovery policy, so no
+/// safe-state sequence; an assurance demotion moves the commanded arm).
 void run_compared(core::Lab& lab, const std::vector<dev::Command>& workflow,
                   std::optional<assurance::AssuranceConfig> assurance, WorldTally& t,
                   const std::string& what) {
@@ -595,6 +596,18 @@ void run_compared(core::Lab& lab, const std::vector<dev::Command>& workflow,
           ++a_index;
         }
         compare_kept(lab.backend, *arm, start, t, step);
+      }
+    }
+    for (std::size_t d = 0; d < registry.size(); ++d) {
+      const auto* a = dynamic_cast<const dev::RobotArmDevice*>(&registry.device(d));
+      if (a == nullptr) continue;
+      const Vec3 tip = a->model().forward(a->joints());
+      if (!same_bits(a->position_lab(), tip) ||
+          !same_bits(a->position_local(), a->to_local(tip))) {
+        if (++t.differing <= 5) {
+          ADD_FAILURE() << step << ": '" << a->id() << "' keeps its tip at " << a->position_lab()
+                        << ", forward kinematics " << tip;
+        }
       }
     }
     if (halted) break;
@@ -709,6 +722,20 @@ TEST(KeptGroundTruth, FollowsChangesMadeBetweenMoves) {
   move_and_compare(backend, kViperX, "go_home", t, "after a station joined");
   EXPECT_EQ(backend.ground_truth_builds(), 2u);
 
+  // The moving arm alternates with no joint changed in between: each move
+  // needs the other arm's links as they stand.
+  move_and_compare(backend, kNed2, "go_home", t, "ned2 after viperx");
+  move_and_compare(backend, kViperX, "go_sleep", t, "viperx after ned2");
+  move_and_compare(backend, kNed2, "go_home", t, "ned2 again, nothing moved");
+
+  // The other arm moves through the backend between two moves of the same
+  // arm; then the same arm moves again with nothing in between.
+  move_and_compare(backend, kViperX, "go_home", t, "viperx before ned2 moves");
+  move_and_compare(backend, kNed2, "go_sleep", t, "ned2 moves through execute");
+  move_and_compare(backend, kViperX, "go_sleep", t, "viperx after ned2 moved through execute");
+  move_and_compare(backend, kViperX, "go_home", t, "viperx again");
+  EXPECT_EQ(backend.ground_truth_builds(), 2u);
+
   // A static obstacle is added.
   backend.add_static_obstacle("late_wall", geom::Aabb(Vec3(-1, 0.9, 0), Vec3(1, 1.0, 1)),
                               sim::ObstacleKind::Wall);
@@ -726,7 +753,7 @@ TEST(KeptGroundTruth, FollowsChangesMadeBetweenMoves) {
   EXPECT_EQ(backend.kept_ground_truth().arm_segments.size(), 2 * kNumJoints);
 
   EXPECT_EQ(t.differing, 0u);
-  EXPECT_EQ(t.motions, 7u);
+  EXPECT_EQ(t.motions, 14u);
 }
 
 // --- work budget -------------------------------------------------------------------

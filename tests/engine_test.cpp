@@ -207,6 +207,17 @@ TEST(ExtendedSimulator, WorldFromJsonRejectsGarbage) {
   EXPECT_THROW(sim::ExtendedSimulator::world_from_json(json::parse(
                    R"({"objects":[{"name":"x","kind":"blob","center":[0,0,0],"size":[1,1,1]}]})")),
                std::runtime_error);
+  // A negative size is the document's error, named after its object, not
+  // an Aabb precondition (std::invalid_argument) escaping.
+  try {
+    (void)sim::ExtendedSimulator::world_from_json(json::parse(
+        R"({"objects":[{"name":"shelf","center":[0,0,0],"size":[-0.1,0.1,0.1]}]})"));
+    ADD_FAILURE() << "a negative size was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'shelf'"), std::string::npos) << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "not a std::runtime_error: " << e.what();
+  }
 }
 
 TEST(ExtendedSimulator, ValidateTargetVsTrajectory) {

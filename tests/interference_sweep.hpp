@@ -55,7 +55,8 @@ inline fleet::CampaignSpec campaign_for(unsigned seed) {
   std::size_t n_streams = 2 + seed % 2;
   for (std::size_t s = 0; s < n_streams; ++s) {
     fleet::CampaignStreamSpec stream;
-    stream.name = "s" + std::to_string(s);
+    stream.name = "s";
+    stream.name += std::to_string(s);
     stream.commands = mutated_stream(base_workflow(), seed * 13 + static_cast<unsigned>(s) * 7);
     spec.streams.push_back(std::move(stream));
   }
